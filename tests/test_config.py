@@ -3,6 +3,12 @@ defaults ← file ← explicit path, later layers win per key."""
 
 from __future__ import annotations
 
+import ast
+import os
+
+import pytest
+
+import vat_abcd_crawler_ray
 from vat_abcd_crawler_ray.config import Settings, load_settings
 
 
@@ -33,8 +39,41 @@ def test_overlay_chain(tmp_path, monkeypatch):
     assert s.crawl.salt_buckets == 16
 
 
-def test_unknown_keys_ignored(tmp_path):
+@pytest.mark.parametrize(
+    "toml, name",
+    [("[crawl]\nnot_a_key = 1\n", "crawl.not_a_key"), ("[nope]\nx = 2\n", "nope")],
+)
+def test_unknown_keys_rejected(tmp_path, toml, name):
+    """A settings typo is an error naming the key, not a silent
+    default."""
     p = tmp_path / "s.toml"
-    p.write_text("[crawl]\nnot_a_key = 1\n[nope]\nx = 2\n")
-    s = load_settings(str(p))
-    assert s.crawl.default_host_budget == 8
+    p.write_text(toml)
+    with pytest.raises(ValueError, match=name):
+        load_settings(str(p))
+
+
+def test_package_reads_no_environment():
+    """Settings come from ``Settings`` layers only: no module of the
+    package reads an environment variable (no hidden ``VAT_*`` knobs
+    that switch paths or print timers)."""
+    pkg = os.path.dirname(vat_abcd_crawler_ray.__file__)
+    offenders = []
+    for root, _dirs, files in os.walk(pkg):
+        for f in files:
+            if not f.endswith(".py"):
+                continue
+            path = os.path.join(root, f)
+            with open(path, encoding="utf-8") as fh:
+                src = fh.read()
+            for node in ast.walk(ast.parse(src)):
+                if isinstance(node, ast.Attribute):
+                    names = {node.attr}
+                elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                    names = {a.name for a in node.names}
+                else:
+                    continue
+                if names & {"environ", "environb", "getenv"}:
+                    offenders.append(f"{path}:{node.lineno}")
+            if "VAT_" in src:
+                offenders.append(f"{path}: VAT_")
+    assert not offenders, offenders

@@ -112,9 +112,10 @@ class TestCrawl:
         assert md.fetched == mx.fetched
 
     def test_driver_vs_distributed_admission(self, corpus, tmp_path):
-        """The distributed link admission (groupby-min first-wins +
-        shard-parallel seen anti-filter + sort/zip seq-surrogate
-        assignment + Dataset-written frontier) must produce the same
+        """The distributed link admission (shard-parallel seen
+        anti-filter + hash-combined first-wins + broadcast-rank
+        seq-surrogate assignment + Dataset-written frontier) must
+        produce the same
         run as the driver admission: identical seen set, fetch order
         and metrics."""
         rd_ = _mk_run(corpus, tmp_path / "drv", admission_mode="driver")
@@ -128,9 +129,9 @@ class TestCrawl:
         assert md.as_dict() == mx.as_dict()
 
     def test_driver_vs_distributed_bootstrap(self, corpus, tmp_path):
-        """The streaming seed bootstrap (groupby-min + join + sort +
-        dense numbering, no driver DataFrame) must produce the same
-        run as the driver-side pandas bootstrap."""
+        """The streaming seed bootstrap (hash-combined first-wins +
+        broadcast-rank dense numbering, no driver DataFrame) must
+        produce the same run as the driver-side pandas bootstrap."""
         rd_ = _mk_run(corpus, tmp_path / "drv", bootstrap_mode="driver")
         md = rd_.run()
         rx = _mk_run(corpus, tmp_path / "dist", bootstrap_mode="distributed")
@@ -275,6 +276,26 @@ def test_resume_replays_partial_round_without_duplicates(corpus, tmp_path):
     # the junk partial file is gone
     log = _fetch_log(d)
     assert not log["url"].str.startswith("junk").any()
+
+
+@pytest.mark.parametrize(
+    "mode_kw",
+    [
+        {"fetch_mode": "scan"},
+        {"select_mode": "drvier"},
+        {"bootstrap_mode": "Driver"},
+        {"admission_mode": "distributed "},
+    ],
+    ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()),
+)
+def test_unknown_mode_rejected(tmp_path, mode_kw):
+    """A mode typo must fail construction, not silently pick a path
+    (every non-"driver" select string used to run the distributed
+    selection)."""
+    corpus = corpus_dir("/root/testdata/sf0.001")
+    (name,) = mode_kw
+    with pytest.raises(ValueError, match=name):
+        _mk_run(corpus, tmp_path / "run", **mode_kw)
 
 
 def test_robots_denied_vectorized_matches_rowwise():

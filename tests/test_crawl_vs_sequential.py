@@ -18,21 +18,13 @@ from vat_abcd_crawler_ray.sources.synthetic import corpus_dir
 
 
 @pytest.mark.usefixtures("ray_session")
-@pytest.mark.parametrize("modes", ["auto", "distributed", "distributed-fallback"])
-def test_distributed_crawl_matches_sequential_reference(
-    tmp_path, modes, monkeypatch
-):
+@pytest.mark.parametrize("modes", ["auto", "distributed"])
+def test_distributed_crawl_matches_sequential_reference(tmp_path, modes):
     """``modes="distributed"`` forces EVERY gated stage (bootstrap,
     selection, admission) down its scale path simultaneously — the full
-    distributed spine against the independent oracle, not just each
-    stage's pairwise equivalence. ``distributed-fallback`` additionally
-    zeroes the first-wins driver gate (``VAT_FIRSTWINS_GATE=0``) so
-    bootstrap AND admission take the above-gate path (distributed
-    groupby over the partials → semi join → sort + zip_with_index)
-    instead of the fused broadcast-rank pass."""
-    if modes == "distributed-fallback":
-        monkeypatch.setenv("VAT_FIRSTWINS_GATE", "0")
-        modes = "distributed"
+    distributed spine, including the hash-combined first-wins of
+    bootstrap and admission, against the independent oracle, not just
+    each stage's pairwise equivalence."""
     corpus = corpus_dir("/root/testdata/sf0.001")
     seq_log, seq_seen, _ds, _li, _er, _un = sequential_crawl(corpus)
 

@@ -230,29 +230,6 @@ def test_crawl_fetch_mode_http_matches_store(tmp_path):
     assert http_errs["error_message"].str.contains("404").all()
 
 
-@pytest.mark.usefixtures("ray_session")
-def test_crawl_fetch_mode_scan_matches_store(tmp_path):
-    """The store-less fallback (per-round filtered corpus re-scan) must
-    produce the identical crawl."""
-    from vat_abcd_crawler_ray.pipelines.crawl import CrawlRun
-    from vat_abcd_crawler_ray.sources.synthetic import corpus_dir
-
-    corpus = corpus_dir("/root/testdata/sf0.001")
-    args = (
-        f"{corpus}/pages.parquet",
-        f"{corpus}/seeds.parquet",
-        f"{corpus}/politeness.parquet",
-    )
-    r_store = CrawlRun(*args, str(tmp_path / "store"))
-    m_store = r_store.run()
-    r_scan = CrawlRun(*args, str(tmp_path / "scan"), fetch_mode="scan")
-    m_scan = r_scan.run()
-    assert m_store.as_dict() == m_scan.as_dict()
-    pd.testing.assert_frame_equal(
-        r_store.seen.to_table().to_pandas(), r_scan.seen.to_table().to_pandas()
-    )
-
-
 class TestUrllibOpenerFactory:
     """Production opener wiring (no network in-sandbox: urlopen is
     monkeypatched; what's under test is status/body/HTTPError

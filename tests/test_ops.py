@@ -325,14 +325,14 @@ class TestOps:
 
 
 @pytest.mark.usefixtures("ray_session")
-@pytest.mark.parametrize("gate", [None, 0])
-def test_firstwins_winner_vals_matches_pandas(gate):
-    """winner_vals_gated: winning vals = min val per key, stats honest,
-    gate=0 returns None (fallback signal) but identical partials."""
+def test_firstwins_winner_vals_matches_pandas():
+    """winner_vals: winning vals = min val per key and stats honest,
+    whatever the hash-combine partition count, with an empty block
+    among the inputs; rank_in gives the dense ranks."""
     import pyarrow as pa
     import ray
 
-    from vat_abcd_crawler_ray.ops.firstwins import rank_in, winner_vals_gated
+    from vat_abcd_crawler_ray.ops.firstwins import rank_in, winner_vals
 
     rng = np.random.default_rng(7)
     keys = rng.integers(0, 300, size=2_000)
@@ -342,27 +342,20 @@ def test_firstwins_winner_vals_matches_pandas(gate):
     ] + [pa.table({"key": pa.array([], pa.int64()),
                    "ordv": pa.array([], pa.int64())})]
     refs = [ray.put(t) for t in tables]
-    win, stats, partial_refs = winner_vals_gated(refs, driver_gate=gate)
-
     expect = (
         pd.DataFrame({"key": keys, "ordv": vals})
         .groupby("key")["ordv"].min().sort_values().to_numpy()
     )
-    assert stats["raw_rows"] == 2_000
-    assert stats["vmax"] == int(vals.max())
-    if gate == 0:
-        assert win is None
-        # the fallback combine over the partials gives the same winners
-        parts = pa.concat_tables(ray.get(partial_refs))
-        got = (
-            parts.to_pandas().groupby("key")["ordv"].min()
-            .sort_values().to_numpy()
-        )
-        np.testing.assert_array_equal(got, expect)
-        return
-    np.testing.assert_array_equal(win, expect)
+    for parts in (1, 3, 8):
+        win, stats = winner_vals(refs, parts=parts)
+        assert stats["raw_rows"] == 2_000
+        assert stats["vmax"] == int(vals.max())
+        np.testing.assert_array_equal(win, expect)
     # rank_in: dense ranks equal positions in the sorted winner array
     keep, rank = rank_in(win, vals)
     np.testing.assert_array_equal(np.sort(vals[keep]), expect)
     np.testing.assert_array_equal(np.sort(rank), np.arange(len(expect)))
     assert rank_in(np.empty(0, dtype=np.int64), vals)[0].size == 0
+    # all-empty input: no winners, vmax −1
+    win, stats = winner_vals([refs[-1]])
+    assert win.size == 0 and stats == {"raw_rows": 0, "vmax": -1}

@@ -465,10 +465,11 @@ def main(argv: list[str] | None = None) -> int:
                    help="per-round link admission path (auto gates on "
                         "the surviving link count)")
     c.add_argument("--fetch-mode", default="store",
-                   choices=["store", "scan", "http"],
-                   help='page-table fetch tiers "store"/"scan"; "http" '
-                        "fetches over the real network via the stdlib "
-                        "urllib opener built from the crawl settings")
+                   choices=["store", "http"],
+                   help='"store" fetches from the sharded page table; '
+                        '"http" fetches over the real network via the '
+                        "stdlib urllib opener built from the crawl "
+                        "settings")
     c.add_argument("--num-cpus", type=int, default=None)
     c.set_defaults(fn=cmd_crawl)
 

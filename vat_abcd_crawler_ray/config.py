@@ -72,13 +72,15 @@ class Settings:
     dataset_limit: int = 0  # 0 = unlimited; debug window C1 (main.rs:154-169)
 
 
-def _apply(obj, overrides: dict) -> None:
+def _apply(obj, overrides: dict, prefix: str = "") -> None:
+    """Overlay one settings layer; an unknown key is a typo, so it
+    raises instead of silently leaving the default in place."""
     for k, v in overrides.items():
         if not hasattr(obj, k):
-            continue
+            raise ValueError(f"unknown setting {prefix + k!r}")
         cur = getattr(obj, k)
         if isinstance(v, dict) and not isinstance(cur, dict):
-            _apply(cur, v)
+            _apply(cur, v, f"{prefix}{k}.")
         else:
             setattr(obj, k, v)
 

@@ -1,5 +1,4 @@
-"""Gated first-wins winner selection (min-val-per-key) over Arrow
-block refs.
+"""First-wins winner selection (min-val-per-key) over Arrow block refs.
 
 First-wins semantics (reference
 ``/root/reference/src/storage/surrogate_key.rs:16-41``: the FIRST
@@ -13,23 +12,21 @@ ascending-val order equals its position after a global
 Dataset sort and no zip_with_index, only a broadcast
 ``np.searchsorted`` against the sorted winner vals.
 
-This replaces the previous 3-execution spine
-(``groupby(key).min(val)`` shuffle → semi join probe → global sort +
-zip_with_index) with:
+One path, two task waves:
 
 1. one per-block partial-min TASK next to each block (output ≤
-   unique-keys-per-block rows of (key, val) — the raw rows never
+   unique-keys-per-block rows of (key, n, val) — the raw rows never
    move);
-2. a gate on the summed partial row count:
-   - **below** ``driver_gate``: a single pyarrow combine of the
-     partials (at 10^7 round-novel keys ≈ 160 MB of (key, val)
-     pairs — driver-feasible; the caller then broadcasts the sorted
-     winner vals and fuses filter + rank + finalize into ONE
-     ``map_batches`` pass);
-   - **above** it: the caller falls back to the distributed
-     ``groupby`` path, fed the PARTIAL refs instead of the raw
-     blocks, so even the fallback's shuffle moves only the
-     per-block-deduped (key, val) pairs.
+2. the hash-partitioned combine of :func:`ops.hashagg.hot_combine`
+   (``min_count=1``): each reducer hash-aggregates its slice of the
+   partials, so no single process ever holds them all.
+
+Driver-memory contract: the driver receives only the winners — one
+(key, count, min) row of 24 B per winning key while the reducer
+outputs are concatenated, then the returned sorted array of 8 B per
+winning key. At link admission the winners number at most Σ(per-host
+budget) × ``link_cap_per_page`` per round; at distributed bootstrap
+they are the distinct seed keys.
 """
 
 from __future__ import annotations
@@ -38,6 +35,8 @@ import numpy as np
 import pyarrow as pa
 import ray
 
+from .hashagg import hot_combine
+
 
 def _as_arrow(block) -> pa.Table:
     if isinstance(block, pa.Table):
@@ -45,53 +44,53 @@ def _as_arrow(block) -> pa.Table:
     return pa.Table.from_pandas(block, preserve_index=False)
 
 
+# partial rows per combine partition when the caller leaves ``parts``
+# unset: ~24 MB of (key, n, val) per reducer
+_ROWS_PER_PART = 1 << 20
+
+
 @ray.remote(num_cpus=0.5, num_returns=2)
 def _partial_min(block, key: str, val: str):
     """(meta, partial) for one block: meta = (partial_rows, raw_rows,
-    vmax) — all driver-cheap scalars; partial = per-key min-val table
-    with columns (key, val). Empty/schemaless blocks (sort and shuffle
-    ops emit them) yield a typed empty partial."""
+    vmax) — all driver-cheap scalars; partial = per-key (key, n = row
+    count, val = min val) table. Empty/schemaless blocks (sort and
+    shuffle ops emit them) yield a typed empty partial."""
     import pyarrow.compute as pc
 
     t = _as_arrow(block)
     if t.num_rows == 0 or key not in t.column_names:
-        empty = pa.table(
-            {key: pa.array([], pa.int64()), val: pa.array([], pa.int64())}
+        return (0, 0, -1), pa.table(
+            {c: pa.array([], pa.int64()) for c in (key, "n", val)}
         )
-        return (0, 0, -1), empty
     part = (
         t.select([key, val])
         .group_by(key)
-        .aggregate([(val, "min"), (val, "max")])
+        .aggregate([(val, "min"), (val, "max"), (val, "count")])
     )
     vmax = int(pc.max(part[f"{val}_max"]).as_py())
-    part = part.select([key, f"{val}_min"]).rename_columns([key, val])
-    return (part.num_rows, t.num_rows, vmax), part
+    partial = pa.table(
+        {key: part[key], "n": part[f"{val}_count"], val: part[f"{val}_min"]}
+    )
+    return (partial.num_rows, t.num_rows, vmax), partial
 
 
-def winner_vals_gated(
+def winner_vals(
     block_refs: list,
     key: str = "key",
     val: str = "ordv",
-    driver_gate: int | None = None,
-) -> tuple[np.ndarray | None, dict, list]:
-    """→ ``(win_sorted, stats, partial_refs)``.
+    parts: int | None = None,
+) -> tuple[np.ndarray, dict]:
+    """→ ``(win_sorted, stats)``.
 
-    ``win_sorted`` is the ascending np.int64 array of winning vals when
-    the summed partial row count is ≤ ``driver_gate``, else ``None``
-    (take the distributed fallback over ``partial_refs``).
-    ``stats`` = ``{"raw_rows", "partial_rows", "vmax"}`` (vmax = max
-    val over ALL rows, −1 when empty — bootstrap derives ``next_seq``
-    from it without a separate Dataset ``max()`` execution).
-
-    ``driver_gate`` defaults to 5M partial rows, overridable via
-    ``VAT_FIRSTWINS_GATE`` (tests force the distributed fallback with
-    gate 0).
+    ``win_sorted`` is the ascending np.int64 array of winning vals (the
+    minimum ``val`` of every distinct ``key``). ``stats`` =
+    ``{"raw_rows", "vmax"}`` (vmax = max val over ALL rows, −1 when
+    empty — bootstrap derives ``next_seq`` from it without a separate
+    Dataset ``max()`` execution). ``parts`` is the combine's
+    partition count; by default it follows the observed partial volume
+    (one per ``_ROWS_PER_PART`` rows, capped at the cluster's CPUs), so
+    a small round pays one reducer, not one per CPU.
     """
-    if driver_gate is None:
-        import os
-
-        driver_gate = int(os.environ.get("VAT_FIRSTWINS_GATE", 5_000_000))
     metas, partial_refs = [], []
     for ref in block_refs:
         m, p = _partial_min.remote(ref, key, val)
@@ -99,21 +98,22 @@ def winner_vals_gated(
         partial_refs.append(p)
     metas = ray.get(metas)
     stats = {
-        "partial_rows": sum(m[0] for m in metas),
         "raw_rows": sum(m[1] for m in metas),
         "vmax": max((m[2] for m in metas), default=-1),
     }
-    if stats["partial_rows"] > driver_gate:
-        return None, stats, partial_refs
-    if stats["partial_rows"] == 0:
-        return np.empty(0, dtype=np.int64), stats, partial_refs
-    combined = (
-        pa.concat_tables(ray.get(partial_refs))
-        .group_by(key)
-        .aggregate([(val, "min")])
+    if parts is None:
+        cpus = int(ray.cluster_resources().get("CPU", 8))
+        partial_rows = sum(m[0] for m in metas)
+        parts = max(1, min(cpus, -(-partial_rows // _ROWS_PER_PART)))
+    _keys, mins = hot_combine(
+        partial_refs,
+        key=key,
+        sum_col="n",
+        min_col=val,
+        min_count=1,
+        parts=parts,
     )
-    win = combined[f"{val}_min"].to_numpy(zero_copy_only=False)
-    return np.sort(win.astype(np.int64, copy=False)), stats, partial_refs
+    return np.sort(mins), stats
 
 
 def rank_in(win_sorted: np.ndarray, vals: np.ndarray):

@@ -24,7 +24,8 @@ tasks and Arrow kernels:
   (``hot_limit``) can bail out before fetching a single result table.
 
 Used by the dedup hot-bucket/hot-rep combines (``pipelines/dedup.py``)
-whenever the partial table is too large for the in-driver combine.
+whenever the partial table is too large for the in-driver combine, by
+substring dedup, and by the crawl's first-wins (``ops/firstwins.py``).
 """
 
 from __future__ import annotations
@@ -241,15 +242,16 @@ def hot_combine(
     hot_limit: int | None = None,
     parts: int | None = None,
 ):
-    """Combine a Dataset of partial (key, sum[, min]) rows into the HOT
-    groups (``sum >= min_count``), sorted by key.
+    """Combine partial (key, sum[, min]) rows — a Dataset, or a list of
+    Arrow table refs — into the HOT groups (``sum >= min_count``),
+    sorted by key.
 
     Returns ``(keys, mins)`` int64 arrays (``mins`` is None when
     ``min_col`` is None), or ``None`` when ``hot_limit`` is set and the
     hot-group count exceeds it (checked from per-reducer counts before
     any result table is fetched).
     """
-    refs = partials.to_arrow_refs()
+    refs = partials if isinstance(partials, list) else partials.to_arrow_refs()
     if parts is None:
         cpus = int(ray.cluster_resources().get("CPU", 8))
         # per-reducer slice ≈ total/parts; one reducer per CPU saturates
@@ -259,10 +261,11 @@ def hot_combine(
         keys = np.zeros(0, np.int64)
         return (keys, np.zeros(0, np.int64)) if min_col else (keys, None)
 
-    split = _split_block.options(num_returns=parts)
-    matrix = [split.remote(r, key, parts) for r in refs]
-    if parts == 1:  # num_returns=1 yields a bare ref, not a 1-tuple
-        matrix = [[m] for m in matrix]
+    if parts == 1:  # one reducer takes every block as-is: no split wave
+        matrix = [[r] for r in refs]
+    else:
+        split = _split_block.options(num_returns=parts)
+        matrix = [split.remote(r, key, parts) for r in refs]
     combine = _combine_partition.options(num_returns=2)
     reduces = [
         combine.remote(

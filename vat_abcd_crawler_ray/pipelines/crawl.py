@@ -39,31 +39,45 @@ Selection has two equivalent implementations (tested identical):
   Deferred rows are renamed (not rewritten) into the next round's
   frontier directory.
 
+Every round is four steps (``CrawlRun._round``): **select** the
+politeness-bounded winners, **fetch → extract → project** them in ONE
+fused task per fetch chunk (``_extract_project_chunk``; the chunk is a
+page-store ``get_with_meta`` ref in ``fetch_mode="store"`` or an
+``HttpFetchStage`` task ref in ``fetch_mode="http"``), **admit** the
+discovered links first-wins against the seen set, and **commit** the
+round (seen-set snapshot + writes joined at the next round's commit
+point).
+
 Resume: every round commit records outputs + a seen-set snapshot; a
 restarted run replays from the first uncommitted round.
 
 Driver-memory bound: the per-round WINNER set (and the fetch meta
 built from it) is POLITENESS-BOUNDED — at most Σ(per-host budget) rows
-per round regardless of frontier or corpus size (a 10^10-URL frontier
-with 10^5 hosts × budget 100 still selects ≤ 10^7 winners/round) — so
-holding it as a driver frame is a config-bounded cost, not a
-data-scaled one. The unbounded collections (frontier, links, extracted
-rows, seen set) never materialize on the driver: frontier stays on
-disk / in Datasets, links arrive pre-deduplicated per projection task
-and above the admission auto-gate never leave the object store
-(``_admit_distributed``), extracted blocks are written and projected
-remotely, and the seen set lives in shard actors. Every gated stage
-(bootstrap, selection, admission, seen-set round commit) has a driver
-fast path for sandbox-sized rounds and a distributed scale path
-proved identical by tests — including all four forced distributed at
-once against the sequential oracle.
+per round regardless of frontier or corpus size — so holding it as a
+driver frame is a config-bounded cost, not a data-scaled one. The
+unbounded collections (frontier, links, extracted rows, seen set)
+never materialize on the driver: frontier stays on disk / in Datasets,
+links arrive pre-deduplicated per fused task and above the admission
+auto-gate never leave the object store (``_admit_distributed``),
+extracted blocks are written remotely, and the seen set lives in shard
+actors.
+
+First-wins in the distributed bootstrap and admission has ONE
+implementation, :func:`ops.firstwins.winner_vals`: per-block partial
+mins, a hash-partitioned combine (``ops.hashagg.hot_combine``), then a
+broadcast of the sorted winner array. The driver holds that array, 8 B
+per winning key: at admission at most Σ(host budget) ×
+``link_cap_per_page`` keys per round, at distributed bootstrap one per
+distinct seed. Every gated stage (bootstrap, selection, admission,
+seen-set round commit) has a driver fast path for sandbox-sized rounds
+and a distributed scale path proved identical by tests — including all
+of them forced distributed at once against the sequential oracle.
 """
 
 from __future__ import annotations
 
 import os
 import shutil
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -179,13 +193,10 @@ def _robots_denied(df: pd.DataFrame, robots: dict) -> np.ndarray:
 LINK_ORD_SCALE = 1 << 20
 
 
-def _project_tables(prio_lookup, *tables: pa.Table):
-    """Round projection core over extracted tables: returns
+def _project_tables(prio_lookup, t: pa.Table):
+    """Round projection core over one extracted table: returns
     (fetched-url table, deduped link table, raw link count, kept link
-    count). Shared by the remote block projection
-    (:func:`_project_round_blocks`, scan/http fetch modes) and the
-    fused fetch→extract→project chunk task
-    (:func:`_extract_project_chunk`, store mode).
+    count). Runs inside the fused :func:`_extract_project_chunk` task.
 
     The link table carries its admission sort key ``ordv`` and the
     child ``priority`` (0.5 × parent priority, resolved here from the
@@ -194,37 +205,29 @@ def _project_tables(prio_lookup, *tables: pa.Table):
     — so neither admission mode needs a later pass to attach them.
     """
     wseqs, wprio = prio_lookup
-    gots, links = [], []
-    for t in tables:
-        got_mask = pc.is_in(
-            t["record_type"], value_set=pa.array(["dataset", RECORD_ERROR])
-        )
-        gots.append(t.filter(got_mask).select(["url"]))
-        lt = t.filter(pc.equal(t["record_type"], "link"))
-        seqs = lt["seq"].to_numpy(zero_copy_only=False)
-        idxs = lt["link_idx"].to_numpy(zero_copy_only=False)
-        ordv = seqs * LINK_ORD_SCALE + idxs
-        if len(wseqs):
-            pos = np.minimum(
-                np.searchsorted(wseqs, seqs), len(wseqs) - 1
-            )
-            prio = np.where(wseqs[pos] == seqs, wprio[pos], 0.0) * 0.5
-        else:
-            prio = np.zeros(len(seqs), dtype=np.float64)
-        links.append(
-            pa.table(
-                {
-                    "link_url": lt["link_url"],
-                    "canonical_url": lt["link_canonical"],
-                    "key": lt["link_key"],
-                    "host": lt["link_host"],
-                    "ordv": pa.array(ordv),
-                    "priority": pa.array(prio),
-                }
-            )
-        )
-    got_t = pa.concat_tables(gots)
-    link_t = pa.concat_tables(links)
+    got_mask = pc.is_in(
+        t["record_type"], value_set=pa.array(["dataset", RECORD_ERROR])
+    )
+    got_t = t.filter(got_mask).select(["url"])
+    lt = t.filter(pc.equal(t["record_type"], "link"))
+    seqs = lt["seq"].to_numpy(zero_copy_only=False)
+    idxs = lt["link_idx"].to_numpy(zero_copy_only=False)
+    ordv = seqs * LINK_ORD_SCALE + idxs
+    if len(wseqs):
+        pos = np.minimum(np.searchsorted(wseqs, seqs), len(wseqs) - 1)
+        prio = np.where(wseqs[pos] == seqs, wprio[pos], 0.0) * 0.5
+    else:
+        prio = np.zeros(len(seqs), dtype=np.float64)
+    link_t = pa.table(
+        {
+            "link_url": lt["link_url"],
+            "canonical_url": lt["link_canonical"],
+            "key": lt["link_key"],
+            "host": lt["link_host"],
+            "ordv": pa.array(ordv),
+            "priority": pa.array(prio),
+        }
+    )
     n_raw = link_t.num_rows  # pre-dedup discovery count (the metric)
     # partial key-dedup REMOTELY (min ordv per key — min of per-task
     # mins is the global min, so the driver's final dedup sees only
@@ -239,35 +242,29 @@ def _project_tables(prio_lookup, *tables: pa.Table):
     return got_t, link_t, n_raw, link_t.num_rows
 
 
-@ray.remote(num_cpus=0.5, num_returns=4)
-def _project_round_blocks(prio_lookup, *tables: pa.Table):
-    """Remote wrapper over :func:`_project_tables` for a GROUP of
-    pinned extracted blocks (scan/http fetch modes): the driver always
-    pulls the small url table and the two counts, but the link table
-    ref is only pulled in driver admission mode; distributed admission
-    feeds the refs straight into ``ray.data.from_arrow_refs`` so the
-    link volume never crosses the driver. Blocks are grouped
-    several-per-task so the per-round task count (and its scheduling
-    latency) stays small."""
-    return _project_tables(prio_lookup, *tables)
+@ray.remote(num_cpus=1)
+def _http_fetch_chunk(fetch_stage, meta: pa.Table) -> pa.Table:
+    """``fetch_mode="http"``: fetch one chunk of fetch meta through an
+    :class:`~..stages.fetch.HttpFetchStage` (retry/backoff/status
+    classes; failed fetches come back as NULL bodies that the extract
+    stage turns into dead-letter rows). Its ref feeds an
+    :func:`_extract_project_chunk` task exactly like a page-store
+    ``get_with_meta`` ref."""
+    return fetch_stage(meta)
 
 
 @ray.remote(num_cpus=1, num_returns=5)
 def _extract_project_chunk(stage, prio_lookup, batch_size: int, pages: pa.Table):
-    """FUSED fetch-chunk worker (store mode): one plain task takes a
-    page-store chunk (its ref resolves as the task arg, so extraction
-    starts the moment the shard's fetch lands — no Dataset execution,
-    no block accounting, no separate projection wave), parses it in
-    ``batch_size`` slices (the wide-binary-row bound the map_batches
-    path used), and projects the result in-place. Returns (extracted
-    table, fetched-url table, link table, raw link count, kept link
-    count) as FIVE refs — the extracted ref feeds only the write
-    tasks; the driver pulls urls + counts; link refs follow the
-    admission mode exactly like the block-projection path.
-
-    This is VERDICT r4 #2: the per-round serial path previously paid a
-    full Dataset execution (extract) plus a blocking projection wave —
-    two chained fixed costs a short round cannot amortize."""
+    """FUSED fetch-chunk worker: one plain task takes a fetched chunk
+    (a page-store ``get_with_meta`` or :func:`_http_fetch_chunk` ref,
+    resolved as the task arg, so extraction starts the moment the
+    chunk's fetch lands — no Dataset execution, no block accounting, no
+    separate projection wave), parses it in ``batch_size`` slices (the
+    wide-binary-row bound), and projects the result in-place. Returns
+    (extracted table, fetched-url table, link table, raw link count,
+    kept link count) as FIVE refs — the extracted ref feeds only the
+    write tasks; the driver pulls urls + counts; link refs follow the
+    admission mode."""
     parts = [
         stage(pages.slice(off, batch_size))
         for off in range(0, pages.num_rows, batch_size)
@@ -384,6 +381,35 @@ class CrawlMetrics:
         return dict(self.__dict__)
 
 
+@dataclass
+class _Selection:
+    """What the round's select step hands to fetch, admission and
+    commit."""
+
+    fdir: str  # this round's frontier dir
+    n_front: int
+    mode: str  # the resolved select mode: driver | distributed
+    winners: pd.DataFrame
+    deferred_path: str | None  # distributed: deferred partition dir
+
+
+@dataclass
+class _Fetched:
+    """What the round's fetch → extract step hands to admission and
+    commit."""
+
+    write_futs: list = field(default_factory=list)
+    link_refs: list = field(default_factory=list)
+    n_links_raw: int = 0
+    n_links_kept: int = 0
+    n_fetched: int = 0
+    n_miss: int = 0
+
+
+_GATED_MODES = frozenset({"auto", "driver", "distributed"})
+_FETCH_MODES = frozenset({"store", "http"})
+
+
 class CrawlRun:
     """One resumable crawl over (pages, seeds, politeness) parquet."""
 
@@ -395,11 +421,23 @@ class CrawlRun:
         run_dir: str,
         settings: Settings | None = None,
         select_mode: str = "auto",  # auto | driver | distributed
-        fetch_mode: str = "store",  # store | scan | http
+        fetch_mode: str = "store",  # store | http
         bootstrap_mode: str = "auto",  # auto | driver | distributed
         admission_mode: str = "auto",  # auto | driver | distributed
         http_opener=None,  # fetch_mode="http": opener(url)->(status, bytes)
     ):
+        # a typo must not silently pick a path (the gates below test
+        # only for "auto" / "driver" / "http")
+        for name, value, allowed in (
+            ("select_mode", select_mode, _GATED_MODES),
+            ("bootstrap_mode", bootstrap_mode, _GATED_MODES),
+            ("admission_mode", admission_mode, _GATED_MODES),
+            ("fetch_mode", fetch_mode, _FETCH_MODES),
+        ):
+            if value not in allowed:
+                raise ValueError(
+                    f"{name}={value!r}: expected one of {sorted(allowed)}"
+                )
         self.pages_path = pages_path
         self.seeds_path = seeds_path
         self.settings = settings or Settings()
@@ -412,6 +450,11 @@ class CrawlRun:
         self._page_store = None
         self.manifest = RunManifest(run_dir)
         cc = self.settings.crawl
+        if cc.link_cap_per_page > LINK_ORD_SCALE:
+            raise ValueError(
+                f"link_cap_per_page={cc.link_cap_per_page} > {LINK_ORD_SCALE}"
+                " (ordv packs link_idx below it)"
+            )
         self.seen = ShardedSeenSet(
             cc.num_seen_shards,
             cc.seen_capacity_per_shard,
@@ -429,8 +472,8 @@ class CrawlRun:
         self.budgets = dict(zip(pol["host"], pol["max_fetches_per_round"]))
         self.robots = dict(zip(pol["host"], pol["robots_disallow_prefix"]))
         self.default_budget = cc.default_host_budget
-        self._stage: ExtractStage | None = None
         self._stage_put = None  # ray.put(ExtractStage), once per run
+        self._fetch_put = None  # ray.put(HttpFetchStage), once per run
         self._pending_commit: tuple | None = None
         self.phase_times: list[dict] = []
         # round-pipelining state: the in-flight backlog pre-selection
@@ -442,17 +485,12 @@ class CrawlRun:
         self._next_links = None  # pa.Table | pd.DataFrame | None
         self._full_read_next = False
 
-    def _extract_stage(self) -> ExtractStage:
-        if self._stage is None:
-            self._stage = ExtractStage(self.settings)
-        return self._stage
-
     def _stage_ref(self):
         """The extract stage in the object store, put ONCE per run —
         every fused chunk task reads the same copy (no per-task
         registry pickle)."""
         if self._stage_put is None:
-            self._stage_put = ray.put(self._extract_stage())
+            self._stage_put = ray.put(ExtractStage(self.settings))
         return self._stage_put
 
     # ---------------- paths ----------------
@@ -479,8 +517,8 @@ class CrawlRun:
         Two equivalent implementations (tested identical, like
         selection): **driver** (vectorized pandas; fastest for seed
         lists that fit one machine) and **distributed** (the 10^10-URL
-        scale path: groupby-min + hash join + global sort as Dataset
-        ops; no full-seed driver DataFrame anywhere). ``auto`` switches
+        scale path: first-wins via :func:`ops.firstwins.winner_vals`;
+        no full-seed driver DataFrame anywhere). ``auto`` switches
         on the seed row count; the C1 debug window is driver-only by
         definition (it is a bounded debug knob)."""
         mode = self.bootstrap_mode
@@ -501,8 +539,6 @@ class CrawlRun:
         # cluster, but without a Dataset execution's fixed startup on
         # the run's serial path (VERDICT r4 #2: every chained
         # execution was a measured per-run tax)
-        _dbg = os.environ.get("VAT_CRAWL_TIMERS")
-        _td = _now()
         ncpu = int(ray.cluster_resources().get("CPU", 8))
         seed_t = pq.read_table(self.seeds_path)  # file or directory
         nchunks = max(1, min(2 * ncpu, seed_t.num_rows // 2048 or 1))
@@ -512,10 +548,6 @@ class CrawlRun:
             for off in range(0, seed_t.num_rows, size)
         ]
         sdf = pa.concat_tables(ray.get(refs)).to_pandas()
-        if _dbg:
-            print(f"[boot] key_seeds {_now()-_td:.2f}s ({len(sdf)} seeds, "
-                  f"{nchunks} chunks)", file=sys.stderr)
-            _td = _now()
         # C1 debug window: skip(dataset_start).take(dataset_limit), only
         # when debug is on (/root/reference/src/main.rs:154-169)
         if self.settings.debug:
@@ -524,13 +556,7 @@ class CrawlRun:
             limit = self.settings.dataset_limit
             sdf = sdf.iloc[start : start + limit if limit else None]
         self.seen.offer_batch(sdf["key"].to_numpy(), sdf["seq"].to_numpy())
-        if _dbg:
-            print(f"[boot] offer {_now()-_td:.2f}s", file=sys.stderr)
-            _td = _now()
         admitted = self.seen.commit_round().to_pandas()
-        if _dbg:
-            print(f"[boot] commit {_now()-_td:.2f}s", file=sys.stderr)
-            _td = _now()
         # next_seq counts ALL seeds (pre-dedup max), matching the
         # sequential reference's `max(s['seq'] for s in seeds) + 1` even
         # when the highest-seq seed is a non-canonical duplicate form
@@ -538,9 +564,6 @@ class CrawlRun:
         sdf = sdf.sort_values("seq", kind="mergesort").drop_duplicates("key")
         frontier = sdf.merge(admitted[["key", "surrogate"]], on="key", how="inner")
         self._write_frontier(frontier[FRONTIER_COLS], 0, "seeds")
-        if _dbg:
-            print(f"[boot] merge+write {_now()-_td:.2f}s "
-                  f"({len(frontier)} rows)", file=sys.stderr)
         # hand round 0 its frontier in memory (the disk copy above
         # stays the replay source) — the round-pipelined selection
         # then never re-reads the directory the driver just wrote;
@@ -549,31 +572,28 @@ class CrawlRun:
 
     def _bootstrap_distributed(self) -> None:
         """Streaming round-0 admission, no driver materialization of
-        the seed rows — two Dataset executions total (round 3 used
-        five: materialize + max + groupby shuffle + semi probe +
-        sort/zip):
+        the seed rows — two Dataset executions total:
 
         1. read + canonicalize + key, materialized ONCE (exec 1);
         2. first-wins per canonical key via
-           :func:`ops.firstwins.winner_vals_gated` over the seed
-           blocks — per-block partial (key, min/max seq) tasks next to
-           the data (``next_seq`` falls out of the partial maxes with
-           no separate Dataset ``max()``), then below the driver gate
-           a small combine whose sorted winning-seq array is broadcast
-           once; seqs are globally unique, so a winner's dense rank in
-           that array IS its position after a global ``sort(seq)``,
-           and surrogate = 1 + rank — identical numbering to the
-           sequential reference (``surrogate_key.rs:16-41``);
+           :func:`ops.firstwins.winner_vals` over the seed blocks —
+           per-block partial (key, min/max seq) tasks next to the data
+           (``next_seq`` falls out of the partial maxes with no
+           separate Dataset ``max()``), a hash-partitioned combine, and
+           the sorted winning-seq array broadcast once. The driver
+           holds 8 B per DISTINCT seed key. Seqs are globally unique,
+           so a winner's dense rank in that array IS its position
+           after a global ``sort(seq)``, and surrogate = 1 + rank —
+           identical numbering to the sequential reference
+           (``surrogate_key.rs:16-41``);
         3. filter + rank + surrogate fuse into one ``map_batches``
-           pass over the seed blocks (exec 2). Above the gate, the
-           round-3 spine (distributed groupby over the PARTIALS →
-           semi join → sort + zip_with_index) takes over;
+           pass over the seed blocks (exec 2);
         4. Dataset ``write_parquet`` into the round-0 frontier dir;
         5. seen-set load: each frontier BLOCK is shipped once to the
            object store and every shard actor filters its own keys
            (``assign_block``) — driver traffic is O(num_blocks) refs.
         """
-        from ..ops.firstwins import rank_in, winner_vals_gated
+        from ..ops.firstwins import rank_in, winner_vals
 
         seeds = (
             ray.data.read_parquet(self.seeds_path)
@@ -585,61 +605,28 @@ class CrawlRun:
             for bundle in seeds.iter_internal_ref_bundles()
             for block_ref in bundle.block_refs
         ]
-        win, stats, partial_refs = winner_vals_gated(
-            seed_refs, key="key", val="seq"
-        )
+        win, stats = winner_vals(seed_refs, key="key", val="seq")
         if stats["raw_rows"] == 0:
             return
         self.next_seq = stats["vmax"] + 1
-        if win is not None:
-            win_ref = ray.put(win)
+        win_ref = ray.put(win)
 
-            def finalize(t: pa.Table) -> pa.Table:
-                if t.num_rows == 0 or "seq" not in t.column_names:
-                    return _EMPTY_FRONTIER
-                keep, rank = rank_in(
-                    ray.get(win_ref),
-                    t["seq"].to_numpy(zero_copy_only=False),
-                )
-                t = t.take(pa.array(keep, pa.int64()))
-                return t.append_column(
-                    "surrogate", pa.array(1 + rank)
-                ).select(FRONTIER_COLS)
+        def finalize(t: pa.Table) -> pa.Table:
+            if t.num_rows == 0 or "seq" not in t.column_names:
+                return _EMPTY_FRONTIER
+            keep, rank = rank_in(
+                ray.get(win_ref), t["seq"].to_numpy(zero_copy_only=False)
+            )
+            t = t.take(pa.array(keep, pa.int64()))
+            return t.append_column(
+                "surrogate", pa.array(1 + rank)
+            ).select(FRONTIER_COLS)
 
-            frontier = (
-                ray.data.from_arrow_refs(seed_refs)
-                .map_batches(finalize, batch_format="pyarrow", batch_size=None)
-                .materialize()
-            )
-        else:
-            from ray.data.aggregate import Min
-
-            from ..ops.joins import semi_join_keys
-            from ..ops.zip_with_index import zip_with_index
-
-            firsts = (
-                ray.data.from_arrow_refs(partial_refs)
-                .groupby("key")
-                .aggregate(Min("seq", alias_name="first_seq"))
-            )
-            # winner rows = rows whose seq is its key's min; seqs are
-            # globally UNIQUE, so a semi join on the winning-seq set
-            # is exactly the (key, min_seq) join — auto-gated
-            # broadcast↔bucketed, never Dataset.join (whose blocking
-            # actor pool measured 45 s on 160k seeds)
-            reps = semi_join_keys(
-                seeds,
-                firsts.map_batches(
-                    lambda t: t.select(["first_seq"]).rename_columns(["seq"]),
-                    batch_format="pyarrow",
-                ),
-                on="seq",
-            )
-            frontier = (
-                zip_with_index(reps.sort("seq"), "surrogate", start=1)
-                .select_columns(FRONTIER_COLS)
-                .materialize()
-            )
+        frontier = (
+            ray.data.from_arrow_refs(seed_refs)
+            .map_batches(finalize, batch_format="pyarrow", batch_size=None)
+            .materialize()
+        )
         os.makedirs(self.frontier_dir(0), exist_ok=True)
         frontier.write_parquet(self.frontier_dir(0))
         self.seen.load_assigned_blocks(frontier)
@@ -759,7 +746,7 @@ class CrawlRun:
             )
         return winners, os.path.join(sel_dir, "cand=false"), n_denied
 
-    # ---------------- fetch ----------------
+    # ---------------- fetch → extract ----------------
     @staticmethod
     def _fetch_meta(winners: pd.DataFrame, rnd: int) -> pd.DataFrame:
         meta = winners[["canonical_url", "surrogate", "seq", "priority"]].rename(
@@ -767,67 +754,50 @@ class CrawlRun:
         )
         return meta.assign(round=np.int64(rnd))
 
-    def _fetch(self, winners: pd.DataFrame, rnd: int) -> "ray.data.Dataset":
-        """Simulated network fetch (S3,
-        ``/root/reference/src/file_downloader.rs:8-29``): O(K) lookups
-        against the sharded in-memory page store (state/page_store.py),
-        loaded ONCE per crawl — never a per-round corpus scan. Fallback
-        ``fetch_mode="scan"`` keeps the one-shot ``isin``-pushdown read
-        for store-less runs."""
-        meta = self._fetch_meta(winners, rnd)
-
+    def _fetch_refs(self, meta: pd.DataFrame) -> list:
+        """The round's fetch as a list of chunk REFS, each resolving to
+        the chunk's pages with the fetch meta columns attached — fed
+        one-to-one into the fused :func:`_extract_project_chunk`
+        tasks."""
         if self.fetch_mode == "http":
-            # the real-network tier (stages/fetch.py): task-pool fetch
-            # with retry/backoff/status classes; failed fetches flow to
-            # the extract stage as NULL bodies → dead-letter rows.
-            # Politeness holds because the selection already capped
-            # each host's rows this round.
+            return self._fetch_http_refs(meta)
+        return self._fetch_store_refs(meta)
+
+    def _fetch_http_refs(self, meta: pd.DataFrame) -> list:
+        """The real-network tier (stages/fetch.py): one
+        :func:`_http_fetch_chunk` task per slice of the fetch meta.
+        Politeness holds because the selection already capped each
+        host's rows this round; the stage paces a host's rows within a
+        chunk."""
+        if self._fetch_put is None:
             from ..stages.fetch import HttpFetchStage, urllib_opener_factory
 
-            if self.http_opener is None:
-                # production wiring: a stdlib urllib opener built from
-                # the crawl config (tests inject an in-memory opener;
-                # this sandbox has no network, so the default is only
-                # exercised in real deployments)
-                self.http_opener = urllib_opener_factory(
-                    timeout_s=self.settings.crawl.http_timeout_s,
-                    user_agent=self.settings.crawl.http_user_agent,
-                )
-            ds = ray.data.from_arrow(pa.Table.from_pandas(meta, preserve_index=False))
-            ncpu = int(ray.cluster_resources().get("CPU", 8))
-            nblocks = max(1, min(4 * ncpu, len(meta) // 64))
-            if nblocks > 1:
-                ds = ds.repartition(nblocks)  # meta rows are tiny
             cc = self.settings.crawl
-            return ds.map_batches(
+            # production wiring: a stdlib urllib opener built from the
+            # crawl config (tests inject an in-memory opener)
+            opener = self.http_opener or urllib_opener_factory(
+                timeout_s=cc.http_timeout_s, user_agent=cc.http_user_agent
+            )
+            self._fetch_put = ray.put(
                 HttpFetchStage(
-                    self.http_opener,
+                    opener,
                     max_concurrency=cc.http_fetch_concurrency,
                     per_host_delay_s=cc.http_per_host_delay_s,
-                ),
-                batch_format="pyarrow",
-                batch_size=64,
+                )
             )
-
-        if self.fetch_mode == "scan":
-            pages = ray.data.read_parquet(
-                self.pages_path,
-                columns=["url", "html", "lang", "warc_ts"],
-                filter=pc.field("url").isin(meta["url"].tolist()),
-            )
-            meta_ref = ray.put(meta)
-
-            def attach(batch: pd.DataFrame) -> pd.DataFrame:
-                return batch.merge(ray.get(meta_ref), on="url", how="inner")
-
-            return pages.map_batches(attach, batch_format="pandas")
-
-        return ray.data.from_arrow_refs(self._fetch_store_refs(meta))
+        meta_t = pa.Table.from_pandas(meta, preserve_index=False)
+        ncpu = int(ray.cluster_resources().get("CPU", 8))
+        size = -(-len(meta) // max(1, min(4 * ncpu, len(meta) // 64)))
+        return [
+            _http_fetch_chunk.remote(self._fetch_put, meta_t.slice(off, size))
+            for off in range(0, len(meta), size)
+        ]
 
     def _fetch_store_refs(self, meta: pd.DataFrame) -> list:
-        """Store-mode fetch as a list of chunk REFS (one per shard
-        chunk) — the fused round path feeds each straight into an
-        :func:`_extract_project_chunk` task without a Dataset."""
+        """Store-mode fetch (S3, ``/root/reference/src/file_downloader.rs:8-29``
+        simulated): O(K) lookups against the sharded in-memory page
+        store (state/page_store.py), loaded ONCE per crawl — never a
+        per-round corpus scan. One ref per shard chunk."""
         if self._page_store is None:
             from ..state.page_store import get_page_store
 
@@ -840,11 +810,10 @@ class CrawlRun:
         # repartition + per-batch pandas merge moved the whole round's
         # pages twice and halved big-round throughput). The chunk count
         # targets ~2 blocks per CPU so the downstream extract uses the
-        # whole cluster; the shard results become dataset blocks
-        # directly (from_arrow_refs, no extra copies). Never call
-        # ray.get on the store from inside map tasks — blocked workers
-        # made Ray spawn replacement processes (observed 56 workers on
-        # an 8-CPU cluster: hidden oversubscription).
+        # whole cluster. Never call ray.get on the store from inside
+        # map tasks — blocked workers made Ray spawn replacement
+        # processes (observed 56 workers on an 8-CPU cluster: hidden
+        # oversubscription).
         store = self._page_store
         urls = meta["url"].to_numpy()
         shard_ids = store.shard_of(list(urls))
@@ -870,9 +839,105 @@ class CrawlRun:
                 )
         return refs
 
+    def _fetch_extract(self, winners: pd.DataFrame, rnd: int) -> _Fetched:
+        """Fetch → extract → project → write for the round's winners:
+        one fused :func:`_extract_project_chunk` task per fetch chunk,
+        so the round pays no Dataset execution and no separate
+        projection wave. The driver pulls only the fetched-url tables
+        and the link counts; the link refs go to admission."""
+        fx = _Fetched()
+        if winners.empty:
+            return fx
+        out_dir = self.extracted_dir(rnd)
+        # winner (seq → priority) lookup for child-link priorities,
+        # sorted for the projections' searchsorted; put ONCE per round
+        # (top-level ObjectRef args auto-deref in the task)
+        worder = np.argsort(winners["seq"].to_numpy(), kind="stable")
+        prio_ref = ray.put(
+            (
+                winners["seq"].to_numpy()[worder],
+                winners["priority"].to_numpy()[worder],
+            )
+        )
+        fetch_refs = self._fetch_refs(self._fetch_meta(winners, rnd))
+        futs = [
+            _extract_project_chunk.remote(
+                self._stage_ref(), prio_ref, self.settings.crawl.batch_size, ref
+            )
+            for ref in fetch_refs
+        ]
+        blocks = [f[0] for f in futs]
+        # EAGER write submission: each writer becomes runnable the
+        # moment its 8 chunks land, so zstd IO overlaps the extraction
+        # tail instead of starting after the full count pull — measured
+        # commit_wait 7.6 → 3.5 s on a contended disk, extract time
+        # unchanged (the extract tasks were submitted first and stay
+        # ahead in queue). Writes then run through admission and the
+        # next round's selection; the deferred commit joins them before
+        # the round is durable (uncommitted rounds replay on resume, so
+        # a crash mid-write is safe).
+        os.makedirs(out_dir, exist_ok=True)
+        fx.write_futs = [
+            _write_round_blocks.remote(out_dir, wi, *blocks[i : i + 8])
+            for wi, i in enumerate(range(0, len(blocks), 8))
+        ]
+        got_tbls = [g for g in ray.get([f[1] for f in futs]) if g.num_rows]
+        fx.link_refs = [f[2] for f in futs]
+        fx.n_links_raw = sum(ray.get([f[3] for f in futs]))
+        fx.n_links_kept = sum(ray.get([f[4] for f in futs]))
+
+        # miss = winners whose url produced no dataset/error record.
+        # Arrow is_in over the fetched-url table — the old Python
+        # ``set(to_pylist())`` + pandas .isin built ~rounds×10^5
+        # PyObjects on the driver's serial path
+        if got_tbls:
+            hit = pc.is_in(
+                pa.array(winners["canonical_url"], pa.string()),
+                value_set=pa.concat_tables(got_tbls)["url"].combine_chunks(),
+            )
+            miss_mask = pc.invert(hit).to_numpy(zero_copy_only=False)
+        else:
+            miss_mask = np.ones(len(winners), dtype=bool)
+        miss = winners[miss_mask]
+        fx.n_miss = n_miss = len(miss)
+        fx.n_fetched = len(winners) - n_miss
+        if n_miss:
+            miss_t = pa.table(
+                {
+                    "record_type": pa.array([RECORD_ERROR] * n_miss),
+                    "url": pa.array(miss["canonical_url"].tolist()),
+                    "surrogate": pa.array(miss["surrogate"].to_numpy()),
+                    "seq": pa.array(miss["seq"].to_numpy()),
+                    "round": pa.array(np.full(n_miss, rnd, dtype=np.int64)),
+                    "error_kind": pa.array(["FetchMiss"] * n_miss),
+                    "error_message": pa.array(["url not in page store"] * n_miss),
+                }
+            )
+            miss_dir = os.path.join(out_dir, "record_type=error")
+            os.makedirs(miss_dir, exist_ok=True)
+            pq.write_table(miss_t, os.path.join(miss_dir, "misses.parquet"))
+        return fx
+
     # ---------------- one round ----------------
     def _round(self, rnd: int) -> bool:
-        cc = self.settings.crawl
+        t0 = _now()
+        sel = self._select(rnd)
+        if sel is None:
+            return False
+        phase_t = {"select": _now() - t0}
+        t0 = _now()
+        fx = self._fetch_extract(sel.winners, rnd)
+        phase_t["extract"] = _now() - t0  # fused fetch + extract + project
+        t0 = _now()
+        admitted, has_next = self._admit(sel, fx, rnd)
+        phase_t["admission"] = _now() - t0
+        self._commit(rnd, sel, fx, admitted, phase_t)
+        return has_next
+
+    def _select(self, rnd: int) -> _Selection | None:
+        """The round's politeness selection, or None when the frontier
+        is exhausted. Driver mode also submits the NEXT round's backlog
+        pre-selection before returning, so it overlaps fetch/extract."""
         fdir = self.frontier_dir(rnd)
         # round-pipelining hand-off from the previous round: the
         # overlapped backlog pre-selection (its cand/rest files are
@@ -883,8 +948,6 @@ class CrawlRun:
         self._preselect = None
         self._next_links = None
         self._full_read_next = False
-        phase_t: dict[str, float] = {}
-        t0 = _now()
         pre_cand: pa.Table | None = None
         rest_cnt = 0
         if pre is not None:
@@ -892,7 +955,7 @@ class CrawlRun:
             rest_cnt = int(ray.get(pre[1]))  # the prior round's extract
         have_mem = (pre is not None or links_mem is not None) and not full_read
         if not have_mem and not os.path.isdir(fdir):
-            return False
+            return None
 
         # a replayed (crashed, uncommitted) round must not APPEND to its
         # half-written outputs — the round commit is all-or-nothing (C3)
@@ -909,379 +972,111 @@ class CrawlRun:
                 + (len(links_mem) if links_mem is not None else 0)
             )
             if n_front == 0:
-                return False
+                return None
         else:
             n_front = _count_parquet_rows(fdir)
         mode = self.select_mode
         if mode == "auto":
             mode = "distributed" if n_front > 2_000_000 else "driver"
 
-        deferred_path = None
-        used_mem = False
-        if mode == "driver":
-            if have_mem:
-                parts = []
-                if pre_cand is not None and pre_cand.num_rows:
-                    parts.append(pre_cand.to_pandas())
-                if links_mem is not None and len(links_mem):
-                    ldf = (
-                        links_mem.to_pandas()
-                        if isinstance(links_mem, pa.Table)
-                        else links_mem
-                    )
-                    parts.append(ldf[FRONTIER_COLS])
-                if parts:
-                    frontier = pd.concat(parts, ignore_index=True)
-                    used_mem = True
-                else:
-                    # degenerate: non-empty backlog but empty cand
-                    # (zero-budget hosts) — fall back to the full read
-                    # so the spin-until-max_rounds semantics match the
-                    # non-pipelined path exactly
-                    frontier = _read_parquet_dir(fdir)
-            else:
-                frontier = _read_parquet_dir(fdir)
-            if frontier.empty:
-                return False
-            winners, deferred, n_denied = self._select_driver(frontier)
-            self.metrics.robots_denied += n_denied
-        else:
+        if mode == "distributed":
             winners, deferred_path, n_denied = self._select_distributed(rnd, n_front)
-            deferred = None
             self.metrics.robots_denied += n_denied
             if winners.empty and not os.path.isdir(deferred_path):
-                return False
+                return None
+            return _Selection(fdir, n_front, mode, winners, deferred_path)
+
+        used_mem = False
+        frontier = None
+        if have_mem:
+            parts = []
+            if pre_cand is not None and pre_cand.num_rows:
+                parts.append(pre_cand.to_pandas())
+            if links_mem is not None and len(links_mem):
+                ldf = (
+                    links_mem.to_pandas()
+                    if isinstance(links_mem, pa.Table)
+                    else links_mem
+                )
+                parts.append(ldf[FRONTIER_COLS])
+            if parts:
+                frontier = pd.concat(parts, ignore_index=True)
+                used_mem = True
+        if frontier is None:
+            # no memory hand-off, or the degenerate non-empty backlog
+            # with an empty cand (zero-budget hosts): full read, so the
+            # spin-until-max_rounds semantics match the non-pipelined
+            # path exactly
+            frontier = _read_parquet_dir(fdir)
+        if frontier.empty:
+            return None
+        winners, deferred, n_denied = self._select_driver(frontier)
+        self.metrics.robots_denied += n_denied
 
         # submit the NEXT round's backlog pre-selection NOW, before
         # fetch/extract start, so its frontier read + per-host sort
-        # runs concurrently with them (driver mode only — the
-        # distributed path defers via file renames instead)
-        if mode == "driver":
-            rest_files = []
-            if used_mem and pre is not None:
-                rf = os.path.join(fdir, "rest.parquet")
-                if os.path.isfile(rf):
-                    rest_files.append(rf)
-            backlog_rows = len(deferred) + (rest_cnt if used_mem else 0)
-            if backlog_rows:
-                losers_t = pa.Table.from_pandas(
-                    deferred[FRONTIER_COLS], preserve_index=False
-                )
-                self._preselect = _preselect_backlog.remote(
-                    rest_files,
-                    losers_t,
-                    self.budgets,
-                    self.default_budget,
-                    self.frontier_dir(rnd + 1),
-                )
-                deferred = None  # written by the preselect task
-
-        out_dir = self.extracted_dir(rnd)
-        n_fetched = n_miss = 0
-        # links is an Arrow table once winners produce one, else None —
-        # the admission guard below tests `.num_rows`, so the empty
-        # sentinel must be None, never an empty pandas frame
-        links = None
-        link_refs: list = []
-        n_links_raw = n_links_kept = 0
-        write_futs: list = []
-        # selection (driver parquet read + sort, or the distributed
-        # Dataset path) was untimed through round 2 — it is the largest
-        # per-round serial term at big round sizes, so it gets its own
-        # budget line
-        phase_t["select"] = _now() - t0
-        t0 = _now()
-        if not winners.empty:
-            # winner (seq → priority) lookup for child-link priorities,
-            # sorted for the projections' searchsorted; put ONCE per
-            # round (top-level ObjectRef args auto-deref in the task)
-            worder = np.argsort(winners["seq"].to_numpy(), kind="stable")
-            prio_ref = ray.put(
-                (
-                    winners["seq"].to_numpy()[worder],
-                    winners["priority"].to_numpy()[worder],
-                )
+        # runs concurrently with them
+        rest_files = []
+        if used_mem and pre is not None:
+            rf = os.path.join(fdir, "rest.parquet")
+            if os.path.isfile(rf):
+                rest_files.append(rf)
+        # (the task also writes the losers into the next frontier dir)
+        if len(deferred) + (rest_cnt if used_mem else 0):
+            self._preselect = _preselect_backlog.remote(
+                rest_files,
+                pa.Table.from_pandas(deferred[FRONTIER_COLS], preserve_index=False),
+                self.budgets,
+                self.default_budget,
+                self.frontier_dir(rnd + 1),
             )
-            if self.fetch_mode == "store":
-                # FUSED path (VERDICT r4 #2): each page-store chunk ref
-                # feeds one plain _extract_project_chunk task — fetch →
-                # extract → project pipeline per chunk with NO Dataset
-                # execution and no separate projection wave; the two
-                # chained fixed costs of the old path (execution
-                # startup + blocking projection round trip) are gone.
-                fetch_refs = self._fetch_store_refs(
-                    self._fetch_meta(winners, rnd)
-                )
-                futs = [
-                    _extract_project_chunk.remote(
-                        self._stage_ref(), prio_ref, cc.batch_size, ref
-                    )
-                    for ref in fetch_refs
-                ]
-                blocks = [f[0] for f in futs]
-                # EAGER write submission: each writer becomes runnable
-                # the moment its 8 chunks land, so zstd IO overlaps the
-                # extraction tail instead of starting after the full
-                # count pull — measured commit_wait 7.6 → 3.5 s on a
-                # contended disk, extract time unchanged (the extract
-                # tasks were submitted first and stay ahead in queue)
-                os.makedirs(out_dir, exist_ok=True)
-                write_futs = [
-                    _write_round_blocks.remote(out_dir, wi, *blocks[i : i + 8])
-                    for wi, i in enumerate(range(0, len(blocks), 8))
-                ]
-                got_tbls = [
-                    g for g in ray.get([f[1] for f in futs]) if g.num_rows
-                ]
-                link_refs = [f[2] for f in futs]
-                n_links_raw = sum(ray.get([f[3] for f in futs]))
-                n_links_kept = sum(ray.get([f[4] for f in futs]))
-                phase_t["extract"] = _now() - t0  # fused fetch+extract
-                t0 = _now()
-                phase_t["project"] = 0.0  # fused into extract above
-            else:
-                fetched = self._fetch(winners, rnd)
-                # ONE parse execution per round, pinned via
-                # materialize(); the parquet write and the links /
-                # fetched-url projections below re-read the pinned
-                # blocks — no reparse, and no driver read-back of
-                # hundreds of small part files (which measurably
-                # anti-scaled with cluster size).
-                extracted = fetched.map_batches(
-                    self._extract_stage(),
-                    batch_format="pyarrow",
-                    batch_size=cc.batch_size,
-                ).materialize()
-                phase_t["extract"] = _now() - t0
-                t0 = _now()
+        return _Selection(fdir, n_front, mode, winners, None)
 
-                # Remote grouped projections straight off the pinned
-                # blocks: plain Ray tasks (no second Dataset execution —
-                # each execution's flat startup cost was a measured
-                # per-round tax), and the driver receives ONLY the small
-                # (url, link) projections, never the full extracted
-                # blocks. The driver BLOCKS on the counts, so the
-                # projections own the whole cluster — the CPU-heavy
-                # zstd write tasks are submitted only after they
-                # resolve.
-                blocks = []
-                for bundle in extracted.iter_internal_ref_bundles():
-                    for block_ref in bundle.block_refs:
-                        blocks.append(block_ref)
-                futs = [
-                    _project_round_blocks.remote(prio_ref, *blocks[i : i + 8])
-                    for i in range(0, len(blocks), 8)
-                ]
-                got_tbls = [
-                    g for g in ray.get([f[0] for f in futs]) if g.num_rows
-                ]
-                link_refs = [f[1] for f in futs]
-                n_links_raw = sum(ray.get([f[2] for f in futs]))
-                n_links_kept = sum(ray.get([f[3] for f in futs]))
-                phase_t["project"] = _now() - t0
-                t0 = _now()
-            # Writes leave the critical path entirely: grouped write
-            # tasks (8 blocks each — a handful of concurrent zstd
-            # writers; 64 snappy writers measurably thrashed the ONE
-            # shared sandbox disk) run through admission and the next
-            # round's selection/extract; the deferred commit joins them
-            # (a full round of slack) before the round is durable
-            # (uncommitted rounds replay on resume, so a crash
-            # mid-write is safe). Submitted AFTER the projection
-            # ray.get: the projections are the round's critical path,
-            # and interleaving long zstd tasks into the same 2·CPU task
-            # slots measurably stretched the project phase.
-            if not write_futs:  # non-store path: submit after projections
-                os.makedirs(out_dir, exist_ok=True)
-                write_futs = [
-                    _write_round_blocks.remote(out_dir, wi, *blocks[i : i + 8])
-                    for wi, i in enumerate(range(0, len(blocks), 8))
-                ]
-            phase_t["write_submit"] = _now() - t0
-            t0 = _now()
+    def _admit(self, sel: _Selection, fx: _Fetched, rnd: int) -> tuple[int, bool]:
+        """Link admission (deterministic child seqs, then the seen
+        filter), then the next round's frontier. Returns (admitted
+        links, whether a next round has work).
 
-            # miss = winners whose url produced no dataset/error record.
-            # Arrow is_in over the fetched-url table — the old Python
-            # ``set(to_pylist())`` + pandas .isin built ~rounds×10^5
-            # PyObjects on the driver's serial path
-            if got_tbls:
-                hit = pc.is_in(
-                    pa.array(winners["canonical_url"], pa.string()),
-                    value_set=pa.concat_tables(got_tbls)["url"].combine_chunks(),
-                )
-                miss_mask = pc.invert(hit).to_numpy(zero_copy_only=False)
-            else:
-                miss_mask = np.ones(len(winners), dtype=bool)
-            miss = winners[miss_mask]
-            n_miss = len(miss)
-            n_fetched = len(winners) - n_miss
-            if n_miss:
-                miss_t = pa.table(
-                    {
-                        "record_type": pa.array([RECORD_ERROR] * n_miss),
-                        "url": pa.array(miss["canonical_url"].tolist()),
-                        "surrogate": pa.array(miss["surrogate"].to_numpy()),
-                        "seq": pa.array(miss["seq"].to_numpy()),
-                        "round": pa.array(np.full(n_miss, rnd, dtype=np.int64)),
-                        "error_kind": pa.array(["FetchMiss"] * n_miss),
-                        "error_message": pa.array(["url not in page store"] * n_miss),
-                    }
-                )
-                miss_dir = os.path.join(out_dir, "record_type=error")
-                os.makedirs(miss_dir, exist_ok=True)
-                pq.write_table(miss_t, os.path.join(miss_dir, "misses.parquet"))
-
-        # ---- link admission (deterministic child seqs, then seen-filter)
-        # Two equivalent implementations (tested identical, like
-        # selection/bootstrap): **driver** — numpy/Arrow over the
-        # pre-deduplicated link survivors (bounded by winners ×
-        # link_cap_per_page); **distributed** — the scale path: the
-        # link refs become a Dataset, first-wins is a groupby-min +
-        # join, the seen anti-filter runs shard-parallel over shared
-        # blocks, child seq/surrogate assignment is a sort +
-        # zip_with_index, and the next frontier is Dataset-written.
-        # ``auto`` switches on the surviving link count, so no
-        # data-proportional ray.get remains once rounds grow.
-        admitted_rows = 0
-        new_frontier = pd.DataFrame(columns=FRONTIER_COLS)
+        Two equivalent admission paths (tested identical, like
+        selection/bootstrap): **driver** (:meth:`_admit_driver`, over
+        the pre-deduplicated link survivors, bounded by winners ×
+        ``link_cap_per_page``) and **distributed**
+        (:meth:`_admit_distributed`). ``auto`` switches on the
+        surviving link count, so no data-proportional ray.get remains
+        once rounds grow."""
+        admitted = 0
+        new_frontier = None
         links_written = False
         amode = self.admission_mode
         if amode == "auto":
-            amode = "distributed" if n_links_kept > 2_000_000 else "driver"
-        if n_links_kept and amode == "distributed":
-            self.metrics.links_discovered += n_links_raw
-            admitted_rows = self._admit_distributed(link_refs, rnd)
-            links_written = admitted_rows > 0
-            self.seen.commit_round()  # parity: clears (empty) pending state
-        elif n_links_kept:
-            _dbg = os.environ.get("VAT_CRAWL_TIMERS")
-            _td = _now()
-            links = pa.concat_tables(
-                [l for l in ray.get(link_refs) if l.num_rows]
-            )
-            if _dbg:
-                print(f"[adm r{rnd}] get_links {_now()-_td:.2f}s "
-                      f"({links.num_rows} rows)", file=sys.stderr)
-                _td = _now()
-            self.metrics.links_discovered += n_links_raw
-            key_a = links["key"].to_numpy(zero_copy_only=False)
-            # ordv packs (seq, link_idx), globally unique — ONE sort key
-            order = np.argsort(
-                links["ordv"].to_numpy(zero_copy_only=False), kind="stable"
-            )
-            first = ~pd.Series(key_a[order]).duplicated().to_numpy()
-            cand_idx = order[first]
-            ck = key_a[cand_idx]
-            if _dbg:
-                print(f"[adm r{rnd}] dedup {_now()-_td:.2f}s", file=sys.stderr)
-                _td = _now()
-            # a sequential crawler only numbers NOVEL urls — filter
-            # against the committed seen set BEFORE consuming seqs, so
-            # the seq/surrogate sequence is identical to the
-            # single-threaded reference (tests/test_crawl_vs_sequential)
-            known = self.seen.lookup(ck) >= 0
-            cand_idx, ck = cand_idx[~known], ck[~known]
-            if _dbg:
-                print(f"[adm r{rnd}] seen_lookup {_now()-_td:.2f}s "
-                      f"({len(ck)} novel)", file=sys.stderr)
-                _td = _now()
-            child_seq = np.arange(
-                self.next_seq, self.next_seq + len(ck), dtype=np.int64
-            )
-            self.next_seq += len(ck)
-            base_surr = self.seen.next_surrogate
-            fresh = self.seen.offer_batch(ck, child_seq)
-            cand_idx, ck, child_seq = cand_idx[fresh], ck[fresh], child_seq[fresh]
-            admitted_t = self.seen.commit_round()
-            admitted_rows = admitted_t.num_rows
-            if _dbg:
-                print(f"[adm r{rnd}] offer+commit {_now()-_td:.2f}s "
-                      f"({admitted_rows} admitted)", file=sys.stderr)
-                _td = _now()
-            if admitted_rows:
-                # child priority was resolved inside the projection
-                # tasks (0.5 x parent) — no winner-map pass here
-                cand_t = links.select(
-                    ["link_url", "canonical_url", "host", "priority"]
-                ).take(pa.array(cand_idx, pa.int64()))
-                prio = cand_t["priority"]
-                if admitted_rows == len(ck):
-                    # the (provably always) common case: every offered
-                    # key was admitted, and commit assigns surrogates
-                    # densely in first_seq (= child_seq) order, so
-                    # surrogate_i = base_surr + i — the old 6-column
-                    # pandas merge was an identity mapping; build the
-                    # frontier Arrow-native, no pandas round trip
-                    new_frontier = pa.table(
-                        {
-                            "url": cand_t["link_url"],
-                            "canonical_url": cand_t["canonical_url"],
-                            "key": pa.array(ck),
-                            "host": cand_t["host"],
-                            "priority": prio,
-                            "seq": pa.array(child_seq),
-                            "surrogate": pa.array(
-                                base_surr
-                                + np.arange(len(ck), dtype=np.int64)
-                            ),
-                        }
-                    )
-                else:  # defensive fallback: join on (key, child_seq)
-                    admitted = admitted_t.to_pandas()
-                    cand = pd.DataFrame(
-                        {
-                            "url": cand_t["link_url"].to_pandas(),
-                            "canonical_url": cand_t["canonical_url"].to_pandas(),
-                            "key": ck,
-                            "host": cand_t["host"].to_pandas(),
-                            "child_seq": child_seq,
-                            "priority": prio.to_numpy(zero_copy_only=False),
-                        }
-                    )
-                    nf = cand.merge(
-                        admitted.rename(columns={"first_seq": "child_seq"}),
-                        on=["key", "child_seq"],
-                        how="inner",
-                    )
-                    new_frontier = pd.DataFrame(
-                        {
-                            "url": nf["url"],
-                            "canonical_url": nf["canonical_url"],
-                            "key": nf["key"],
-                            "host": nf["host"],
-                            "priority": nf["priority"],
-                            "seq": nf["child_seq"],
-                            "surrogate": nf["surrogate"],
-                        }
-                    )
-        else:
+            amode = "distributed" if fx.n_links_kept > 2_000_000 else "driver"
+        if not fx.n_links_kept:
             self.seen.commit_round()  # clears shard pending state
+        elif amode == "distributed":
+            self.metrics.links_discovered += fx.n_links_raw
+            admitted = self._admit_distributed(fx.link_refs, rnd)
+            links_written = admitted > 0
+            self.seen.commit_round()  # parity: clears (empty) pending state
+        else:
+            self.metrics.links_discovered += fx.n_links_raw
+            new_frontier = self._admit_driver(fx.link_refs)
+            admitted = new_frontier.num_rows
 
-        # ---- build next frontier
         has_next = False
-        if deferred is not None and len(deferred):
-            self._write_frontier(deferred[FRONTIER_COLS], rnd + 1, "deferred")
-            has_next = True
-        if deferred_path and os.path.isdir(deferred_path):
+        if sel.deferred_path and os.path.isdir(sel.deferred_path):
             # rename, don't rewrite, the deferred partition files
             os.makedirs(self.frontier_dir(rnd + 1), exist_ok=True)
-            moved = 0
-            for f in sorted(os.listdir(deferred_path)):
+            for f in sorted(os.listdir(sel.deferred_path)):
                 if f.endswith(".parquet"):
                     os.rename(
-                        os.path.join(deferred_path, f),
+                        os.path.join(sel.deferred_path, f),
                         os.path.join(self.frontier_dir(rnd + 1), f"def-{f}"),
                     )
-                    moved += 1
-            has_next = has_next or moved > 0
-        if len(new_frontier):
-            _tf = _now()
+                    has_next = True
+        if new_frontier is not None and new_frontier.num_rows:
             self._write_frontier(new_frontier, rnd + 1, "links")
-            if os.environ.get("VAT_CRAWL_TIMERS"):
-                print(f"[adm r{rnd}] frontier_write {_now()-_tf:.2f}s "
-                      f"({len(new_frontier)} rows)", file=sys.stderr)
             has_next = True
-            if mode == "driver":
+            if sel.mode == "driver":
                 # keep the admitted links in memory for the next
                 # round's pipelined selection (the disk copy above
                 # stays the replay/resume source of truth); under
@@ -1289,26 +1084,83 @@ class CrawlRun:
                 # rows on disk the driver never saw, so memory-mode
                 # selection must not engage next round
                 self._next_links = new_frontier
-        has_next = has_next or links_written  # distributed admission wrote
         if links_written:
             # distributed admission wrote next-frontier links straight
             # from Datasets — the next round must read the dir in full
             self._full_read_next = True
-        has_next = has_next or self._preselect is not None
+        has_next = has_next or links_written or self._preselect is not None
+        return admitted, has_next
 
-        phase_t["admission"] = _now() - t0
-        # round N's shard snapshots run in the background through all of
-        # round N+1 (actor message order makes them a consistent cut);
-        # the manifest commit waits for them at the NEXT round's commit
-        # point, so the per-round serial path carries neither the
-        # snapshot IO nor the commit fsync.
+    def _admit_driver(self, link_refs: list) -> pa.Table:
+        """Driver link admission → the admitted links as a frontier
+        table (possibly empty)."""
+        links = pa.concat_tables([l for l in ray.get(link_refs) if l.num_rows])
+        key_a = links["key"].to_numpy(zero_copy_only=False)
+        # ordv packs (seq, link_idx), globally unique — ONE sort key
+        order = np.argsort(
+            links["ordv"].to_numpy(zero_copy_only=False), kind="stable"
+        )
+        first = ~pd.Series(key_a[order]).duplicated().to_numpy()
+        cand_idx = order[first]
+        ck = key_a[cand_idx]
+        # a sequential crawler only numbers NOVEL urls — filter against
+        # the committed seen set BEFORE consuming seqs, so the
+        # seq/surrogate sequence is identical to the single-threaded
+        # reference (tests/test_crawl_vs_sequential)
+        known = self.seen.lookup(ck) >= 0
+        cand_idx, ck = cand_idx[~known], ck[~known]
+        child_seq = np.arange(
+            self.next_seq, self.next_seq + len(ck), dtype=np.int64
+        )
+        self.next_seq += len(ck)
+        base_surr = self.seen.next_surrogate
+        fresh = self.seen.offer_batch(ck, child_seq)
+        cand_idx, ck, child_seq = cand_idx[fresh], ck[fresh], child_seq[fresh]
+        admitted = self.seen.commit_round().num_rows
+        # ck is first-wins-unique and already seen-filtered, so the
+        # commit admits every offered key and assigns surrogates
+        # densely in first_seq (= child_seq) order: surrogate_i =
+        # base_surr + i
+        if admitted != len(ck):
+            raise RuntimeError(
+                f"seen-set commit admitted {admitted} of {len(ck)} novel links"
+            )
+        # child priority was resolved inside the projection tasks
+        # (0.5 x parent) — no winner-map pass here
+        cand_t = links.select(
+            ["link_url", "canonical_url", "host", "priority"]
+        ).take(pa.array(cand_idx, pa.int64()))
+        return pa.table(
+            {
+                "url": cand_t["link_url"],
+                "canonical_url": cand_t["canonical_url"],
+                "key": pa.array(ck),
+                "host": cand_t["host"],
+                "priority": cand_t["priority"],
+                "seq": pa.array(child_seq),
+                "surrogate": pa.array(
+                    base_surr + np.arange(len(ck), dtype=np.int64)
+                ),
+            }
+        )
+
+    def _commit(
+        self, rnd: int, sel: _Selection, fx: _Fetched, admitted: int, phase_t: dict
+    ) -> None:
+        """Queue the round's commit. Round N's shard snapshots run in
+        the background through all of round N+1 (actor message order
+        makes them a consistent cut); the manifest commit waits for
+        them and the round's writes at the NEXT round's commit point,
+        so the per-round serial path carries neither the snapshot IO
+        nor the commit fsync."""
+        cc = self.settings.crawl
         self._flush_pending_commit()  # its wait is recorded as the
         # PREVIOUS round's commit_wait (inside the flush) — timing it
         # here too would double-count it under "snapshot"
         t0 = _now()
         snap_mode = "full" if rnd % cc.snapshot_full_every == 0 else "delta"
         snap_futs = (
-            self.seen.snapshot_async(self.seen_dir(rnd), snap_mode) + write_futs
+            self.seen.snapshot_async(self.seen_dir(rnd), snap_mode) + fx.write_futs
         )
         if self._preselect is not None:
             # this round's commit must not land before the pipelined
@@ -1318,17 +1170,17 @@ class CrawlRun:
             snap_futs = snap_futs + list(self._preselect)
         phase_t["snapshot"] = _now() - t0
         self.metrics.rounds = rnd + 1
-        self.metrics.fetched += n_fetched
-        self.metrics.fetch_misses += n_miss
-        self.metrics.links_admitted += admitted_rows
+        self.metrics.fetched += fx.n_fetched
+        self.metrics.fetch_misses += fx.n_miss
+        self.metrics.links_admitted += admitted
         self.metrics.per_round.append(
             {
                 "round": rnd,
-                "frontier": int(n_front),
-                "selected": int(len(winners)),
-                "fetched": int(n_fetched),
-                "misses": int(n_miss),
-                "links_admitted": int(admitted_rows),
+                "frontier": int(sel.n_front),
+                "selected": int(len(sel.winners)),
+                "fetched": int(fx.n_fetched),
+                "misses": int(fx.n_miss),
+                "links_admitted": int(admitted),
             }
         )
         # wall times live OUTSIDE metrics (metrics must be bit-equal
@@ -1340,8 +1192,8 @@ class CrawlRun:
             snap_futs,
             rnd,
             {
-                "frontier_dir": fdir,
-                "extracted_dir": out_dir,
+                "frontier_dir": sel.fdir,
+                "extracted_dir": self.extracted_dir(rnd),
                 "seen_snapshot": self.seen_dir(rnd),
                 "seen_snapshot_mode": snap_mode,
                 "next_seq": self.next_seq,
@@ -1350,149 +1202,57 @@ class CrawlRun:
                 "phase_sec": self.phase_times[-1],
             },
         )
-        return has_next
 
     # ---------------- distributed link admission ----------------
-    _LINK_ORD_SCALE = LINK_ORD_SCALE  # ordv = parent_seq * SCALE + link_idx
-
     def _admit_distributed(self, link_refs: list, rnd: int) -> int:
-        """Scale-path link admission — the distributed mirror of the
-        driver branch, built from the same pieces as the bootstrap.
-        The projection tasks already attached ``ordv`` (packed
+        """Scale-path link admission — the distributed mirror of
+        :meth:`_admit_driver`, built from the same pieces as the
+        bootstrap. The fused tasks already attached ``ordv`` (packed
         (parent_seq, link_idx) discovery order) and the child
-        ``priority``, so the whole stage is FUSED to one Dataset
-        execution plus one wave of partial-min tasks (round 3 used
-        three chained executions — groupby shuffle, semi-join probe,
-        sort + zip_with_index — each execution's flat startup cost a
-        measured per-round tax at sandbox sizes):
+        ``priority``, so the stage is one Dataset execution plus the
+        first-wins task waves:
 
         1. seen anti-filter FIRST, as plain shard-parallel tasks over
-           the projection refs (every shard extracts its own unseen
-           rows from each shared block — no Dataset execution at all);
-           filtering before first-wins is equivalent because seen-ness
-           is a per-key property, and it shrinks every later stage to
-           the NOVEL links only (in a steady-state crawl most
-           discoveries are already-seen);
+           the link refs (every shard extracts its own unseen rows from
+           each shared block — no Dataset execution at all); filtering
+           before first-wins is equivalent because seen-ness is a
+           per-key property, and it shrinks every later stage to the
+           NOVEL links only;
         2. first-wins per canonical key via
-           :func:`ops.firstwins.winner_vals_gated`: per-block partial
-           mins next to the data, then — below the driver gate — a
-           small (key, ordv) combine whose SORTED winning-ordv array
-           is broadcast once; ordv is globally unique, so a winner's
-           dense rank in that array IS its position after the old
-           path's global sort, and
+           :func:`ops.firstwins.winner_vals`: per-block partial mins
+           next to the data, a hash-partitioned combine, and the
+           SORTED winning-ordv array broadcast once. The driver holds
+           8 B per winning key — at most Σ(host budget) ×
+           ``link_cap_per_page`` per round. ordv is globally unique, so
+           a winner's dense rank in that array IS its position after a
+           global sort;
         3. filter + rank + child seq/surrogate assignment fuse into a
-           single ``map_batches`` pass over the novel blocks (the ONE
-           Dataset execution) — identical numbering to the driver
-           path, no shuffle, no sort, no zip_with_index;
+           single ``map_batches`` pass over the novel blocks —
+           identical numbering to the driver path, no shuffle, no
+           sort, no zip_with_index;
         4. the next frontier is Dataset-written (a read-only pass over
            the pinned blocks); the seen shards ingest the same blocks
-           via ``load_assigned_blocks``. Above the gate, the round-3
-           spine (distributed groupby → semi join → sort + zip) takes
-           over, fed the PARTIAL refs so even its shuffle moves only
-           per-block-deduped (key, ordv) pairs.
+           via ``load_assigned_blocks``.
 
         Returns the number of admitted links."""
-        from ..ops.firstwins import rank_in, winner_vals_gated
+        from ..ops.firstwins import rank_in, winner_vals
 
-        _dbg = os.environ.get("VAT_CRAWL_TIMERS")
-        _td = _now()
         novel_refs = [
             shard.filter_unseen_block.remote(ref, self.seen.num_shards)
             for ref in link_refs
             for shard in self.seen.shards
         ]
-        win, stats, partial_refs = winner_vals_gated(
-            novel_refs, key="key", val="ordv"
-        )
-        if _dbg:
-            print(
-                f"[dadm r{rnd}] unseen+partials {_now()-_td:.2f}s "
-                f"({stats['raw_rows']} novel, {stats['partial_rows']} partial)",
-                file=sys.stderr,
-            )
-            _td = _now()
+        win, _stats = winner_vals(novel_refs, key="key", val="ordv")
         base_seq, base_surr = self.next_seq, self.seen.next_surrogate
-        if win is not None:
-            win_ref = ray.put(win)
-
-            def finalize(t: pa.Table) -> pa.Table:
-                if t.num_rows == 0 or "ordv" not in t.column_names:
-                    return _EMPTY_FRONTIER
-                keep, rank = rank_in(
-                    ray.get(win_ref),
-                    t["ordv"].to_numpy(zero_copy_only=False),
-                )
-                t = t.take(pa.array(keep, pa.int64()))
-                return pa.table(
-                    {
-                        "url": t["link_url"],
-                        "canonical_url": t["canonical_url"],
-                        "key": t["key"],
-                        "host": t["host"],
-                        "priority": t["priority"],
-                        "seq": pa.array(base_seq + rank),
-                        "surrogate": pa.array(base_surr + rank),
-                    }
-                )
-
-            frontier = (
-                ray.data.from_arrow_refs(novel_refs)
-                .map_batches(finalize, batch_format="pyarrow", batch_size=None)
-                .materialize()
-            )
-        else:
-            frontier = self._first_wins_fallback(
-                novel_refs, partial_refs, "ordv", base_seq, base_surr
-            )
-        if _dbg:
-            print(f"[dadm r{rnd}] finalize {_now()-_td:.2f}s", file=sys.stderr)
-            _td = _now()
-        n = frontier.count()
-        if n:
-            os.makedirs(self.frontier_dir(rnd + 1), exist_ok=True)
-            frontier.write_parquet(self.frontier_dir(rnd + 1))
-            self.seen.load_assigned_blocks(frontier)
-            self.next_seq = base_seq + n
-            self.seen.next_surrogate = base_surr + n
-        if _dbg:
-            print(f"[dadm r{rnd}] write+load {_now()-_td:.2f}s ({n} rows)",
-                  file=sys.stderr)
-        return n
-
-    def _first_wins_fallback(
-        self, novel_refs: list, partial_refs: list, val: str,
-        base_seq: int, base_surr: int,
-    ) -> "ray.data.Dataset":
-        """Above-gate admission first-wins — the round-3 distributed
-        spine (groupby-min → gated semi join on the winning-val set →
-        global sort + zip_with_index → finalize), now fed the PARTIAL
-        (key, val) refs so its shuffle moves per-block-deduped pairs
-        instead of one row per raw discovery. Taken only when the
-        round's unique-key partial volume exceeds the driver gate
-        (10^7+ novel keys per round)."""
-        from ray.data.aggregate import Min
-
-        from ..ops.joins import semi_join_keys
-        from ..ops.zip_with_index import zip_with_index
-
-        firsts = (
-            ray.data.from_arrow_refs(partial_refs)
-            .groupby("key")
-            .aggregate(Min(val, alias_name="first_val"))
-        )
-        unseen = semi_join_keys(
-            ray.data.from_arrow_refs(novel_refs),
-            firsts.map_batches(
-                lambda t: t.select(["first_val"]).rename_columns([val]),
-                batch_format="pyarrow",
-            ),
-            on=val,
-        )
+        win_ref = ray.put(win)
 
         def finalize(t: pa.Table) -> pa.Table:
-            if t.num_rows == 0 or "rank" not in t.column_names:
+            if t.num_rows == 0 or "ordv" not in t.column_names:
                 return _EMPTY_FRONTIER
-            rank = t["rank"].to_numpy(zero_copy_only=False)
+            keep, rank = rank_in(
+                ray.get(win_ref), t["ordv"].to_numpy(zero_copy_only=False)
+            )
+            t = t.take(pa.array(keep, pa.int64()))
             return pa.table(
                 {
                     "url": t["link_url"],
@@ -1505,11 +1265,19 @@ class CrawlRun:
                 }
             )
 
-        return (
-            zip_with_index(unseen.sort(val), "rank", start=0)
-            .map_batches(finalize, batch_format="pyarrow")
+        frontier = (
+            ray.data.from_arrow_refs(novel_refs)
+            .map_batches(finalize, batch_format="pyarrow", batch_size=None)
             .materialize()
         )
+        n = frontier.count()
+        if n:
+            os.makedirs(self.frontier_dir(rnd + 1), exist_ok=True)
+            frontier.write_parquet(self.frontier_dir(rnd + 1))
+            self.seen.load_assigned_blocks(frontier)
+            self.next_seq = base_seq + n
+            self.seen.next_surrogate = base_surr + n
+        return n
 
     def _flush_pending_commit(self) -> None:
         if self._pending_commit is None:
@@ -1519,7 +1287,7 @@ class CrawlRun:
         t0 = _now()
         ray.get(futs)  # snapshot + writes durable before the commit
         # the real write/snapshot wall time, recorded where the futures
-        # are actually joined (phase "write_submit" is submission only)
+        # are actually joined (the extract phase only submits the writes)
         info["phase_sec"]["commit_wait"] = round(_now() - t0, 3)
         self.manifest.commit_round(rnd, info)
 
