@@ -42,6 +42,7 @@ def test_overlay_chain(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "toml, name",
     [("[crawl]\nnot_a_key = 1\n", "crawl.not_a_key"), ("[nope]\nx = 2\n", "nope")],
+    ids=["nested", "section"],
 )
 def test_unknown_keys_rejected(tmp_path, toml, name):
     """A settings typo is an error naming the key, not a silent

@@ -289,13 +289,11 @@ def test_resume_replays_partial_round_without_duplicates(corpus, tmp_path):
     ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()),
 )
 def test_unknown_mode_rejected(tmp_path, mode_kw):
-    """A mode typo must fail construction, not silently pick a path
-    (every non-"driver" select string used to run the distributed
-    selection)."""
-    corpus = corpus_dir("/root/testdata/sf0.001")
+    """A mode typo must fail construction, before any input is read,
+    instead of silently picking a path."""
     (name,) = mode_kw
     with pytest.raises(ValueError, match=name):
-        _mk_run(corpus, tmp_path / "run", **mode_kw)
+        _mk_run(str(tmp_path), tmp_path / "run", **mode_kw)
 
 
 def test_robots_denied_vectorized_matches_rowwise():

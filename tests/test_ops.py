@@ -325,10 +325,12 @@ class TestOps:
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_firstwins_winner_vals_matches_pandas():
+@pytest.mark.parametrize("parts", [None, 1, 3, 8])
+def test_firstwins_winner_vals_matches_pandas(parts):
     """winner_vals: winning vals = min val per key and stats honest,
-    whatever the hash-combine partition count, with an empty block
-    among the inputs; rank_in gives the dense ranks."""
+    for the default (volume-derived) and several explicit hash-combine
+    partition counts, with an empty block among the inputs; rank_in
+    gives the dense ranks."""
     import pyarrow as pa
     import ray
 
@@ -342,20 +344,20 @@ def test_firstwins_winner_vals_matches_pandas():
     ] + [pa.table({"key": pa.array([], pa.int64()),
                    "ordv": pa.array([], pa.int64())})]
     refs = [ray.put(t) for t in tables]
+    win, stats = winner_vals(refs, parts=parts)
+
     expect = (
         pd.DataFrame({"key": keys, "ordv": vals})
         .groupby("key")["ordv"].min().sort_values().to_numpy()
     )
-    for parts in (1, 3, 8):
-        win, stats = winner_vals(refs, parts=parts)
-        assert stats["raw_rows"] == 2_000
-        assert stats["vmax"] == int(vals.max())
-        np.testing.assert_array_equal(win, expect)
+    assert stats["raw_rows"] == 2_000
+    assert stats["vmax"] == int(vals.max())
+    np.testing.assert_array_equal(win, expect)
     # rank_in: dense ranks equal positions in the sorted winner array
     keep, rank = rank_in(win, vals)
     np.testing.assert_array_equal(np.sort(vals[keep]), expect)
     np.testing.assert_array_equal(np.sort(rank), np.arange(len(expect)))
     assert rank_in(np.empty(0, dtype=np.int64), vals)[0].size == 0
     # all-empty input: no winners, vmax −1
-    win, stats = winner_vals([refs[-1]])
+    win, stats = winner_vals([refs[-1]], parts=parts)
     assert win.size == 0 and stats == {"raw_rows": 0, "vmax": -1}

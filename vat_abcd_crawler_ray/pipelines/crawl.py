@@ -648,15 +648,10 @@ class CrawlRun:
     def _budget_of(self, hosts: pd.Series) -> pd.Series:
         return hosts.map(self.budgets).fillna(self.default_budget).astype(np.int64)
 
-    def _robots_mask(self, df: pd.DataFrame) -> np.ndarray:
-        """True = denied. Prefix match of the canonical path against the
-        host's disallow prefix (robots gate; frontier admission level)."""
-        return _robots_denied(df, self.robots)
-
     def _select_driver(self, frontier: pd.DataFrame):
         """Vectorized single-machine selection (identical semantics to
         the distributed path — see tests/test_crawl.py)."""
-        denied = self._robots_mask(frontier)
+        denied = _robots_denied(frontier, self.robots)
         n_denied = int(denied.sum())
         frontier = frontier[~denied]
         if frontier.empty:
@@ -754,15 +749,6 @@ class CrawlRun:
         )
         return meta.assign(round=np.int64(rnd))
 
-    def _fetch_refs(self, meta: pd.DataFrame) -> list:
-        """The round's fetch as a list of chunk REFS, each resolving to
-        the chunk's pages with the fetch meta columns attached — fed
-        one-to-one into the fused :func:`_extract_project_chunk`
-        tasks."""
-        if self.fetch_mode == "http":
-            return self._fetch_http_refs(meta)
-        return self._fetch_store_refs(meta)
-
     def _fetch_http_refs(self, meta: pd.DataFrame) -> list:
         """The real-network tier (stages/fetch.py): one
         :func:`_http_fetch_chunk` task per slice of the fetch meta.
@@ -794,10 +780,11 @@ class CrawlRun:
         ]
 
     def _fetch_store_refs(self, meta: pd.DataFrame) -> list:
-        """Store-mode fetch (S3, ``/root/reference/src/file_downloader.rs:8-29``
-        simulated): O(K) lookups against the sharded in-memory page
-        store (state/page_store.py), loaded ONCE per crawl — never a
-        per-round corpus scan. One ref per shard chunk."""
+        """Store-mode fetch, simulating the reference's S3 download
+        (``src/file_downloader.rs:8-29``): O(K) lookups against the
+        sharded in-memory page store (state/page_store.py), loaded ONCE
+        per crawl — never a per-round corpus scan. One ref per shard
+        chunk."""
         if self._page_store is None:
             from ..state.page_store import get_page_store
 
@@ -859,7 +846,13 @@ class CrawlRun:
                 winners["priority"].to_numpy()[worder],
             )
         )
-        fetch_refs = self._fetch_refs(self._fetch_meta(winners, rnd))
+        # one ref per fetch chunk, resolving to the chunk's pages with
+        # the fetch meta columns attached
+        meta = self._fetch_meta(winners, rnd)
+        if self.fetch_mode == "http":
+            fetch_refs = self._fetch_http_refs(meta)
+        else:
+            fetch_refs = self._fetch_store_refs(meta)
         futs = [
             _extract_project_chunk.remote(
                 self._stage_ref(), prio_ref, self.settings.crawl.batch_size, ref
