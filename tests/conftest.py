@@ -21,6 +21,23 @@ def ray_session():
     ray.shutdown()
 
 
+@pytest.fixture
+def force_paths(monkeypatch):
+    """``force_paths(select="distributed", ...)`` pins the named crawl
+    stages (``bootstrap`` / ``select`` / ``admission``) to a path by
+    patching the crawl's one size rule; the other stages keep it."""
+    from vat_abcd_crawler_ray.pipelines import crawl
+
+    rule = crawl.stage_path
+
+    def force(**paths: str) -> None:
+        monkeypatch.setattr(
+            crawl, "stage_path", lambda stage, rows: paths.get(stage) or rule(stage, rows)
+        )
+
+    return force
+
+
 @pytest.fixture(scope="session", autouse=True)
 def _quiet_ray_data():
     try:

@@ -68,6 +68,26 @@ def test_wav_rejects_non_pcm16():
         decode_wav(bad)
 
 
+def _png_truncated_idat() -> bytes:
+    """A PNG whose chunks all carry valid CRCs but whose IDAT holds
+    only the first half of the deflate stream."""
+    import struct
+    import zlib
+
+    def chunk(ctype: bytes, body: bytes) -> bytes:
+        crc = zlib.crc32(ctype + body) & 0xFFFFFFFF
+        return struct.pack(">I", len(body)) + ctype + body + struct.pack(">I", crc)
+
+    ihdr = struct.pack(">IIBBBBB", 4, 4, 8, 2, 0, 0, 0)
+    stream = zlib.compress(bytes(range(4 * (4 * 3 + 1))))
+    return (
+        b"\x89PNG\r\n\x1a\n"
+        + chunk(b"IHDR", ihdr)
+        + chunk(b"IDAT", stream[: len(stream) // 2])
+        + chunk(b"IEND", b"")
+    )
+
+
 def test_decode_stages_dead_letter_corrupt_blobs():
     """C2 'errors are data': corrupt/null media blobs must yield NULL/
     zero features + a decode_error column, never a raised exception
@@ -88,6 +108,14 @@ def test_decode_stages_dead_letter_corrupt_blobs():
     assert out["image_decode_error"].to_pylist()[1].startswith("DecodeError")
     assert out["image_decode_error"].to_pylist()[2].startswith("DecodeError")
     assert out["src_height"].to_pylist() == [4, 0, 0]
+
+    # a valid-CRC PNG with a truncated IDAT dead-letters the blob
+    # instead of failing the task
+    out = DecodeImageStage(out_hw=(4, 4), decoder="png")(
+        pa.table({"media": pa.array([_png_truncated_idat()], pa.binary())})
+    )
+    assert out["image_decode_error"].to_pylist()[0].startswith("DecodeError")
+    assert out["src_height"].to_pylist() == [0]
 
     good_wav = encode_wav(np.array([1, -2, 3], np.int16), 8000)
     out = AudioFeatureStage()(
@@ -198,6 +226,10 @@ def test_png_rejects_malformed():
     )
     with pytest.raises(ValueError):
         decode_png(b"\x89PNG\r\n\x1a\n" + chunks)
+    # valid CRCs over a truncated IDAT stream: the inflate fails, and
+    # that must surface as ValueError, not zlib.error
+    with pytest.raises(ValueError, match="IDAT"):
+        decode_png(_png_truncated_idat())
 
 
 def test_decode_image_stage_png_path():

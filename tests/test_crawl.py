@@ -1,5 +1,5 @@
 """Crawl pipeline invariants (north_rule): deterministic ordering,
-identical seen-set across runs and select modes, politeness budgets,
+identical seen-set across runs and stage paths, politeness budgets,
 robots gate, kill-and-resume equivalence."""
 
 from __future__ import annotations
@@ -31,6 +31,14 @@ def _mk_run(corpus, run_dir, **kw) -> CrawlRun:
         str(run_dir),
         **kw,
     )
+
+
+def _round_paths(run: CrawlRun) -> list[dict]:
+    """The ``paths`` each committed round's manifest info records."""
+    return [
+        run.manifest.round_info(r)["paths"]
+        for r in range(run.manifest.last_complete_round() + 1)
+    ]
 
 
 def _seen_table(run: CrawlRun) -> pd.DataFrame:
@@ -101,46 +109,40 @@ class TestCrawl:
         assert not log["url"].str.contains("/private/").any()
         assert run.metrics.robots_denied > 0
 
-    def test_driver_vs_distributed_select(self, corpus, tmp_path):
-        rd_ = _mk_run(corpus, tmp_path / "drv", select_mode="driver")
-        md = rd_.run()
-        rx = _mk_run(corpus, tmp_path / "dist", select_mode="distributed")
-        mx = rx.run()
-        pd.testing.assert_frame_equal(_seen_table(rd_), _seen_table(rx))
-        f1, f2 = _fetch_log(tmp_path / "drv"), _fetch_log(tmp_path / "dist")
-        pd.testing.assert_frame_equal(f1, f2)
-        assert md.fetched == mx.fetched
+    def _assert_paths_agree(self, corpus, tmp_path, force_paths, stage):
+        """Run once with ``stage`` forced to each path: each run records
+        its path, and both give the same seen set, fetch order and
+        metrics."""
+        runs = {}
+        for path in ("driver", "distributed"):
+            force_paths(**{stage: path})
+            run = _mk_run(corpus, tmp_path / path)
+            run.run()
+            recorded = [p[stage] for p in _round_paths(run) if stage in p]
+            assert recorded and set(recorded) == {path}
+            runs[path] = run
+        drv, dist = runs["driver"], runs["distributed"]
+        pd.testing.assert_frame_equal(_seen_table(drv), _seen_table(dist))
+        pd.testing.assert_frame_equal(
+            _fetch_log(tmp_path / "driver"), _fetch_log(tmp_path / "distributed")
+        )
+        assert drv.metrics.as_dict() == dist.metrics.as_dict()
 
-    def test_driver_vs_distributed_admission(self, corpus, tmp_path):
+    def test_driver_vs_distributed_select(self, corpus, tmp_path, force_paths):
+        self._assert_paths_agree(corpus, tmp_path, force_paths, "select")
+
+    def test_driver_vs_distributed_admission(self, corpus, tmp_path, force_paths):
         """The distributed link admission (shard-parallel seen
         anti-filter + hash-combined first-wins + broadcast-rank
         seq-surrogate assignment + Dataset-written frontier) must
-        produce the same
-        run as the driver admission: identical seen set, fetch order
-        and metrics."""
-        rd_ = _mk_run(corpus, tmp_path / "drv", admission_mode="driver")
-        md = rd_.run()
-        rx = _mk_run(corpus, tmp_path / "dist", admission_mode="distributed")
-        mx = rx.run()
-        pd.testing.assert_frame_equal(_seen_table(rd_), _seen_table(rx))
-        pd.testing.assert_frame_equal(
-            _fetch_log(tmp_path / "drv"), _fetch_log(tmp_path / "dist")
-        )
-        assert md.as_dict() == mx.as_dict()
+        produce the same run as the driver admission."""
+        self._assert_paths_agree(corpus, tmp_path, force_paths, "admission")
 
-    def test_driver_vs_distributed_bootstrap(self, corpus, tmp_path):
+    def test_driver_vs_distributed_bootstrap(self, corpus, tmp_path, force_paths):
         """The streaming seed bootstrap (hash-combined first-wins +
         broadcast-rank dense numbering, no driver DataFrame) must
         produce the same run as the driver-side pandas bootstrap."""
-        rd_ = _mk_run(corpus, tmp_path / "drv", bootstrap_mode="driver")
-        md = rd_.run()
-        rx = _mk_run(corpus, tmp_path / "dist", bootstrap_mode="distributed")
-        mx = rx.run()
-        pd.testing.assert_frame_equal(_seen_table(rd_), _seen_table(rx))
-        pd.testing.assert_frame_equal(
-            _fetch_log(tmp_path / "drv"), _fetch_log(tmp_path / "dist")
-        )
-        assert md.as_dict() == mx.as_dict()
+        self._assert_paths_agree(corpus, tmp_path, force_paths, "bootstrap")
 
     def test_kill_and_resume(self, corpus, tmp_path):
         # full run = ground truth
@@ -162,6 +164,13 @@ class TestCrawl:
 
         pd.testing.assert_frame_equal(_seen_table(rfull), _seen_table(rres))
         pd.testing.assert_frame_equal(_fetch_log(full_dir), _fetch_log(part_dir))
+        # the published metrics cover the whole run, not only the
+        # rounds after the resume
+        assert rres.metrics.as_dict() == rfull.metrics.as_dict()
+        assert (
+            rres.manifest.published()["metrics"]
+            == rfull.manifest.published()["metrics"]
+        )
 
     def test_manifest_published_atomically(self, corpus, tmp_path):
         run = _mk_run(corpus, tmp_path / "run")
@@ -170,9 +179,14 @@ class TestCrawl:
         assert pub["status"] == "published"
         assert pub["metrics"]["fetched"] == run.metrics.fetched
         assert len(pub["rounds"]) == run.metrics.rounds
-        # every committed round lists an existing seen snapshot
+        # every committed round lists an existing seen snapshot and the
+        # path each gated stage took (all driver-sized here)
         for r in pub["rounds"]:
             assert os.path.isdir(r["seen_snapshot"])
+            want = {"select": "driver", "admission": "driver"}
+            if r["stats"]["round"] == 0:
+                want["bootstrap"] = "driver"
+            assert r["paths"] == want
 
     def test_extracted_text_matches_pages_oracle(self, corpus, tmp_path):
         """Byte-identical extracted text per url (input_hint invariant):
@@ -196,8 +210,8 @@ class TestCrawl:
 
 
 @pytest.mark.usefixtures("ray_session")
-@pytest.mark.parametrize("select_mode", ["driver", "distributed"])
-def test_all_robots_denied_round_completes(tmp_path, select_mode):
+@pytest.mark.parametrize("path", ["driver", "distributed"])
+def test_all_robots_denied_round_completes(tmp_path, force_paths, path):
     """Regression: a round where EVERY frontier row is robots-denied
     (zero winners, no links table) must complete cleanly — the old
     admission guard crashed on `pd.DataFrame().num_rows`."""
@@ -238,7 +252,8 @@ def test_all_robots_denied_round_completes(tmp_path, select_mode):
         ),
         str(corpus / "politeness.parquet"),
     )
-    run = _mk_run(str(corpus), tmp_path / "run", select_mode=select_mode)
+    force_paths(select=path)
+    run = _mk_run(str(corpus), tmp_path / "run")
     metrics = run.run()
     assert metrics.fetched == 0
     assert metrics.robots_denied == len(urls)
@@ -282,9 +297,6 @@ def test_resume_replays_partial_round_without_duplicates(corpus, tmp_path):
     "mode_kw",
     [
         {"fetch_mode": "scan"},
-        {"select_mode": "drvier"},
-        {"bootstrap_mode": "Driver"},
-        {"admission_mode": "distributed "},
     ],
     ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()),
 )

@@ -16,32 +16,45 @@ from vat_abcd_crawler_ray.oracle.seqcrawl import sequential_crawl
 from vat_abcd_crawler_ray.pipelines.crawl import CrawlRun, _read_parquet_dir
 from vat_abcd_crawler_ray.sources.synthetic import corpus_dir
 
+GATED = ("bootstrap", "select", "admission")
+
+# which stages each configuration forces down the distributed path
+FORCED = {
+    "auto": (),
+    "distributed": GATED,
+    "bootstrap": ("bootstrap",),
+    "select": ("select",),
+    "admission": ("admission",),
+}
+
 
 @pytest.mark.usefixtures("ray_session")
-@pytest.mark.parametrize("modes", ["auto", "distributed"])
-def test_distributed_crawl_matches_sequential_reference(tmp_path, modes):
-    """``modes="distributed"`` forces EVERY gated stage (bootstrap,
-    selection, admission) down its scale path simultaneously — the full
-    distributed spine, including the hash-combined first-wins of
-    bootstrap and admission, against the independent oracle, not just
-    each stage's pairwise equivalence."""
+@pytest.mark.parametrize("modes", list(FORCED))
+def test_distributed_crawl_matches_sequential_reference(
+    tmp_path, force_paths, auto_run, modes
+):
+    """Each configuration forces its stages down the distributed path
+    through the size rule (``modes="distributed"``: EVERY gated stage
+    at once — the full distributed spine, including the hash-combined
+    first-wins of bootstrap and admission) and is checked against the
+    independent oracle and against the auto run's metrics."""
     corpus = corpus_dir("/root/testdata/sf0.001")
     seq_log, seq_seen, _ds, _li, _er, _un = sequential_crawl(corpus)
 
-    kw = (
-        dict(bootstrap_mode="distributed", select_mode="distributed",
-             admission_mode="distributed")
-        if modes == "distributed"
-        else {}
-    )
-    run = CrawlRun(
-        f"{corpus}/pages.parquet",
-        f"{corpus}/seeds.parquet",
-        f"{corpus}/politeness.parquet",
-        str(tmp_path / "run"),
-        **kw,
-    )
-    run.run()
+    if modes == "auto":
+        run = auto_run(corpus)
+    else:
+        force_paths(**{stage: "distributed" for stage in FORCED[modes]})
+        run = _crawl(corpus, str(tmp_path / "run"))
+        assert run.metrics.as_dict() == auto_run(corpus).metrics.as_dict()
+    # every committed round records the path each gated stage took
+    for r in range(run.manifest.last_complete_round() + 1):
+        paths = run.manifest.round_info(r)["paths"]
+        for stage in GATED:
+            if stage in paths:
+                want = "distributed" if stage in FORCED[modes] else "driver"
+                assert paths[stage] == want, (r, stage, paths)
+    assert "bootstrap" in run.manifest.round_info(0)["paths"]
 
     # seen set: identical keys, surrogates, first_seqs
     dist_seen = run.seen.to_table().to_pandas()
@@ -58,7 +71,7 @@ def test_distributed_crawl_matches_sequential_reference(tmp_path, modes):
     )
 
     # fetch log: same (round, url, surrogate, seq) set and order
-    base = os.path.join(str(tmp_path / "run"), "staging", "extracted")
+    base = os.path.join(run.run_dir, "staging", "extracted")
     frames = []
     for rnd in sorted(os.listdir(base)):
         # fetched = dataset rows + parse-error rows (both were fetched);
@@ -86,3 +99,28 @@ def test_distributed_crawl_matches_sequential_reference(tmp_path, modes):
         ),
         seq_log_df.astype({"round": "int64", "surrogate": "int64", "seq": "int64"}),
     )
+
+
+def _crawl(corpus: str, run_dir: str) -> CrawlRun:
+    run = CrawlRun(
+        f"{corpus}/pages.parquet",
+        f"{corpus}/seeds.parquet",
+        f"{corpus}/politeness.parquet",
+        run_dir,
+    )
+    run.run()
+    return run
+
+
+@pytest.fixture(scope="module")
+def auto_run(tmp_path_factory):
+    """``auto_run(corpus)``: the unforced run every forced configuration
+    must equal, crawled once per module by the first test that asks."""
+    cache = {}
+
+    def get(corpus: str) -> CrawlRun:
+        if corpus not in cache:
+            cache[corpus] = _crawl(corpus, str(tmp_path_factory.mktemp("auto") / "run"))
+        return cache[corpus]
+
+    return get

@@ -6,7 +6,7 @@ import pandas as pd
 import pytest
 import ray.data as rd
 
-from vat_abcd_crawler_ray.ops.hashagg import distinct_dataset, hot_combine
+from vat_abcd_crawler_ray.ops.hashagg import hot_combine
 
 
 def _reference(df: pd.DataFrame, min_count: int, with_min: bool):
@@ -69,32 +69,6 @@ class TestHotCombine:
         )
         keys, mins = hot_combine(ds, min_col="min_id", parts=4)
         assert keys.size == 0 and mins.size == 0
-
-    @pytest.mark.parametrize("as_str", [False, True])
-    def test_distinct_dataset(self, as_str):
-        rng = np.random.default_rng(5)
-        vals = rng.integers(0, 300, 2_000)
-        if as_str:
-            vals = np.array([f"key-{v}" for v in vals], dtype=object)
-        df = pd.DataFrame({"k": vals})
-        ds = rd.from_pandas(
-            [d for _, d in df.groupby(np.arange(len(df)) % 6)]
-        )
-        got = sorted(distinct_dataset(ds, "k", parts=8).to_pandas()["k"])
-        assert got == sorted(pd.unique(df["k"]))
-
-    def test_semi_join_bucketed_uses_task_distinct(self):
-        # duplicate keys above the gate must not duplicate big rows
-        from vat_abcd_crawler_ray.ops.joins import semi_join_keys
-
-        big = rd.from_pandas(
-            pd.DataFrame({"k": np.arange(50, dtype=np.int64), "v": 1})
-        )
-        keys = rd.from_pandas(
-            pd.DataFrame({"k": np.repeat(np.arange(0, 30, 3, dtype=np.int64), 4)})
-        )
-        out = semi_join_keys(big, keys, on="k", broadcast_limit=0).to_pandas()
-        assert sorted(out["k"]) == list(range(0, 30, 3))
 
     def test_all_singletons_hot_empty(self):
         df = pd.DataFrame(

@@ -138,24 +138,6 @@ class TestOps:
         got = bk.sort_values("k").reset_index(drop=True)
         assert got["v"].tolist() == [2 * k for k in want]
 
-    def test_semi_join_keys_broadcast_vs_bucketed(self):
-        from vat_abcd_crawler_ray.ops.joins import semi_join_keys
-
-        big = rd.from_items([{"k": i, "v": i * 2} for i in range(40)])
-        keys = rd.from_items([{"k": i} for i in range(0, 40, 3)])
-        bc = semi_join_keys(big, keys, on="k").to_pandas()
-        bk = semi_join_keys(big, keys, on="k", broadcast_limit=0).to_pandas()
-        want = sorted(range(0, 40, 3))
-        assert sorted(bc["k"]) == want
-        assert sorted(bk["k"]) == want
-        got = bk.sort_values("k").reset_index(drop=True)
-        assert got["v"].tolist() == [2 * k for k in want]
-        # empty key set keeps nothing (schema preserved)
-        empty = semi_join_keys(
-            big, rd.from_items([{"k": 1}]).filter(lambda r: False), on="k"
-        ).to_pandas()
-        assert len(empty) == 0
-
     def test_components_driver_vs_dataset(self):
         # two chains, one star, one isolated edge — multi-iteration case
         edges = [(1, 2), (2, 3), (3, 4), (10, 11), (12, 11), (13, 11),

@@ -150,6 +150,29 @@ class TestCurationInvariants:
                     assert line in orig
             assert row.n_kept <= row.n_lines
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(
+        st.one_of(st.none(), st.text(
+            alphabet=st.one_of(st.sampled_from("\x00ab "), st.characters()),
+            max_size=40,
+        )),
+        min_size=1, max_size=12,
+    ))
+    def test_batch_perplexity_equals_per_doc(self, texts):
+        """Scoring a batch gives each doc the score it gets alone —
+        whatever it holds (NULs, non-ASCII, empty, missing), it must
+        not shift the scores of the docs after it."""
+        from vat_abcd_crawler_ray.functions.lm import (
+            bigram_logprob,
+            count_byte_bigrams,
+            perplexity,
+        )
+
+        lp = bigram_logprob(count_byte_bigrams(pd.Series(["abc ab\x00a", "zz"])))
+        batch = perplexity(pd.Series(texts, dtype=object), lp)
+        alone = [perplexity(pd.Series([t], dtype=object), lp)[0] for t in texts]
+        np.testing.assert_allclose(batch, alone, rtol=1e-12)
+
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.text(max_size=300), min_size=1, max_size=30))
     def test_repetition_fracs_in_range(self, texts):

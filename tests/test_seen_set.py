@@ -8,10 +8,23 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import pyarrow as pa
+import ray
 import ray.data as rd
 
 from vat_abcd_crawler_ray.state.cuckoo import CuckooFilter
-from vat_abcd_crawler_ray.state.seen_set import ShardedSeenSet, first_wins_dataset
+from vat_abcd_crawler_ray.state.seen_set import (
+    ShardedSeenSet,
+    block_refs,
+    first_wins_dataset,
+)
+
+
+def _unseen_keys(ss: ShardedSeenSet, ds: "rd.Dataset") -> list:
+    """Sorted keys of ``ds``'s rows the seen set has not committed,
+    through the shard-parallel anti-filter over its block refs."""
+    refs = ss.filter_unseen_refs(block_refs(ds.materialize()))
+    return sorted(pa.concat_tables(ray.get(refs))["key"].to_pylist())
 
 
 class TestCuckoo:
@@ -110,40 +123,6 @@ class TestShardedSeenSet:
         fresh = ss2.offer_batch(np.array([2, 9]), np.array([5, 6]))
         assert fresh.tolist() == [False, True]
 
-    def test_commit_round_distributed_matches_driver(self):
-        """The Dataset-sort + zip_with_index commit must leave the
-        shards in the SAME state as the driver argsort commit, for the
-        same offered (key, seq) stream — including across rounds."""
-        rng = np.random.RandomState(13)
-        r1_keys = rng.randint(0, 500, size=400).astype(np.int64)
-        r1_seqs = np.arange(400, dtype=np.int64)
-        rng.shuffle(r1_seqs)
-        r2_keys = rng.randint(0, 800, size=300).astype(np.int64)
-        r2_seqs = 1000 + np.arange(300, dtype=np.int64)
-
-        a = ShardedSeenSet(num_shards=4, capacity_per_shard=4096)
-        b = ShardedSeenSet(num_shards=4, capacity_per_shard=4096)
-        a.offer_batch(r1_keys, r1_seqs)
-        b.offer_batch(r1_keys, r1_seqs)
-        ta = a.commit_round(mode="driver")
-        db = b.commit_round(mode="distributed")
-        pa_ = ta.to_pandas().sort_values("key").reset_index(drop=True)
-        pb = (
-            db.to_pandas()[["key", "first_seq", "surrogate"]]
-            .sort_values("key")
-            .reset_index(drop=True)
-        )
-        assert pa_.equals(pb)
-        # second round on top of the committed state
-        a.offer_batch(r2_keys, r2_seqs)
-        b.offer_batch(r2_keys, r2_seqs)
-        a.commit_round(mode="driver")
-        b.commit_round(mode="distributed")
-        ta2 = a.to_table().to_pandas()
-        tb2 = b.to_table().to_pandas()
-        assert ta2.equals(tb2)
-        assert a.next_surrogate == b.next_surrogate
-
     def test_filter_unseen_dataset(self):
         import pandas as pd
 
@@ -154,8 +133,7 @@ class TestShardedSeenSet:
             pd.DataFrame({"key": np.array([10, 15, 20, 25], dtype=np.int64),
                           "x": [1, 2, 3, 4]})
         ).repartition(2)
-        out = ss.filter_unseen_dataset(cand.materialize()).to_pandas()
-        assert sorted(out["key"].tolist()) == [15, 25]
+        assert _unseen_keys(ss, cand) == [15, 25]
 
     def test_filter_unseen_dataset_randomized(self):
         """Randomized parity vs a plain Python set, at a key volume
@@ -181,10 +159,9 @@ class TestShardedSeenSet:
         cand = rd.from_pandas(
             pd.DataFrame({"key": cand_keys, "x": np.arange(len(cand_keys))})
         ).repartition(5)
-        out = ss.filter_unseen_dataset(cand.materialize()).to_pandas()
         seen = set(seen_keys.tolist())
         expect = sorted(int(k) for k in cand_keys if int(k) not in seen)
-        assert sorted(out["key"].tolist()) == expect
+        assert _unseen_keys(ss, cand) == expect
 
     def test_delta_snapshot_chain_restore(self, tmp_path):
         """full@r0 + delta@r1 + delta@r2 must restore to exactly the
@@ -278,13 +255,7 @@ class TestSpillTier:
         cand = rd.from_pandas(
             pd.DataFrame({"key": cand_keys, "x": np.arange(len(cand_keys))})
         ).repartition(3)
-        got = sorted(
-            ss.filter_unseen_dataset(cand.materialize()).to_pandas()["key"]
-        )
-        want = sorted(
-            ref.filter_unseen_dataset(cand.materialize()).to_pandas()["key"]
-        )
-        assert got == want
+        assert _unseen_keys(ss, cand) == _unseen_keys(ref, cand)
         # full dump equality (to_table sorts by surrogate)
         pd.testing.assert_frame_equal(
             ss.to_table().to_pandas(), ref.to_table().to_pandas()

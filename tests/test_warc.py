@@ -59,6 +59,19 @@ class TestWarcParse:
         assert len(ok) == 3 and len(bad) == 1
         assert "WARC" in bad[0]
 
+    @pytest.mark.parametrize("damage", ["truncate", "flip"])
+    def test_corrupt_gzip_is_one_dead_letter_row(self, damage):
+        """A .warc.gz whose gzip layer is corrupt (cut short: EOFError;
+        a flipped deflate byte: zlib.error or a CRC OSError) yields the
+        single warc_error row instead of failing the read task."""
+        data = bytearray(write_warc(_records(3), gz=True))
+        if damage == "truncate":
+            data = data[: len(data) // 2]
+        else:
+            data[len(data) // 2] ^= 0xFF
+        t = parse_warc_file("f.warc.gz", bytes(data))
+        assert t.num_rows == 1 and t["warc_error"][0].as_py()
+
     def test_truncated_payload(self):
         data = write_warc(_records(1))[:-30]
         t = parse_warc_file("f", data)

@@ -49,10 +49,7 @@ def cmd_crawl(args: argparse.Namespace) -> int:
     settings = load_settings(args.settings)
     run = CrawlRun(
         args.pages, args.seeds, args.politeness, args.out, settings=settings,
-        select_mode=args.select_mode,
         fetch_mode=args.fetch_mode,
-        bootstrap_mode=args.bootstrap_mode,
-        admission_mode=args.admission_mode,
     )
     metrics = run.run(resume=args.resume)
     if args.tables:
@@ -448,7 +445,15 @@ def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(prog="vat_abcd_crawler_ray")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    c = sub.add_parser("crawl", help="run the full crawl pipeline")
+    c = sub.add_parser(
+        "crawl",
+        help="run the full crawl pipeline",
+        description="Run the crawl. Bootstrap, selection and link "
+                    "admission each run on the driver up to "
+                    "pipelines.crawl.DRIVER_ROWS_MAX observed rows and "
+                    "distributed above it; each round's MANIFEST info "
+                    "records the path every stage took.",
+    )
     c.add_argument("--pages", required=True)
     c.add_argument("--seeds", required=True)
     c.add_argument("--politeness", required=True)
@@ -456,14 +461,6 @@ def main(argv: list[str] | None = None) -> int:
     c.add_argument("--settings", default=None)
     c.add_argument("--resume", action="store_true")
     c.add_argument("--tables", action="store_true", help="also write final tables")
-    c.add_argument("--select-mode", default="auto",
-                   choices=["auto", "driver", "distributed"])
-    c.add_argument("--bootstrap-mode", default="auto",
-                   choices=["auto", "driver", "distributed"])
-    c.add_argument("--admission-mode", default="auto",
-                   choices=["auto", "driver", "distributed"],
-                   help="per-round link admission path (auto gates on "
-                        "the surviving link count)")
     c.add_argument("--fetch-mode", default="store",
                    choices=["store", "http"],
                    help='"store" fetches from the sharded page table; '

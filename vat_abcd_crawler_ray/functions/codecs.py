@@ -567,7 +567,10 @@ def decode_png(data: bytes) -> np.ndarray:
     nch = {0: 1, 2: 3, 3: 1, 4: 2, 6: 4}.get(ctype_i)
     if nch is None:
         raise ValueError(f"unknown color type {ctype_i}")
-    raw = np.frombuffer(zlib.decompress(bytes(idat)), np.uint8)
+    try:
+        raw = np.frombuffer(zlib.decompress(bytes(idat)), np.uint8)
+    except zlib.error as exc:  # CRCs can be valid over a bad stream
+        raise ValueError(f"corrupt PNG IDAT stream: {exc}") from exc
     if raw.size != h * (w * nch + 1):
         raise ValueError("PNG pixel data size mismatch")
     px = _png_unfilter(raw, h, w, nch).reshape(h, w, nch)

@@ -18,7 +18,13 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-_BOS = 0  # byte 0 never appears in utf-8 text: safe start-of-text context
+_BOS = 0  # byte 0 is the start-of-text context; NULs are stripped from docs
+
+
+def _doc_bytes(texts: pd.Series) -> list[bytes]:
+    """Each doc's utf-8 bytes with NUL bytes stripped — a NUL inside a
+    doc would otherwise read as a BOS, i.e. a document boundary."""
+    return [t.encode("utf-8", "ignore").replace(b"\0", b"") for t in texts.fillna("")]
 
 
 def count_byte_bigrams(texts: pd.Series) -> np.ndarray:
@@ -26,11 +32,7 @@ def count_byte_bigrams(texts: pd.Series) -> np.ndarray:
     (BOS context prepended per doc). One concatenated buffer + one
     bincount — no per-doc loop."""
     counts = np.zeros(256 * 256, dtype=np.int64)
-    bufs = []
-    for t in texts.fillna(""):
-        b = t.encode("utf-8", "ignore")
-        if b:
-            bufs.append(bytes([_BOS]) + b)
+    bufs = [bytes([_BOS]) + b for b in _doc_bytes(texts) if b]
     if bufs:
         arr = np.frombuffer(b"".join(bufs), dtype=np.uint8).astype(np.int64)
         # drop the pair that spans two docs' concatenation boundary:
@@ -68,19 +70,13 @@ def perplexity(texts: pd.Series, logprob: np.ndarray) -> np.ndarray:
     """Per-doc byte-level perplexity ``2^(-mean log2 P)`` under the
     trained model (BOS-prefixed; empty docs score NaN). Vectorized:
     one concatenated buffer, one fancy-index, one reduceat."""
-    lens = np.array(
-        [len(t.encode("utf-8", "ignore")) for t in texts.fillna("")],
-        dtype=np.int64,
-    )
+    docs = _doc_bytes(texts)
+    lens = np.array([len(b) for b in docs], dtype=np.int64)
     out = np.full(len(lens), np.nan)
     nz = lens > 0
     if not nz.any():
         return out
-    bufs = [
-        bytes([_BOS]) + t.encode("utf-8", "ignore")
-        for t in texts.fillna("")
-        if t
-    ]
+    bufs = [bytes([_BOS]) + b for b in docs if b]
     arr = np.frombuffer(b"".join(bufs), dtype=np.uint8).astype(np.int64)
     pairs_prev = arr[:-1]
     pairs_next = arr[1:]

@@ -137,18 +137,6 @@ def _combine_partition(
 
 
 @ray.remote
-def _distinct_partition(key: str, *tables: pa.Table) -> pa.Table:
-    """Distinct key values of one partition's slices (C++ hash-agg)."""
-    live = [t for t in tables if t.num_rows]
-    if not live:
-        # keep the input schema so empty partitions concat cleanly
-        if tables:
-            return tables[0].select([key])
-        return pa.table({key: pa.array([], type=pa.int64())})
-    return pa.TableGroupBy(pa.concat_tables(live), key).aggregate([])
-
-
-@ray.remote
 def _multisum_partition(key: str, sum_cols: tuple, *tables: pa.Table):
     """Sum every column in ``sum_cols`` per key over one partition's
     slices (C++ hash-agg)."""
@@ -175,9 +163,8 @@ def sum_combine_dataset(
 ) -> "ray.data.Dataset":
     """Combine per-block partial sums over MULTIPLE columns into one
     row per key, returned AS A DATASET (one block per hash partition;
-    values never pass through the driver) — the multi-column twin of
-    :func:`distinct_dataset`, for per-entity aggregates whose key
-    cardinality is data-sized (e.g. per-document rollups)."""
+    values never pass through the driver), for per-entity aggregates
+    whose key cardinality is data-sized (e.g. per-document rollups)."""
     import ray.data as rd
 
     refs = partials.to_arrow_refs()
@@ -199,34 +186,6 @@ def sum_combine_dataset(
             _multisum_partition.remote(
                 key, tuple(sum_cols), *[row[p] for row in matrix]
             )
-            for p in range(parts)
-        ]
-    )
-
-
-def distinct_dataset(
-    keys: "ray.data.Dataset", key: str, parts: int | None = None
-) -> "ray.data.Dataset":
-    """Distinct values of ``key`` as a Dataset, one block per hash
-    partition — the values never pass through the driver, so this is
-    the above-broadcast-gate replacement for Ray's sort-based
-    ``groupby(key).count()`` key dedup (same pathology class as the
-    combine this module exists for)."""
-    import ray.data as rd
-
-    refs = keys.to_arrow_refs()
-    if parts is None:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        parts = max(8, min(256, cpus))
-    if not refs:
-        return rd.from_arrow(pa.table({key: pa.array([], type=pa.int64())}))
-    split = _split_block.options(num_returns=parts)
-    matrix = [split.remote(r, key, parts) for r in refs]
-    if parts == 1:
-        matrix = [[m] for m in matrix]
-    return rd.from_arrow_refs(
-        [
-            _distinct_partition.remote(key, *[row[p] for row in matrix])
             for p in range(parts)
         ]
     )

@@ -111,48 +111,6 @@ def anti_join_keys(
     return joined.map_batches(keep_misses, batch_format="pyarrow")
 
 
-def semi_join_keys(
-    big: "ray.data.Dataset",
-    keys: "ray.data.Dataset",
-    on: str,
-    broadcast_limit: int = 5_000_000,
-) -> "ray.data.Dataset":
-    """Keep rows of ``big`` whose ``on`` value appears in the
-    single-column key Dataset ``keys`` — the keep-side twin of
-    :func:`anti_join_keys`, with the same auto gate.
-
-    Below ``broadcast_limit`` keys: broadcast the key set and stream
-    ``big`` through a vectorized ``is_in`` filter — no big-side
-    shuffle. Above it: bucketed INNER join against the key set — one
-    big-side shuffle, driver memory independent of the key count.
-    Duplicate key values are tolerated on both paths (the bucketed
-    path dedupes via a key-only groupby before the inner join, so it
-    can no longer silently duplicate big rows)."""
-    keys = keys.materialize()  # count + consume = 2 executions if lazy
-    n = keys.count()
-    if n <= broadcast_limit:
-        if n == 0:
-            return big.map_batches(
-                lambda t: t.slice(0, 0), batch_format="pyarrow"
-            )
-        vals = keys.to_pandas()[on].to_numpy()
-        return broadcast_semi_join(big, vals, on=on)
-
-    # enforce key uniqueness with a hash-partitioned task distinct (the
-    # broadcast path dedupes naturally via is_in; without this the
-    # inner join would duplicate big rows — a contract violation that
-    # only surfaced above the gate, where it is hardest to test).
-    # NOT Ray's sort-based groupby(on).count(): that measured ~100×
-    # slower than C++ hash-agg on multi-million mostly-unique keys
-    # (ops/hashagg.py docstring), and this path only runs above 5M keys
-    from .hashagg import distinct_dataset
-
-    uniq = distinct_dataset(keys.select_columns([on]), on)
-    # the key side contributes no value columns, so the inner join's
-    # output schema is exactly big's (key column reordered first)
-    return bucket_hash_join(big, uniq, on=on, how="inner")
-
-
 def membership_flag_join(
     big: "ray.data.Dataset",
     keys: "ray.data.Dataset",

@@ -22,22 +22,26 @@ seq)`` — seq is carried in rows and assigned densely at admission
 budget produce identical fetch order, seen-set and surrogates
 (north_rule).
 
-Selection has two equivalent implementations (tested identical):
+Bootstrap, selection and admission each have two equivalent
+implementations (tested identical); :func:`stage_path` picks one from
+the row count the stage observes, and each committed round's info
+records the path taken (``paths``, outside ``stats``):
 
-- **driver** — vectorized pandas over the round's frontier; fastest
-  below ~2M rows/round (no shuffle). Rounds are PIPELINED: the next
-  round's backlog read + per-host ordering runs as a remote
-  pre-selection task during this round's extract/project
-  (``_preselect_backlog`` — exact by the winner-superset lemma), and
-  the admitted links stay in memory, so the per-round serial path
-  sorts only (politeness-bounded candidates ∪ new links) instead of
-  re-reading and re-sorting the whole accumulated frontier.
+- **driver** — vectorized pandas on the driver; fastest below ~2M
+  rows (no shuffle). Selection rounds are PIPELINED: the next round's
+  backlog read + per-host ordering runs as a remote pre-selection
+  task during this round's extract/project (``_preselect_backlog`` —
+  exact by the winner-superset lemma), and the admitted links stay in
+  memory, so the per-round serial path sorts only (politeness-bounded
+  candidates ∪ new links) instead of re-reading and re-sorting the
+  whole accumulated frontier.
 - **distributed** — the scale path: per-``(host, salt)`` budget-cap
   inside ``groupby.map_groups`` (salt = ``key % salt_buckets`` splits
   mega-host groups), ONE streaming write partitioned by outcome, then a
   per-``host`` reduce over the ≤ ``salt_buckets × budget`` survivors.
   Deferred rows are renamed (not rewritten) into the next round's
-  frontier directory.
+  frontier directory. Bootstrap and admission share one first-wins
+  skeleton (``_first_wins_frontier``).
 
 Every round is four steps (``CrawlRun._round``): **select** the
 politeness-bounded winners, **fetch → extract → project** them in ONE
@@ -48,8 +52,9 @@ discovered links first-wins against the seen set, and **commit** the
 round (seen-set snapshot + writes joined at the next round's commit
 point).
 
-Resume: every round commit records outputs + a seen-set snapshot; a
-restarted run replays from the first uncommitted round.
+Resume: every round commit records outputs, a seen-set snapshot and
+the cumulative metric counters; a restarted run restores them and
+replays from the first uncommitted round.
 
 Driver-memory bound: the per-round WINNER set (and the fetch meta
 built from it) is POLITENESS-BOUNDED — at most Σ(per-host budget) rows
@@ -57,8 +62,8 @@ per round regardless of frontier or corpus size — so holding it as a
 driver frame is a config-bounded cost, not a data-scaled one. The
 unbounded collections (frontier, links, extracted rows, seen set)
 never materialize on the driver: frontier stays on disk / in Datasets,
-links arrive pre-deduplicated per fused task and above the admission
-auto-gate never leave the object store (``_admit_distributed``),
+links arrive pre-deduplicated per fused task and above the size
+gate never leave the object store (``_admit_distributed``),
 extracted blocks are written remotely, and the seen set lives in shard
 actors.
 
@@ -68,10 +73,9 @@ mins, a hash-partitioned combine (``ops.hashagg.hot_combine``), then a
 broadcast of the sorted winner array. The driver holds that array, 8 B
 per winning key: at admission at most Σ(host budget) ×
 ``link_cap_per_page`` keys per round, at distributed bootstrap one per
-distinct seed. Every gated stage (bootstrap, selection, admission,
-seen-set round commit) has a driver fast path for sandbox-sized rounds
-and a distributed scale path proved identical by tests — including all
-of them forced distributed at once against the sequential oracle.
+distinct seed. The seen-set round commit itself is driver-side: every
+caller offers it at most the gate's row count (the distributed stages
+bulk-load the shards from shared blocks instead).
 """
 
 from __future__ import annotations
@@ -92,7 +96,7 @@ from ..config import Settings
 from ..functions.urlkeys import canonicalize_batch, hosts_batch, url_keys_batch
 from ..stages.extract import ExtractStage, RECORD_ERROR
 from ..state.manifest import RunManifest
-from ..state.seen_set import ShardedSeenSet
+from ..state.seen_set import ShardedSeenSet, block_refs
 
 from time import perf_counter as _now
 
@@ -186,10 +190,38 @@ def _robots_denied(df: pd.DataFrame, robots: dict) -> np.ndarray:
     return denied
 
 
+# The one size gate: a stage whose observed row count is above it runs
+# distributed — the way adaptive query execution picks broadcast vs
+# shuffle from sizes seen at run time, not from user hints ("Adaptive
+# and Robust Query Execution for Lakehouses At Scale", VLDB 2024).
+DRIVER_ROWS_MAX = 2_000_000
+
+
+def stage_path(stage: str, rows: int) -> str:
+    """``"driver"`` or ``"distributed"`` for a gated crawl stage
+    (``bootstrap`` | ``select`` | ``admission``) that observed ``rows``
+    input rows. Every gate in this module goes through here, so tests
+    force a stage's path by monkeypatching this one function."""
+    return "distributed" if rows > DRIVER_ROWS_MAX else "driver"
+
+
+def top_budget(frame: pd.DataFrame, budgets: dict, default_budget: int):
+    """The politeness ranking: order ``frame`` by (priority desc, seq)
+    and split it into each host's top-budget rows (the winners) and the
+    rest, both in that order."""
+    ordered = frame.sort_values(
+        ["priority", "seq"], ascending=[False, True], kind="mergesort"
+    )
+    rank = ordered.groupby("host", sort=False).cumcount()
+    budget = ordered["host"].map(budgets).fillna(default_budget).astype(np.int64)
+    mask = (rank < budget).to_numpy()
+    return ordered[mask], ordered[~mask]
+
+
 # ordv = parent_seq * SCALE + link_idx packs the (seq, link_idx)
 # discovery order into ONE int64 (link_idx < link_cap_per_page ≤ 2^20
 # by config, validated at CrawlRun construction) — a single sort key
-# for first-wins dedup in both admission modes
+# for first-wins dedup on both admission paths
 LINK_ORD_SCALE = 1 << 20
 
 
@@ -202,7 +234,7 @@ def _project_tables(prio_lookup, t: pa.Table):
     child ``priority`` (0.5 × parent priority, resolved here from the
     politeness-bounded winner map ``prio_lookup`` = (sorted parent
     seqs, parent priorities), shipped once per round via ``ray.put``)
-    — so neither admission mode needs a later pass to attach them.
+    — so neither admission path needs a later pass to attach them.
     """
     wseqs, wprio = prio_lookup
     got_mask = pc.is_in(
@@ -264,7 +296,7 @@ def _extract_project_chunk(stage, prio_lookup, batch_size: int, pages: pa.Table)
     (extracted table, fetched-url table, link table, raw link count,
     kept link count) as FIVE refs — the extracted ref feeds only the
     write tasks; the driver pulls urls + counts; link refs follow the
-    admission mode."""
+    admission path."""
     parts = [
         stage(pages.slice(off, batch_size))
         for off in range(0, pages.num_rows, batch_size)
@@ -345,14 +377,7 @@ def _preselect_backlog(
     if losers.num_rows:
         parts.append(losers.select(FRONTIER_COLS))
     backlog = pa.concat_tables(parts, promote_options="default").to_pandas()
-    ordered = backlog.sort_values(
-        ["priority", "seq"], ascending=[False, True], kind="mergesort"
-    )
-    rank = ordered.groupby("host", sort=False).cumcount()
-    budget = ordered["host"].map(budgets).fillna(default_budget).astype(np.int64)
-    mask = (rank < budget).to_numpy()
-    cand = ordered[mask]
-    rest = ordered[~mask]
+    cand, rest = top_budget(backlog, budgets, default_budget)
     os.makedirs(out_dir, exist_ok=True)
     cand_t = pa.Table.from_pandas(cand[FRONTIER_COLS], preserve_index=False)
     pq.write_table(cand_t, os.path.join(out_dir, "cand.parquet"))
@@ -381,6 +406,15 @@ class CrawlMetrics:
         return dict(self.__dict__)
 
 
+# the cumulative CrawlMetrics counters every round's info persists, so a
+# resumed run publishes the whole run's totals (datasets/units/errors
+# are recounted from the output files at finalize)
+_COUNTERS = (
+    "rounds", "fetched", "fetch_misses", "links_discovered",
+    "links_admitted", "robots_denied",
+)
+
+
 @dataclass
 class _Selection:
     """What the round's select step hands to fetch, admission and
@@ -388,7 +422,7 @@ class _Selection:
 
     fdir: str  # this round's frontier dir
     n_front: int
-    mode: str  # the resolved select mode: driver | distributed
+    path: str  # the select path taken: driver | distributed
     winners: pd.DataFrame
     deferred_path: str | None  # distributed: deferred partition dir
 
@@ -406,7 +440,6 @@ class _Fetched:
     n_miss: int = 0
 
 
-_GATED_MODES = frozenset({"auto", "driver", "distributed"})
 _FETCH_MODES = frozenset({"store", "http"})
 
 
@@ -420,32 +453,20 @@ class CrawlRun:
         politeness_path: str,
         run_dir: str,
         settings: Settings | None = None,
-        select_mode: str = "auto",  # auto | driver | distributed
         fetch_mode: str = "store",  # store | http
-        bootstrap_mode: str = "auto",  # auto | driver | distributed
-        admission_mode: str = "auto",  # auto | driver | distributed
         http_opener=None,  # fetch_mode="http": opener(url)->(status, bytes)
     ):
-        # a typo must not silently pick a path (the gates below test
-        # only for "auto" / "driver" / "http")
-        for name, value, allowed in (
-            ("select_mode", select_mode, _GATED_MODES),
-            ("bootstrap_mode", bootstrap_mode, _GATED_MODES),
-            ("admission_mode", admission_mode, _GATED_MODES),
-            ("fetch_mode", fetch_mode, _FETCH_MODES),
-        ):
-            if value not in allowed:
-                raise ValueError(
-                    f"{name}={value!r}: expected one of {sorted(allowed)}"
-                )
+        # a typo must not silently pick a path (the fetch test below
+        # checks only for "http")
+        if fetch_mode not in _FETCH_MODES:
+            raise ValueError(
+                f"fetch_mode={fetch_mode!r}: expected one of {sorted(_FETCH_MODES)}"
+            )
         self.pages_path = pages_path
         self.seeds_path = seeds_path
         self.settings = settings or Settings()
         self.run_dir = run_dir
-        self.select_mode = select_mode
         self.fetch_mode = fetch_mode
-        self.bootstrap_mode = bootstrap_mode
-        self.admission_mode = admission_mode
         self.http_opener = http_opener
         self._page_store = None
         self.manifest = RunManifest(run_dir)
@@ -476,13 +497,14 @@ class CrawlRun:
         self._fetch_put = None  # ray.put(HttpFetchStage), once per run
         self._pending_commit: tuple | None = None
         self.phase_times: list[dict] = []
+        self._bootstrap_path: str | None = None  # recorded in round 0's info
         # round-pipelining state: the in-flight backlog pre-selection
         # ([cand_ref, rest_count_ref], submitted before extract so it
         # overlaps it), the previous round's admitted links kept in
         # memory, and the force-full-read flag set when a distributed
         # stage wrote next-frontier rows the driver never saw
         self._preselect: list | None = None
-        self._next_links = None  # pa.Table | pd.DataFrame | None
+        self._next_links: pa.Table | None = None
         self._full_read_next = False
 
     def _stage_ref(self):
@@ -518,23 +540,19 @@ class CrawlRun:
         selection): **driver** (vectorized pandas; fastest for seed
         lists that fit one machine) and **distributed** (the 10^10-URL
         scale path: first-wins via :func:`ops.firstwins.winner_vals`;
-        no full-seed driver DataFrame anywhere). ``auto`` switches
-        on the seed row count; the C1 debug window is driver-only by
-        definition (it is a bounded debug knob)."""
-        mode = self.bootstrap_mode
-        if mode == "auto":
-            mode = (
-                "distributed"
-                if _count_parquet_rows(self.seeds_path) > 2_000_000
-                else "driver"
-            )
+        no full-seed driver DataFrame anywhere). :func:`stage_path`
+        picks one from the seed row count (footer metadata); the C1
+        debug window is driver-only by definition (it is a bounded
+        debug knob)."""
+        path = stage_path("bootstrap", _count_parquet_rows(self.seeds_path))
         if self.settings.debug:
-            mode = "driver"
-        if mode == "distributed":
+            path = "driver"
+        self._bootstrap_path = path
+        if path == "distributed":
             self._bootstrap_distributed()
             return
         # plain keying tasks over slices of the seed table (driver
-        # mode: the seed list fits here by the gate above) — the
+        # path: the seed list fits here by the gate above) — the
         # canonicalize+murmur3 Python work still fans across the
         # cluster, but without a Dataset execution's fixed startup on
         # the run's serial path (VERDICT r4 #2: every chained
@@ -562,92 +580,92 @@ class CrawlRun:
         # when the highest-seq seed is a non-canonical duplicate form
         self.next_seq = int(sdf["seq"].max()) + 1 if len(sdf) else 0
         sdf = sdf.sort_values("seq", kind="mergesort").drop_duplicates("key")
-        frontier = sdf.merge(admitted[["key", "surrogate"]], on="key", how="inner")
-        self._write_frontier(frontier[FRONTIER_COLS], 0, "seeds")
+        frontier = pa.Table.from_pandas(
+            sdf.merge(admitted[["key", "surrogate"]], on="key", how="inner")[
+                FRONTIER_COLS
+            ],
+            preserve_index=False,
+        )
+        self._write_frontier(frontier, 0, "seeds")
         # hand round 0 its frontier in memory (the disk copy above
         # stays the replay source) — the round-pipelined selection
         # then never re-reads the directory the driver just wrote;
         # robots are checked at selection, as for any link frontier
-        self._next_links = frontier[FRONTIER_COLS]
+        self._next_links = frontier
 
     def _bootstrap_distributed(self) -> None:
-        """Streaming round-0 admission, no driver materialization of
-        the seed rows — two Dataset executions total:
-
-        1. read + canonicalize + key, materialized ONCE (exec 1);
-        2. first-wins per canonical key via
-           :func:`ops.firstwins.winner_vals` over the seed blocks —
-           per-block partial (key, min/max seq) tasks next to the data
-           (``next_seq`` falls out of the partial maxes with no
-           separate Dataset ``max()``), a hash-partitioned combine, and
-           the sorted winning-seq array broadcast once. The driver
-           holds 8 B per DISTINCT seed key. Seqs are globally unique,
-           so a winner's dense rank in that array IS its position
-           after a global ``sort(seq)``, and surrogate = 1 + rank —
-           identical numbering to the sequential reference
-           (``surrogate_key.rs:16-41``);
-        3. filter + rank + surrogate fuse into one ``map_batches``
-           pass over the seed blocks (exec 2);
-        4. Dataset ``write_parquet`` into the round-0 frontier dir;
-        5. seen-set load: each frontier BLOCK is shipped once to the
-           object store and every shard actor filters its own keys
-           (``assign_block``) — driver traffic is O(num_blocks) refs.
-        """
-        from ..ops.firstwins import rank_in, winner_vals
-
+        """Streaming round-0 admission: read + canonicalize + key,
+        materialized ONCE, then :meth:`_first_wins_frontier` on ``seq``
+        (``next_seq`` falls out of its partial maxes). Seqs are
+        globally unique, so surrogate = 1 + dense rank — identical
+        numbering to the sequential reference
+        (``surrogate_key.rs:16-41``)."""
         seeds = (
             ray.data.read_parquet(self.seeds_path)
             .map_batches(keyed_frontier_batch, batch_format="pyarrow")
             .materialize()  # consumed twice: partial-min tasks, finalize
         )
-        seed_refs = [
-            block_ref
-            for bundle in seeds.iter_internal_ref_bundles()
-            for block_ref in bundle.block_refs
-        ]
-        win, stats = winner_vals(seed_refs, key="key", val="seq")
-        if stats["raw_rows"] == 0:
-            return
+
+        def project(t: pa.Table, rank: np.ndarray) -> pa.Table:
+            return t.append_column("surrogate", pa.array(1 + rank)).select(
+                FRONTIER_COLS
+            )
+
+        n, stats = self._first_wins_frontier(block_refs(seeds), "seq", project, 0)
         self.next_seq = stats["vmax"] + 1
+        self.seen.next_surrogate = 1 + n
+
+    def _first_wins_frontier(self, refs: list, val: str, project, rnd: int):
+        """The distributed first-wins skeleton of the bootstrap and the
+        admission, over Arrow block refs carrying ``key`` and a
+        globally unique ``val``:
+
+        1. :func:`ops.firstwins.winner_vals` — per-block partial mins
+           next to the data, a hash-partitioned combine, and the SORTED
+           winning-val array broadcast once (8 B per winning key);
+        2. one ``map_batches`` pass keeps each block's winners and
+           ``project(rows, dense rank)``s them to frontier rows — no
+           shuffle, no sort, no zip_with_index;
+        3. Dataset ``write_parquet`` into frontier ``rnd``;
+        4. every seen shard loads its own keys from the shared frontier
+           blocks (``load_assigned_blocks``, O(num_blocks) driver refs).
+
+        Returns (frontier rows written, ``winner_vals`` stats)."""
+        from ..ops.firstwins import rank_in, winner_vals
+
+        win, stats = winner_vals(refs, key="key", val=val)
         win_ref = ray.put(win)
 
         def finalize(t: pa.Table) -> pa.Table:
-            if t.num_rows == 0 or "seq" not in t.column_names:
+            if t.num_rows == 0 or val not in t.column_names:
                 return _EMPTY_FRONTIER
             keep, rank = rank_in(
-                ray.get(win_ref), t["seq"].to_numpy(zero_copy_only=False)
+                ray.get(win_ref), t[val].to_numpy(zero_copy_only=False)
             )
-            t = t.take(pa.array(keep, pa.int64()))
-            return t.append_column(
-                "surrogate", pa.array(1 + rank)
-            ).select(FRONTIER_COLS)
+            return project(t.take(pa.array(keep, pa.int64())), rank)
 
         frontier = (
-            ray.data.from_arrow_refs(seed_refs)
+            ray.data.from_arrow_refs(refs)
             .map_batches(finalize, batch_format="pyarrow", batch_size=None)
             .materialize()
         )
-        os.makedirs(self.frontier_dir(0), exist_ok=True)
-        frontier.write_parquet(self.frontier_dir(0))
-        self.seen.load_assigned_blocks(frontier)
-        self.seen.next_surrogate = 1 + frontier.count()
+        n = frontier.count()
+        if n:
+            os.makedirs(self.frontier_dir(rnd), exist_ok=True)
+            frontier.write_parquet(self.frontier_dir(rnd))
+            self.seen.load_assigned_blocks(block_refs(frontier))
+        return n, stats
 
-    def _write_frontier(self, frame, rnd: int, tag: str) -> None:
-        """``frame`` is a pandas DataFrame or an Arrow table; columns
-        are projected to FRONTIER_COLS order either way."""
-        if len(frame) == 0:
+    def _write_frontier(self, t: pa.Table, rnd: int, tag: str) -> None:
+        if t.num_rows == 0:
             return
-        if isinstance(frame, pa.Table):
-            t = frame.select(FRONTIER_COLS)
-        else:
-            t = pa.Table.from_pandas(frame[FRONTIER_COLS], preserve_index=False)
         os.makedirs(self.frontier_dir(rnd), exist_ok=True)
-        pq.write_table(t, os.path.join(self.frontier_dir(rnd), f"{tag}.parquet"))
+        pq.write_table(
+            t.select(FRONTIER_COLS),
+            os.path.join(self.frontier_dir(rnd), f"{tag}.parquet"),
+        )
 
     # ---------------- selection ----------------
-    def _budget_of(self, hosts: pd.Series) -> pd.Series:
-        return hosts.map(self.budgets).fillna(self.default_budget).astype(np.int64)
-
     def _select_driver(self, frontier: pd.DataFrame):
         """Vectorized single-machine selection (identical semantics to
         the distributed path — see tests/test_crawl.py)."""
@@ -656,13 +674,8 @@ class CrawlRun:
         frontier = frontier[~denied]
         if frontier.empty:
             return frontier, frontier, n_denied
-        ordered = frontier.sort_values(
-            ["priority", "seq"], ascending=[False, True], kind="mergesort"
-        )
-        rank = ordered.groupby("host", sort=False).cumcount()
-        budget = self._budget_of(ordered["host"])
-        winners_mask = (rank < budget).to_numpy()
-        return ordered[winners_mask], ordered[~winners_mask], n_denied
+        winners, deferred = top_budget(frontier, self.budgets, self.default_budget)
+        return winners, deferred, n_denied
 
     def _select_distributed(self, rnd: int, n_front: int):
         """Scale path: salted two-stage per-host top-k over the frontier
@@ -692,13 +705,9 @@ class CrawlRun:
         budgets, default_budget = self.budgets, self.default_budget
 
         def stage1(group: pd.DataFrame) -> pd.DataFrame:
-            b = int(budgets.get(group["host"].iloc[0], default_budget))
-            g = group.sort_values(
-                ["priority", "seq"], ascending=[False, True], kind="mergesort"
-            )
-            cand = np.zeros(len(g), dtype=bool)
-            cand[:b] = True
-            return g.assign(cand=cand)
+            # one host per group: its top-budget rows are the candidates
+            win, rest = top_budget(group, budgets, default_budget)
+            return pd.concat([win.assign(cand=True), rest.assign(cand=False)])
 
         marked = (
             frontier_ds.map_batches(robots_and_salt, batch_format="pandas")
@@ -712,7 +721,7 @@ class CrawlRun:
         # robots-denied rows are exactly the frontier rows that
         # robots_and_salt dropped: frontier size minus what was written
         # (both counts are footer metadata — no extra pass, and the two
-        # selection modes now report identical metrics)
+        # selection paths report identical metrics)
         n_denied = n_front - _count_parquet_rows(sel_dir)
 
         cand_df = _read_parquet_dir(os.path.join(sel_dir, "cand=true"))
@@ -720,14 +729,7 @@ class CrawlRun:
             return cand_df, os.path.join(sel_dir, "cand=false"), n_denied
 
         # stage 2: exact per-host top-budget over the candidate superset
-        ordered = cand_df.sort_values(
-            ["priority", "seq"], ascending=[False, True], kind="mergesort"
-        )
-        rank = ordered.groupby("host", sort=False).cumcount()
-        budget = self._budget_of(ordered["host"])
-        mask = (rank < budget).to_numpy()
-        winners = ordered[mask]
-        demoted = ordered[~mask]
+        winners, demoted = top_budget(cand_df, self.budgets, self.default_budget)
         # demoted candidates join the deferred partition on disk
         if len(demoted):
             dd = os.path.join(sel_dir, "cand=false")
@@ -922,15 +924,19 @@ class CrawlRun:
         fx = self._fetch_extract(sel.winners, rnd)
         phase_t["extract"] = _now() - t0  # fused fetch + extract + project
         t0 = _now()
-        admitted, has_next = self._admit(sel, fx, rnd)
+        admitted, has_next, admission_path = self._admit(sel, fx, rnd)
         phase_t["admission"] = _now() - t0
-        self._commit(rnd, sel, fx, admitted, phase_t)
+        paths = {"select": sel.path, "admission": admission_path}
+        if rnd == 0 and self._bootstrap_path:
+            paths["bootstrap"] = self._bootstrap_path
+        self._commit(rnd, sel, fx, admitted, paths, phase_t)
         return has_next
 
     def _select(self, rnd: int) -> _Selection | None:
         """The round's politeness selection, or None when the frontier
-        is exhausted. Driver mode also submits the NEXT round's backlog
-        pre-selection before returning, so it overlaps fetch/extract."""
+        is exhausted. The driver path also submits the NEXT round's
+        backlog pre-selection before returning, so it overlaps
+        fetch/extract."""
         fdir = self.frontier_dir(rnd)
         # round-pipelining hand-off from the previous round: the
         # overlapped backlog pre-selection (its cand/rest files are
@@ -962,36 +968,29 @@ class CrawlRun:
             n_front = (
                 (pre_cand.num_rows if pre_cand is not None else 0)
                 + rest_cnt
-                + (len(links_mem) if links_mem is not None else 0)
+                + (links_mem.num_rows if links_mem is not None else 0)
             )
             if n_front == 0:
                 return None
         else:
             n_front = _count_parquet_rows(fdir)
-        mode = self.select_mode
-        if mode == "auto":
-            mode = "distributed" if n_front > 2_000_000 else "driver"
+        path = stage_path("select", n_front)
 
-        if mode == "distributed":
+        if path == "distributed":
             winners, deferred_path, n_denied = self._select_distributed(rnd, n_front)
             self.metrics.robots_denied += n_denied
             if winners.empty and not os.path.isdir(deferred_path):
                 return None
-            return _Selection(fdir, n_front, mode, winners, deferred_path)
+            return _Selection(fdir, n_front, path, winners, deferred_path)
 
         used_mem = False
         frontier = None
         if have_mem:
-            parts = []
-            if pre_cand is not None and pre_cand.num_rows:
-                parts.append(pre_cand.to_pandas())
-            if links_mem is not None and len(links_mem):
-                ldf = (
-                    links_mem.to_pandas()
-                    if isinstance(links_mem, pa.Table)
-                    else links_mem
-                )
-                parts.append(ldf[FRONTIER_COLS])
+            parts = [
+                t.select(FRONTIER_COLS).to_pandas()
+                for t in (pre_cand, links_mem)
+                if t is not None and t.num_rows
+            ]
             if parts:
                 frontier = pd.concat(parts, ignore_index=True)
                 used_mem = True
@@ -1023,35 +1022,31 @@ class CrawlRun:
                 self.default_budget,
                 self.frontier_dir(rnd + 1),
             )
-        return _Selection(fdir, n_front, mode, winners, None)
+        return _Selection(fdir, n_front, path, winners, None)
 
-    def _admit(self, sel: _Selection, fx: _Fetched, rnd: int) -> tuple[int, bool]:
+    def _admit(
+        self, sel: _Selection, fx: _Fetched, rnd: int
+    ) -> tuple[int, bool, str]:
         """Link admission (deterministic child seqs, then the seen
         filter), then the next round's frontier. Returns (admitted
-        links, whether a next round has work).
+        links, whether a next round has work, the admission path).
 
         Two equivalent admission paths (tested identical, like
         selection/bootstrap): **driver** (:meth:`_admit_driver`, over
         the pre-deduplicated link survivors, bounded by winners ×
         ``link_cap_per_page``) and **distributed**
-        (:meth:`_admit_distributed`). ``auto`` switches on the
-        surviving link count, so no data-proportional ray.get remains
-        once rounds grow."""
+        (:meth:`_admit_distributed`). :func:`stage_path` picks one from
+        the surviving link count, so no data-proportional ray.get
+        remains once rounds grow."""
         admitted = 0
         new_frontier = None
         links_written = False
-        amode = self.admission_mode
-        if amode == "auto":
-            amode = "distributed" if fx.n_links_kept > 2_000_000 else "driver"
-        if not fx.n_links_kept:
-            self.seen.commit_round()  # clears shard pending state
-        elif amode == "distributed":
-            self.metrics.links_discovered += fx.n_links_raw
+        path = stage_path("admission", fx.n_links_kept)
+        self.metrics.links_discovered += fx.n_links_raw
+        if fx.n_links_kept and path == "distributed":
             admitted = self._admit_distributed(fx.link_refs, rnd)
             links_written = admitted > 0
-            self.seen.commit_round()  # parity: clears (empty) pending state
-        else:
-            self.metrics.links_discovered += fx.n_links_raw
+        elif fx.n_links_kept:
             new_frontier = self._admit_driver(fx.link_refs)
             admitted = new_frontier.num_rows
 
@@ -1069,7 +1064,7 @@ class CrawlRun:
         if new_frontier is not None and new_frontier.num_rows:
             self._write_frontier(new_frontier, rnd + 1, "links")
             has_next = True
-            if sel.mode == "driver":
+            if sel.path == "driver":
                 # keep the admitted links in memory for the next
                 # round's pipelined selection (the disk copy above
                 # stays the replay/resume source of truth); under
@@ -1082,7 +1077,7 @@ class CrawlRun:
             # from Datasets — the next round must read the dir in full
             self._full_read_next = True
         has_next = has_next or links_written or self._preselect is not None
-        return admitted, has_next
+        return admitted, has_next, path
 
     def _admit_driver(self, link_refs: list) -> pa.Table:
         """Driver link admission → the admitted links as a frontier
@@ -1138,9 +1133,16 @@ class CrawlRun:
         )
 
     def _commit(
-        self, rnd: int, sel: _Selection, fx: _Fetched, admitted: int, phase_t: dict
+        self,
+        rnd: int,
+        sel: _Selection,
+        fx: _Fetched,
+        admitted: int,
+        paths: dict,
+        phase_t: dict,
     ) -> None:
-        """Queue the round's commit. Round N's shard snapshots run in
+        """Queue the round's commit (``paths``: the path each gated
+        stage took this round). Round N's shard snapshots run in
         the background through all of round N+1 (actor message order
         makes them a consistent cut); the manifest commit waits for
         them and the round's writes at the NEXT round's commit point,
@@ -1192,6 +1194,8 @@ class CrawlRun:
                 "next_seq": self.next_seq,
                 "next_surrogate": self.seen.next_surrogate,
                 "stats": self.metrics.per_round[-1],
+                "counters": {k: getattr(self.metrics, k) for k in _COUNTERS},
+                "paths": paths,
                 "phase_sec": self.phase_times[-1],
             },
         )
@@ -1199,53 +1203,18 @@ class CrawlRun:
     # ---------------- distributed link admission ----------------
     def _admit_distributed(self, link_refs: list, rnd: int) -> int:
         """Scale-path link admission — the distributed mirror of
-        :meth:`_admit_driver`, built from the same pieces as the
-        bootstrap. The fused tasks already attached ``ordv`` (packed
-        (parent_seq, link_idx) discovery order) and the child
-        ``priority``, so the stage is one Dataset execution plus the
-        first-wins task waves:
-
-        1. seen anti-filter FIRST, as plain shard-parallel tasks over
-           the link refs (every shard extracts its own unseen rows from
-           each shared block — no Dataset execution at all); filtering
-           before first-wins is equivalent because seen-ness is a
-           per-key property, and it shrinks every later stage to the
-           NOVEL links only;
-        2. first-wins per canonical key via
-           :func:`ops.firstwins.winner_vals`: per-block partial mins
-           next to the data, a hash-partitioned combine, and the
-           SORTED winning-ordv array broadcast once. The driver holds
-           8 B per winning key — at most Σ(host budget) ×
-           ``link_cap_per_page`` per round. ordv is globally unique, so
-           a winner's dense rank in that array IS its position after a
-           global sort;
-        3. filter + rank + child seq/surrogate assignment fuse into a
-           single ``map_batches`` pass over the novel blocks —
-           identical numbering to the driver path, no shuffle, no
-           sort, no zip_with_index;
-        4. the next frontier is Dataset-written (a read-only pass over
-           the pinned blocks); the seen shards ingest the same blocks
-           via ``load_assigned_blocks``.
-
-        Returns the number of admitted links."""
-        from ..ops.firstwins import rank_in, winner_vals
-
-        novel_refs = [
-            shard.filter_unseen_block.remote(ref, self.seen.num_shards)
-            for ref in link_refs
-            for shard in self.seen.shards
-        ]
-        win, _stats = winner_vals(novel_refs, key="key", val="ordv")
+        :meth:`_admit_driver`. The fused tasks already attached ``ordv``
+        (packed (parent_seq, link_idx) discovery order) and the child
+        ``priority``. The seen anti-filter runs FIRST, as shard-parallel
+        tasks over the link refs (seen-ness is a per-key property, so
+        this shrinks first-wins to the NOVEL links); then
+        :meth:`_first_wins_frontier` on ``ordv`` assigns child seq =
+        ``next_seq`` + rank and surrogate = ``next_surrogate`` + rank —
+        identical numbering to the driver path. Returns the number of
+        admitted links."""
         base_seq, base_surr = self.next_seq, self.seen.next_surrogate
-        win_ref = ray.put(win)
 
-        def finalize(t: pa.Table) -> pa.Table:
-            if t.num_rows == 0 or "ordv" not in t.column_names:
-                return _EMPTY_FRONTIER
-            keep, rank = rank_in(
-                ray.get(win_ref), t["ordv"].to_numpy(zero_copy_only=False)
-            )
-            t = t.take(pa.array(keep, pa.int64()))
+        def project(t: pa.Table, rank: np.ndarray) -> pa.Table:
             return pa.table(
                 {
                     "url": t["link_url"],
@@ -1258,18 +1227,11 @@ class CrawlRun:
                 }
             )
 
-        frontier = (
-            ray.data.from_arrow_refs(novel_refs)
-            .map_batches(finalize, batch_format="pyarrow", batch_size=None)
-            .materialize()
+        n, _stats = self._first_wins_frontier(
+            self.seen.filter_unseen_refs(link_refs), "ordv", project, rnd + 1
         )
-        n = frontier.count()
-        if n:
-            os.makedirs(self.frontier_dir(rnd + 1), exist_ok=True)
-            frontier.write_parquet(self.frontier_dir(rnd + 1))
-            self.seen.load_assigned_blocks(frontier)
-            self.next_seq = base_seq + n
-            self.seen.next_surrogate = base_surr + n
+        self.next_seq = base_seq + n
+        self.seen.next_surrogate = base_surr + n
         return n
 
     def _flush_pending_commit(self) -> None:
@@ -1323,6 +1285,13 @@ class CrawlRun:
             ]
             self.seen.restore_chain(chain)
             self.next_seq = info["next_seq"]
+            # the published metrics cover the WHOLE run, not only the
+            # rounds after the resume
+            for k, v in info.get("counters", {}).items():
+                setattr(self.metrics, k, v)
+            self.metrics.per_round = [
+                self.manifest.round_info(r)["stats"] for r in range(last + 1)
+            ]
             start_round = last + 1
         else:
             self._bootstrap()

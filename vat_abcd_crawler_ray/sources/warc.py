@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import gzip
 import io
+import zlib
 from typing import Iterator
 
 import pyarrow as pa
@@ -112,12 +113,13 @@ def parse_warc_file(name: str, data: bytes) -> pa.Table:
     ``(warc_file, url, date, status, content_type, html, warc_error)``.
     Non-response records (warcinfo/request/metadata) are skipped; a
     malformed stream yields ONE dead-letter row for the remainder of
-    the file (everything parsed before the corruption is kept)."""
-    if data[:2] == b"\x1f\x8b":
-        # concatenated gzip members (the .warc.gz convention)
-        data = gzip.GzipFile(fileobj=io.BytesIO(data)).read()
+    the file (everything parsed before the corruption is kept; a
+    corrupt gzip layer dead-letters the whole file)."""
     urls, dates, statuses, ctypes, bodies, errs = [], [], [], [], [], []
     try:
+        if data[:2] == b"\x1f\x8b":
+            # concatenated gzip members (the .warc.gz convention)
+            data = gzip.GzipFile(fileobj=io.BytesIO(data)).read()
         for rec in iter_warc_records(data):
             if rec["type"] != "response":
                 continue
@@ -128,7 +130,7 @@ def parse_warc_file(name: str, data: bytes) -> pa.Table:
             ctypes.append(ctype)
             bodies.append(body)
             errs.append(None)
-    except ValueError as exc:
+    except (ValueError, OSError, EOFError, zlib.error) as exc:
         urls.append("")
         dates.append("")
         statuses.append(-1)

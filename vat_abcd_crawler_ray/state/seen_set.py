@@ -48,6 +48,13 @@ def _as_arrow_block(block) -> pa.Table:
     return pa.Table.from_pandas(block, preserve_index=False)
 
 
+def block_refs(ds: "ray.data.Dataset") -> list:
+    """The Arrow block refs of a MATERIALIZED Dataset, in order."""
+    return [
+        ref for bundle in ds.iter_internal_ref_bundles() for ref in bundle.block_refs
+    ]
+
+
 def first_wins_dataset(
     ds: "ray.data.Dataset",
     key_col: str,
@@ -249,9 +256,6 @@ class SeenSetShard:
                 pend.update(zip(k.tolist(), s.tolist()))
         return fresh
 
-    def pending_count(self) -> int:
-        return len(self.pending)
-
     def commit_round(self) -> pa.Table:
         """Round barrier step 1: return this shard's NEW (key, first_seq)
         pairs (keys never committed before), clearing the pending set."""
@@ -279,12 +283,11 @@ class SeenSetShard:
             )
         return self.size()
 
-    def assign_block(self, table: pa.Table, num_shards: int,
-                     seq_col: str = "seq") -> int:
+    def assign_block(self, table: pa.Table, num_shards: int) -> int:
         """Bulk-load pre-assigned rows from a shared Dataset block: keep
         only this shard's keys (``key % num_shards == shard_id``) and
-        store them. Used by the distributed bootstrap / admission /
-        commit — the block lives once in the object store and every
+        store them. Used by the distributed bootstrap and admission —
+        the block lives once in the object store and every
         shard filters its own slice, so no per-shard routing ever
         touches the driver."""
         table = _as_arrow_block(table)
@@ -298,7 +301,7 @@ class SeenSetShard:
             self._store_committed(
                 keys[sel].tolist(),
                 table["surrogate"].to_numpy()[sel].tolist(),
-                table[seq_col].to_numpy()[sel].tolist(),
+                table["seq"].to_numpy()[sel].tolist(),
             )
         return self.size()
 
@@ -513,31 +516,13 @@ class ShardedSeenSet:
             mask[sel] = res
         return mask
 
-    def commit_round(
-        self,
-        mode: str = "auto",
-        distributed_threshold: int = 5_000_000,
-    ) -> pa.Table:
+    def commit_round(self) -> pa.Table:
         """Resolve the round: gather new keys from all shards, assign
         dense surrogates in first_seq order, push assignments back.
         Returns (key, first_seq, surrogate) for the round's new keys.
-
-        Two equivalent implementations (tested identical): **driver** —
-        gather + numpy argsort, right while the round's novelty set is
-        driver-sized; **distributed** — the shard pending tables stay
-        remote, surrogate assignment is a Dataset ``sort(first_seq)`` +
-        ``zip_with_index``, and shards ingest shared result blocks
-        (``commit_round_distributed``). ``auto`` switches on the total
-        pending count (one int per shard to decide), so a 10^8-novel-
-        key round never materializes on the driver. NOTE: above the
-        gate the return value is a **Dataset**, not a pa.Table — every
-        driver-sized caller sits under its own smaller admission gate.
-        """
-        if mode == "auto":
-            counts = ray.get([s.pending_count.remote() for s in self.shards])
-            mode = "distributed" if sum(counts) > distributed_threshold else "driver"
-        if mode == "distributed":
-            return self.commit_round_distributed()
+        Driver-side by design: every caller offers at most a driver-
+        sized round (the crawl's distributed stages bulk-load the
+        shards with :meth:`load_assigned_blocks` instead)."""
         tables = ray.get([s.commit_round.remote() for s in self.shards])
         allt = pa.concat_tables(tables)
         if allt.num_rows == 0:
@@ -566,23 +551,6 @@ class ShardedSeenSet:
             }
         )
 
-    def commit_round_distributed(self) -> "ray.data.Dataset":
-        """Scale-path round commit (reference dense numbering,
-        ``surrogate_key.rs:16-41``, at 10^8+ novel keys/round): the
-        shard pending tables become a Dataset WITHOUT touching the
-        driver, a global ``sort(first_seq)`` + ``zip_with_index``
-        assigns dense surrogates in first-seq order, and every shard
-        ingests the shared result blocks. Returns the materialized
-        (key, first_seq, surrogate) Dataset."""
-        refs = [s.commit_round.remote() for s in self.shards]
-        pending = ray.data.from_arrow_refs(refs)
-        assigned = zip_with_index(
-            pending.sort("first_seq"), "surrogate", start=self.next_surrogate
-        ).materialize()
-        self.load_assigned_blocks(assigned, seq_col="first_seq")
-        self.next_surrogate += assigned.count()
-        return assigned
-
     def lookup(self, keys: np.ndarray) -> np.ndarray:
         keys = np.asarray(keys, dtype=np.int64)
         shard_ids = keys % self.num_shards
@@ -596,38 +564,30 @@ class ShardedSeenSet:
             out[sel] = res
         return out
 
-    def filter_unseen_dataset(self, mat_ds: "ray.data.Dataset") -> "ray.data.Dataset":
-        """Distributed anti-filter: each block of the MATERIALIZED input
-        is shipped once to the object store; every shard actor extracts
-        its own unseen rows (``filter_unseen_block``). Returns the
-        Dataset of not-yet-committed rows — no driver materialization,
-        O(blocks × shards) small tasks."""
-        refs = []
-        for bundle in mat_ds.iter_internal_ref_bundles():
-            for block_ref in bundle.block_refs:
-                for shard in self.shards:
-                    refs.append(
-                        shard.filter_unseen_block.remote(block_ref, self.num_shards)
-                    )
-        return ray.data.from_arrow_refs(refs)
+    def filter_unseen_refs(self, refs: list) -> list:
+        """Distributed anti-filter over Arrow block refs: every shard
+        actor extracts its own not-yet-committed rows from each shared
+        block (``filter_unseen_block``). Returns the refs of the unseen
+        rows — no driver materialization, O(blocks × shards) small
+        tasks."""
+        return [
+            shard.filter_unseen_block.remote(ref, self.num_shards)
+            for ref in refs
+            for shard in self.shards
+        ]
 
-    def load_assigned_blocks(
-        self, mat_ds: "ray.data.Dataset", seq_col: str = "seq"
-    ) -> None:
-        """Bulk-commit pre-assigned (key, surrogate, seq) rows from a
-        materialized Dataset: every shard filters each shared block for
-        its own keys (``assign_block``). Used by the distributed
-        bootstrap, link admission and round commit."""
-        futs = []
-        for bundle in mat_ds.iter_internal_ref_bundles():
-            for block_ref in bundle.block_refs:
-                for shard in self.shards:
-                    futs.append(
-                        shard.assign_block.remote(
-                            block_ref, self.num_shards, seq_col
-                        )
-                    )
-        ray.get(futs)
+    def load_assigned_blocks(self, refs: list) -> None:
+        """Bulk-commit pre-assigned (key, surrogate, seq) rows from
+        Arrow block refs: every shard filters each shared block for its
+        own keys (``assign_block``). Used by the distributed bootstrap
+        and link admission."""
+        ray.get(
+            [
+                shard.assign_block.remote(ref, self.num_shards)
+                for ref in refs
+                for shard in self.shards
+            ]
+        )
 
     def snapshot_async(self, dir_path: str, mode: str = "full") -> list:
         """Submit the per-shard snapshot writes and return their
