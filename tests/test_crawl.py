@@ -23,6 +23,16 @@ def corpus(ray_session):
     return corpus_dir("/root/testdata/sf0.001")
 
 
+@pytest.fixture(scope="module")
+def full_run(corpus, tmp_path_factory):
+    """(run, run_dir) of one uninterrupted default-settings crawl —
+    the ground truth the resume tests compare against."""
+    d = tmp_path_factory.mktemp("full")
+    run = _mk_run(corpus, d)
+    run.run()
+    return run, d
+
+
 def _mk_run(corpus, run_dir, **kw) -> CrawlRun:
     return CrawlRun(
         f"{corpus}/pages.parquet",
@@ -144,11 +154,8 @@ class TestCrawl:
         produce the same run as the driver-side pandas bootstrap."""
         self._assert_paths_agree(corpus, tmp_path, force_paths, "bootstrap")
 
-    def test_kill_and_resume(self, corpus, tmp_path):
-        # full run = ground truth
-        full_dir = tmp_path / "full"
-        rfull = _mk_run(corpus, full_dir)
-        rfull.run()
+    def test_kill_and_resume(self, corpus, tmp_path, full_run):
+        rfull, full_dir = full_run
 
         # partial run: stop after 2 rounds (simulated kill: max_rounds=2)
         part_dir = tmp_path / "part"
@@ -172,6 +179,53 @@ class TestCrawl:
             == rfull.manifest.published()["metrics"]
         )
 
+    def test_resume_keeps_recorded_shard_count(self, corpus, tmp_path, full_run):
+        """A run stopped after 2 rounds at 2 pinned shards resumes under
+        the auto setting (4 shards on conftest's 4-CPU cluster) with the 2
+        shards its snapshots were written with, and equals the
+        uninterrupted 4-shard run."""
+        rfull, full_dir = full_run
+        assert rfull.seen.num_shards == 4
+        part_dir = tmp_path / "part"
+        s = Settings()
+        s.crawl.num_seen_shards = 2
+        s.crawl.max_rounds = 2
+        _mk_run(corpus, part_dir, settings=s).run()
+
+        rres = _mk_run(corpus, part_dir)  # num_seen_shards=0: auto
+        rres.run(resume=True)
+        assert rres.seen.num_shards == 2
+        assert [r["seen_shards"] for r in rres.manifest.published()["rounds"]] == [
+            2
+        ] * rfull.metrics.rounds
+        pd.testing.assert_frame_equal(_seen_table(rfull), _seen_table(rres))
+        pd.testing.assert_frame_equal(_fetch_log(full_dir), _fetch_log(part_dir))
+        assert rres.metrics.as_dict() == rfull.metrics.as_dict()
+
+    def test_seen_tiers_in_manifest(self, corpus, tmp_path):
+        """Each round's info in MANIFEST.json names the shard count and
+        every shard's tier sizes at the snapshot cut; a small RAM cap
+        puts rows on disk, and the last cut's tiers add up to the
+        final seen set."""
+        s = Settings()
+        s.crawl.seen_ram_cap_per_shard = 32
+        run = _mk_run(corpus, tmp_path / "run", settings=s)
+        run.run()
+        with open(os.path.join(str(tmp_path / "run"), "MANIFEST.json")) as fh:
+            rounds = json.load(fh)["rounds"]
+        n = run.seen.num_shards
+        for r in rounds:
+            assert r["seen_shards"] == n
+            assert len(r["seen_tiers"]) == n
+            for tiers in r["seen_tiers"]:
+                assert {"tail", "ram_rows", "disk_rows", "disk_runs"} <= set(tiers)
+        last = rounds[-1]["seen_tiers"]
+        assert sum(t["disk_runs"] for t in last) > 0
+        assert sum(t["tail"] + t["ram_rows"] + t["disk_rows"] for t in last) == len(
+            _seen_table(run)
+        )
+        assert "seen_tiers" not in rounds[-1]["stats"]
+
     def test_manifest_published_atomically(self, corpus, tmp_path):
         run = _mk_run(corpus, tmp_path / "run")
         run.run()
@@ -187,6 +241,7 @@ class TestCrawl:
             if r["stats"]["round"] == 0:
                 want["bootstrap"] = "driver"
             assert r["paths"] == want
+            assert r["seen_shards"] == run.seen.num_shards
 
     def test_extracted_text_matches_pages_oracle(self, corpus, tmp_path):
         """Byte-identical extracted text per url (input_hint invariant):
@@ -306,6 +361,18 @@ def test_unknown_mode_rejected(tmp_path, mode_kw):
     (name,) = mode_kw
     with pytest.raises(ValueError, match=name):
         _mk_run(str(tmp_path), tmp_path / "run", **mode_kw)
+
+
+@pytest.mark.parametrize(
+    "key,value", [("num_seen_shards", -1), ("seen_capacity_per_shard", 0)]
+)
+def test_bad_seen_setting_rejected(tmp_path, key, value):
+    """A negative shard count or an empty prefilter is a typo: it
+    fails construction, before any input is read."""
+    s = Settings()
+    setattr(s.crawl, key, value)
+    with pytest.raises(ValueError, match=key):
+        _mk_run(str(tmp_path), tmp_path / "run", settings=s)
 
 
 def test_robots_denied_vectorized_matches_rowwise():

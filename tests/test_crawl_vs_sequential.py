@@ -12,6 +12,7 @@ import os
 import pandas as pd
 import pytest
 
+from vat_abcd_crawler_ray.config import Settings
 from vat_abcd_crawler_ray.oracle.seqcrawl import sequential_crawl
 from vat_abcd_crawler_ray.pipelines.crawl import CrawlRun, _read_parquet_dir
 from vat_abcd_crawler_ray.sources.synthetic import corpus_dir
@@ -25,7 +26,11 @@ FORCED = {
     "bootstrap": ("bootstrap",),
     "select": ("select",),
     "admission": ("admission",),
+    "one_shard": (),
 }
+# crawl settings a configuration pins: one seen-set shard whose 64-slot
+# prefilter must grow mid-crawl (457 keys)
+SETTINGS = {"one_shard": {"num_seen_shards": 1, "seen_capacity_per_shard": 64}}
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -45,8 +50,15 @@ def test_distributed_crawl_matches_sequential_reference(
         run = auto_run(corpus)
     else:
         force_paths(**{stage: "distributed" for stage in FORCED[modes]})
-        run = _crawl(corpus, str(tmp_path / "run"))
+        settings = Settings()
+        for k, v in SETTINGS.get(modes, {}).items():
+            setattr(settings.crawl, k, v)
+        run = _crawl(corpus, str(tmp_path / "run"), settings)
         assert run.metrics.as_dict() == auto_run(corpus).metrics.as_dict()
+    if modes == "one_shard":
+        assert run.seen.num_shards == 1
+        tiers = run.manifest.round_info(run.manifest.last_complete_round())["seen_tiers"]
+        assert tiers[0]["filter_buckets"] > 32  # grew from 64 slots
     # every committed round records the path each gated stage took
     for r in range(run.manifest.last_complete_round() + 1):
         paths = run.manifest.round_info(r)["paths"]
@@ -101,12 +113,13 @@ def test_distributed_crawl_matches_sequential_reference(
     )
 
 
-def _crawl(corpus: str, run_dir: str) -> CrawlRun:
+def _crawl(corpus: str, run_dir: str, settings: Settings | None = None) -> CrawlRun:
     run = CrawlRun(
         f"{corpus}/pages.parquet",
         f"{corpus}/seeds.parquet",
         f"{corpus}/politeness.parquet",
         run_dir,
+        settings=settings,
     )
     run.run()
     return run

@@ -17,6 +17,7 @@ from vat_abcd_crawler_ray.state.seen_set import (
     ShardedSeenSet,
     block_refs,
     first_wins_dataset,
+    seen_shard_count,
 )
 
 
@@ -60,6 +61,13 @@ class TestCuckoo:
         f1.add(keys)
         f2.add(keys)
         assert (f1.table == f2.table).all()
+
+
+@pytest.mark.parametrize("cpus,want", [(1, 1), (4, 4), (8, 8), (32, 8)])
+def test_auto_shard_count_follows_cluster(cpus, want):
+    """0 = one shard per CPU up to 8; a positive setting pins it."""
+    assert seen_shard_count(0, cpus) == want
+    assert seen_shard_count(3, cpus) == 3
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -194,6 +202,43 @@ class TestShardedSeenSet:
         np.testing.assert_array_equal(
             restored.lookup(probe), ss.lookup(probe)
         )
+
+    def test_tiny_filter_grows_instead_of_failing(self, tmp_path):
+        """One shard whose prefilter starts at 64 slots takes ~6k keys:
+        the filter doubles on overflow (the capacity is not a key
+        limit) and the set equals a large-capacity one, directly and
+        after a full + delta snapshot chain restore (the deltas grow
+        the restored filter again)."""
+        import pandas as pd
+
+        small = ShardedSeenSet(num_shards=1, capacity_per_shard=64)
+        big = ShardedSeenSet(num_shards=1, capacity_per_shard=1 << 15)
+        rng = np.random.RandomState(5)
+        dirs, seq = [], 0
+        for rnd in range(5):
+            keys = rng.randint(0, 1 << 40, size=1200).astype(np.int64)
+            seqs = np.arange(seq, seq + len(keys), dtype=np.int64)
+            seq += len(keys)
+            for s in (small, big):
+                s.offer_batch(keys, seqs)
+                s.commit_round()
+            d = str(tmp_path / f"seen_{rnd}")
+            small.snapshot(d, mode="full" if rnd == 0 else "delta")
+            dirs.append(d)
+        want = big.to_table().to_pandas()
+        assert len(want) > 5000
+        probe = np.concatenate(
+            [want["key"].to_numpy()[::3],
+             rng.randint(1 << 41, 1 << 42, size=300).astype(np.int64)]
+        )
+        restored = ShardedSeenSet(num_shards=1, capacity_per_shard=64)
+        restored.restore_chain(dirs)
+        for got in (small, restored):
+            pd.testing.assert_frame_equal(got.to_table().to_pandas(), want)
+            assert got.next_surrogate == big.next_surrogate
+            np.testing.assert_array_equal(got.lookup(probe), big.lookup(probe))
+            fresh = got.offer_batch(probe, np.arange(len(probe)) + seq)
+            np.testing.assert_array_equal(fresh, big.lookup(probe) < 0)
 
     def test_to_table(self):
         ss = ShardedSeenSet(num_shards=3)

@@ -51,6 +51,23 @@ class TestParseSitemap:
         p = parse_sitemap("<urlset><url><loc>https://x/</loc></url></urlset>")
         assert p["urls"] == ["https://x/"]
 
+    @pytest.mark.parametrize("damage", ["truncate", "flip"])
+    def test_corrupt_gzip_is_one_dead_letter_row(self, damage):
+        """A corrupt .xml.gz (cut short: EOFError; a flipped deflate
+        byte: zlib.error or a CRC BadGzipFile) raises ValueError, so the
+        batch dead-letters it as one sitemap_error row."""
+        data = bytearray(gzip.compress(URLSET.encode()))
+        if damage == "truncate":
+            data = data[: len(data) // 2]
+        else:
+            data[len(data) // 2] ^= 0xFF
+        with pytest.raises(ValueError, match="corrupt gzip"):
+            parse_sitemap(bytes(data))
+        df = sitemap_urls_batch(pd.Series([bytes(data), URLSET]))
+        bad = df[df.sitemap_error.notna()]
+        assert bad["sitemap_idx"].tolist() == [0]
+        assert (df.sitemap_idx == 1).sum() == 2
+
     def test_malformed_and_wrong_root(self):
         with pytest.raises(ValueError, match="malformed"):
             parse_sitemap(b"<urlset><broken")

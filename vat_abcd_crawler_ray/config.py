@@ -24,7 +24,13 @@ class AbcdConfig:
 
 @dataclass
 class CrawlConfig:
-    num_seen_shards: int = 8
+    # seen-set shard actors; 0 = auto (one per cluster CPU, at most 8 —
+    # each is a worker process the crawl waits for at start-up, so a
+    # small host runs one). A resume uses the count its snapshots were
+    # written with, whatever this says.
+    num_seen_shards: int = 0
+    # starting size of each shard's cuckoo prefilter; a full filter
+    # doubles, so this is not a key limit
     seen_capacity_per_shard: int = 1 << 20
     # max exact (key → surrogate, first_seq) entries a seen-set shard
     # keeps in actor RAM before spilling sorted runs to disk under the

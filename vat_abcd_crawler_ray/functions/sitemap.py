@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import gzip
 import xml.etree.ElementTree as ET
+import zlib
 
 import pandas as pd
 
@@ -27,12 +28,15 @@ def _local(tag: str) -> str:
 def parse_sitemap(data: bytes | str) -> dict:
     """Sitemap bytes/str → ``{kind, urls, sitemaps, lastmod,
     priority}``; ``kind`` is "urlset" or "sitemapindex". Gzip'd input
-    inflates first; malformed XML raises ValueError (dead-letter at
-    the caller, C2 style)."""
+    inflates first; a corrupt gzip layer or malformed XML raises
+    ValueError (dead-letter at the caller, C2 style)."""
     if isinstance(data, str):
         data = data.encode()
     if data[:2] == b"\x1f\x8b":
-        data = gzip.decompress(data)
+        try:
+            data = gzip.decompress(data)
+        except (OSError, EOFError, zlib.error) as exc:  # BadGzipFile is an OSError
+            raise ValueError(f"corrupt gzip sitemap: {exc}") from exc
     try:
         root = ET.fromstring(data)
     except ET.ParseError as exc:

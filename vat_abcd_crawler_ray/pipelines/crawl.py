@@ -96,7 +96,7 @@ from ..config import Settings
 from ..functions.urlkeys import canonicalize_batch, hosts_batch, url_keys_batch
 from ..stages.extract import ExtractStage, RECORD_ERROR
 from ..state.manifest import RunManifest
-from ..state.seen_set import ShardedSeenSet, block_refs
+from ..state.seen_set import ShardedSeenSet, block_refs, seen_shard_count
 
 from time import perf_counter as _now
 
@@ -462,30 +462,29 @@ class CrawlRun:
             raise ValueError(
                 f"fetch_mode={fetch_mode!r}: expected one of {sorted(_FETCH_MODES)}"
             )
+        self.settings = settings or Settings()
+        cc = self.settings.crawl
+        if cc.num_seen_shards < 0:
+            raise ValueError(
+                f"num_seen_shards={cc.num_seen_shards}: expected 0 (auto) or a count"
+            )
+        if cc.seen_capacity_per_shard < 1:
+            raise ValueError(
+                f"seen_capacity_per_shard={cc.seen_capacity_per_shard}: expected >= 1"
+            )
         self.pages_path = pages_path
         self.seeds_path = seeds_path
-        self.settings = settings or Settings()
         self.run_dir = run_dir
         self.fetch_mode = fetch_mode
         self.http_opener = http_opener
         self._page_store = None
         self.manifest = RunManifest(run_dir)
-        cc = self.settings.crawl
         if cc.link_cap_per_page > LINK_ORD_SCALE:
             raise ValueError(
                 f"link_cap_per_page={cc.link_cap_per_page} > {LINK_ORD_SCALE}"
                 " (ordv packs link_idx below it)"
             )
-        self.seen = ShardedSeenSet(
-            cc.num_seen_shards,
-            cc.seen_capacity_per_shard,
-            ram_cap_per_shard=cc.seen_ram_cap_per_shard or None,
-            spill_dir=(
-                os.path.join(run_dir, "seen_spill")
-                if cc.seen_ram_cap_per_shard
-                else None
-            ),
-        )
+        self.seen: ShardedSeenSet | None = None  # the shard pool, built by run()
         self.metrics = CrawlMetrics()
         self.next_seq = 0
 
@@ -1154,15 +1153,14 @@ class CrawlRun:
         # here too would double-count it under "snapshot"
         t0 = _now()
         snap_mode = "full" if rnd % cc.snapshot_full_every == 0 else "delta"
-        snap_futs = (
-            self.seen.snapshot_async(self.seen_dir(rnd), snap_mode) + fx.write_futs
-        )
+        seen_futs = self.seen.snapshot_async(self.seen_dir(rnd), snap_mode)
+        write_futs = fx.write_futs
         if self._preselect is not None:
             # this round's commit must not land before the pipelined
             # pre-selection's cand/rest frontier files are durable —
             # a committed round implies its successor's frontier dir
             # is complete (the resume contract)
-            snap_futs = snap_futs + list(self._preselect)
+            write_futs = write_futs + list(self._preselect)
         phase_t["snapshot"] = _now() - t0
         self.metrics.rounds = rnd + 1
         self.metrics.fetched += fx.n_fetched
@@ -1184,13 +1182,17 @@ class CrawlRun:
             {"round": rnd, **{k: round(v, 3) for k, v in phase_t.items()}}
         )
         self._pending_commit = (
-            snap_futs,
+            seen_futs,
+            write_futs,
             rnd,
             {
                 "frontier_dir": sel.fdir,
                 "extracted_dir": self.extracted_dir(rnd),
                 "seen_snapshot": self.seen_dir(rnd),
                 "seen_snapshot_mode": snap_mode,
+                # the pool layout the snapshot needs on resume; outside
+                # "stats", which stay equal across shard counts
+                "seen_shards": self.seen.num_shards,
                 "next_seq": self.next_seq,
                 "next_surrogate": self.seen.next_surrogate,
                 "stats": self.metrics.per_round[-1],
@@ -1237,10 +1239,12 @@ class CrawlRun:
     def _flush_pending_commit(self) -> None:
         if self._pending_commit is None:
             return
-        futs, rnd, info = self._pending_commit
+        seen_futs, write_futs, rnd, info = self._pending_commit
         self._pending_commit = None
         t0 = _now()
-        ray.get(futs)  # snapshot + writes durable before the commit
+        # snapshot + writes durable before the commit; each shard's
+        # snapshot returns its tier sizes at the cut
+        info["seen_tiers"] = ray.get(seen_futs + write_futs)[: len(seen_futs)]
         # the real write/snapshot wall time, recorded where the futures
         # are actually joined (the extract phase only submits the writes)
         info["phase_sec"]["commit_wait"] = round(_now() - t0, 3)
@@ -1253,23 +1257,38 @@ class CrawlRun:
         # decode, seed bootstrap and the final commit untracked — ~30%
         # of a 3-round sandbox run's wall)
         t_setup = _now()
+        cc = self.settings.crawl
+        last = self.manifest.last_complete_round() if resume else -1
+        info = self.manifest.round_info(last) if last >= 0 else None
+        # the shard pool is spawned first, so its worker start-up
+        # overlaps the page-store open and the seed keying. A resume
+        # rebuilds the pool its snapshots were written with (manifests
+        # from before the field ran the fixed 8-shard default)
+        self.seen = ShardedSeenSet(
+            seen_shard_count(cc.num_seen_shards)
+            if info is None
+            else info.get("seen_shards", 8),
+            cc.seen_capacity_per_shard,
+            ram_cap_per_shard=cc.seen_ram_cap_per_shard or None,
+            spill_dir=(
+                os.path.join(self.run_dir, "seen_spill")
+                if cc.seen_ram_cap_per_shard
+                else None
+            ),
+        )
         if self.fetch_mode == "store" and self._page_store is None:
             # kick off shard decode now — it overlaps seed bootstrap
             # (PageStore construction no longer blocks on shard init)
             from ..state.page_store import get_page_store
 
-            self._page_store = get_page_store(
-                self.pages_path, self.settings.crawl.num_page_shards
-            )
+            self._page_store = get_page_store(self.pages_path, cc.num_page_shards)
         start_round = 0
         setup_kind = "bootstrap"
-        if resume and self.manifest.last_complete_round() >= 0:
+        if info is not None:
             setup_kind = "restore"  # manifest walk + seen-snapshot
             # reload — a different cost than seed bootstrap; keep the
             # phase telemetry BASELINE.md analyzes honest about which
             # one a run paid
-            last = self.manifest.last_complete_round()
-            info = self.manifest.round_info(last)
             # seen-set restore chain: walk back to the newest FULL
             # snapshot, then replay the deltas committed after it
             # (old manifests without the mode field are all-full)
@@ -1299,7 +1318,7 @@ class CrawlRun:
             {"round": "setup", setup_kind: round(_now() - t_setup, 3)}
         )
 
-        for rnd in range(start_round, self.settings.crawl.max_rounds):
+        for rnd in range(start_round, cc.max_rounds):
             if not self._round(rnd):
                 break
         self._flush_pending_commit()  # wait lands in the last round's

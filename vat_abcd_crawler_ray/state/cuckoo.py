@@ -61,7 +61,9 @@ class CuckooFilter:
 
     def add(self, keys: np.ndarray) -> int:
         """Insert keys (idempotence NOT checked — callers pre-filter with
-        ``contains``). Returns number inserted; raises on overflow."""
+        ``contains``). Returns number inserted; raises on overflow (the
+        failed insert has dropped one kicked fingerprint, so the caller
+        must rebuild — see :meth:`doubled`)."""
         keys = np.asarray(keys, dtype=np.int64)
         fps, i1s = _split(keys, self.nbuckets)
         i2s = _alt_bucket(i1s, fps, self.nbuckets)
@@ -103,6 +105,25 @@ class CuckooFilter:
     # snapshot/restore for per-round checkpointing (resume path)
     def state(self) -> dict:
         return {"table": self.table.copy(), "count": self.count, "slots": self.slots}
+
+    def doubled(self, keys: np.ndarray) -> "CuckooFilter":
+        """A new filter with twice the buckets holding exactly ``keys``
+        — the overflow path: the caller passes every key the filter
+        must answer for. Doubles again if even that overflows."""
+        nbuckets = 2 * self.nbuckets
+        while True:
+            f = CuckooFilter.from_state(
+                {
+                    "table": np.zeros((nbuckets, self.slots), dtype=np.uint16),
+                    "count": 0,
+                    "slots": self.slots,
+                }
+            )
+            try:
+                f.add(keys)
+                return f
+            except RuntimeError:
+                nbuckets *= 2
 
     @classmethod
     def from_state(cls, st: dict) -> "CuckooFilter":

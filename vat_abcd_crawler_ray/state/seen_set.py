@@ -24,6 +24,12 @@ Two implementations, same semantics:
   sequential crawl's first-seen ordering. Shards snapshot per round for
   kill/resume (the reference rebuilds from scratch,
   ``database_sink.rs:91-101``; at 10^10 we must not).
+
+N comes from the cluster (:func:`seen_shard_count`: one shard per CPU,
+at most 8) unless pinned. Surrogates are assigned globally, so N never
+changes a result; a shard's prefilter doubles on overflow, so N does
+not bound the key count either. A snapshot chain restores only into a
+pool of the N it was written with (the crawl records N per round).
 """
 
 from __future__ import annotations
@@ -33,11 +39,13 @@ import os
 import numpy as np
 import pyarrow as pa
 import ray
-import ray.data
-from ray.data.aggregate import Min
 
-from ..ops.zip_with_index import zip_with_index
 from .cuckoo import CuckooFilter
+
+# ray.data is imported only inside the Dataset functions: a shard actor
+# imports this module before its first call, and ray.data would add
+# about 1 s to that start-up on a 1-CPU host (the driver-path shard
+# calls exchange numpy for the same reason)
 
 
 def _as_arrow_block(block) -> pa.Table:
@@ -65,6 +73,10 @@ def first_wins_dataset(
     """Dense first-seen surrogate per key: one row per distinct key with
     ``first_seq = min(seq)`` and surrogates ``start..`` in first_seq
     order. Deterministic given unique seqs."""
+    from ray.data.aggregate import Min
+
+    from ..ops.zip_with_index import zip_with_index
+
     firsts = ds.groupby(key_col).aggregate(Min(seq_col, alias_name="first_seq"))
     return zip_with_index(firsts.sort("first_seq"), surrogate_col, start=start)
 
@@ -95,6 +107,24 @@ _TAIL_MAX = 1 << 16
 # Merge RAM runs down to one when this many accumulate (amortized
 # O(n log n) concatenate+argsort, keeps the per-probe run count small).
 _RAM_RUN_MAX = 6
+
+
+# auto shard count ceiling: the 8-actor layout the 32-CPU scaling runs use
+MAX_AUTO_SEEN_SHARDS = 8
+
+
+def seen_shard_count(num_seen_shards: int, cpus: int | None = None) -> int:
+    """The shard count a crawl runs with: ``num_seen_shards > 0`` pins
+    it; 0 means one shard per cluster CPU (``cpus``, read from Ray when
+    omitted), capped at :data:`MAX_AUTO_SEEN_SHARDS`. Every shard is a
+    worker process the crawl waits for at its first seen-set call, so
+    on a small host fewer shards start faster, and the shard count is
+    never a key ceiling (filters grow)."""
+    if num_seen_shards > 0:
+        return num_seen_shards
+    if cpus is None:
+        cpus = int(ray.cluster_resources().get("CPU", 1))
+    return max(1, min(cpus, MAX_AUTO_SEEN_SHARDS))
 
 
 # num_cpus=0: shard actors are memory-bound state holders that must not
@@ -214,6 +244,18 @@ class SeenSetShard:
         run.first_seqs = np.load(f"{prefix}_seq.npy", mmap_mode="r")
         run.path = prefix
 
+    def _filter_add(self, keys: np.ndarray) -> None:
+        """Add never-committed ``keys`` to the prefilter. On overflow,
+        rebuild it at double the buckets from the exact committed keys
+        plus ``keys``: the capacity is a starting size, not a limit,
+        and a no-false-negative filter's size never changes a result."""
+        try:
+            self.filter.add(keys)
+        except RuntimeError:
+            self.filter = self.filter.doubled(
+                np.concatenate([self._all_committed()[0], keys])
+            )
+
     def _store_committed(self, kl, gl, sl) -> None:
         """Append committed entries to the tail; consolidate past the
         tail bound (append + periodic merge — assign-time cost is
@@ -256,9 +298,11 @@ class SeenSetShard:
                 pend.update(zip(k.tolist(), s.tolist()))
         return fresh
 
-    def commit_round(self) -> pa.Table:
-        """Round barrier step 1: return this shard's NEW (key, first_seq)
-        pairs (keys never committed before), clearing the pending set."""
+    def commit_round(self) -> tuple[np.ndarray, np.ndarray]:
+        """Round barrier step 1: return this shard's NEW (keys,
+        first_seqs) (keys never committed before), clearing the pending
+        set. numpy, not Arrow: an actor that returns an Arrow table
+        imports ray.data and pandas for it, about 1 s on a 1-CPU host."""
         n = len(self.pending)
         keys = np.fromiter(self.pending.keys(), np.int64, n)
         seqs = np.fromiter(self.pending.values(), np.int64, n)
@@ -266,16 +310,13 @@ class SeenSetShard:
         if n:
             mask = ~self._committed_mask(keys)
             keys, seqs = keys[mask], seqs[mask]
-        order = np.argsort(seqs, kind="stable")
-        return pa.table(
-            {"key": pa.array(keys[order]), "first_seq": pa.array(seqs[order])}
-        )
+        return keys, seqs
 
     def assign(self, keys: np.ndarray, surrogates: np.ndarray, first_seqs: np.ndarray) -> int:
         """Round barrier step 2: store driver-assigned dense surrogates."""
         keys = np.asarray(keys, dtype=np.int64)
         if len(keys):
-            self.filter.add(keys)
+            self._filter_add(keys)
             self._store_committed(
                 keys.tolist(),
                 np.asarray(surrogates).tolist(),
@@ -297,7 +338,7 @@ class SeenSetShard:
         mask = (keys % num_shards) == self.shard_id
         sel = np.flatnonzero(mask)
         if len(sel):
-            self.filter.add(keys[sel])
+            self._filter_add(keys[sel])
             self._store_committed(
                 keys[sel].tolist(),
                 table["surrogate"].to_numpy()[sel].tolist(),
@@ -357,11 +398,12 @@ class SeenSetShard:
         unseen = mine[unseen_mask]
         return table.take(pa.array(unseen, pa.int64()))
 
-    def snapshot(self, path: str, mode: str = "full") -> None:
+    def snapshot(self, path: str, mode: str = "full") -> dict:
         """``full`` writes the whole shard state (O(total keys));
         ``delta`` writes only the entries stored since the LAST snapshot
         of either kind (O(round's novelty)) — the per-round scale path
-        at 10^10 keys. Both clear the delta buffer."""
+        at 10^10 keys. Both clear the delta buffer. Returns the tier
+        sizes at the cut (:meth:`tiers`)."""
         tmp = path + ".tmp"
         if mode == "delta":
             d = np.array(self._delta, dtype=np.int64).reshape(-1, 3)
@@ -371,23 +413,34 @@ class SeenSetShard:
                 delta_surrogates=d[:, 1],
                 delta_first_seqs=d[:, 2],
             )
-            os.replace(tmp + ".npz", path)
-            self._delta = []
-            return
-        keys, sur, seq = self._all_committed()
-        # uncompressed: snapshots happen EVERY round; compression cost
-        # grows with the seen set while the write stays page-cache fast
-        np.savez(
-            tmp,
-            keys=keys,
-            surrogates=sur,
-            first_seqs=seq,
-            filter_table=self.filter.table,
-            filter_count=self.filter.count,
-            filter_slots=self.filter.slots,
-        )
+        else:
+            keys, sur, seq = self._all_committed()
+            # uncompressed: snapshots happen EVERY round; compression cost
+            # grows with the seen set while the write stays page-cache fast
+            np.savez(
+                tmp,
+                keys=keys,
+                surrogates=sur,
+                first_seqs=seq,
+                filter_table=self.filter.table,
+                filter_count=self.filter.count,
+                filter_slots=self.filter.slots,
+            )
         os.replace(tmp + ".npz", path)
         self._delta = []
+        return self.tiers()
+
+    def tiers(self) -> dict:
+        """Committed entries per tier (dict tail, RAM-run rows, disk-run
+        rows), the disk-run count and the prefilter's bucket count."""
+        disk = [len(r) for r in self._runs if r.path is not None]
+        return {
+            "tail": len(self.exact),
+            "ram_rows": sum(len(r) for r in self._runs if r.path is None),
+            "disk_rows": sum(disk),
+            "disk_runs": len(disk),
+            "filter_buckets": self.filter.nbuckets,
+        }
 
     def restore(self, path: str) -> int:
         st = np.load(path)
@@ -424,7 +477,7 @@ class SeenSetShard:
         st = np.load(path)
         keys = st["delta_keys"]
         if len(keys):
-            self.filter.add(keys.astype(np.int64))
+            self._filter_add(keys.astype(np.int64))
             self.exact.update(
                 zip(
                     keys.tolist(),
@@ -497,9 +550,6 @@ class ShardedSeenSet:
         ]
         self.next_surrogate = 1
 
-    def shard_of(self, keys: np.ndarray) -> np.ndarray:
-        return (np.asarray(keys, dtype=np.int64) % self.num_shards).astype(np.int64)
-
     def offer_batch(self, keys: np.ndarray, seqs: np.ndarray) -> np.ndarray:
         """Route one batch through the shards; bool mask of fresh keys.
         Called from inside map_batches tasks (actor handles serialize)."""
@@ -523,12 +573,9 @@ class ShardedSeenSet:
         Driver-side by design: every caller offers at most a driver-
         sized round (the crawl's distributed stages bulk-load the
         shards with :meth:`load_assigned_blocks` instead)."""
-        tables = ray.get([s.commit_round.remote() for s in self.shards])
-        allt = pa.concat_tables(tables)
-        if allt.num_rows == 0:
-            return allt.append_column("surrogate", pa.array([], pa.int64()))
-        keys = allt["key"].to_numpy()
-        seqs = allt["first_seq"].to_numpy()
+        parts = ray.get([s.commit_round.remote() for s in self.shards])
+        keys = np.concatenate([k for k, _ in parts])
+        seqs = np.concatenate([q for _, q in parts])
         order = np.argsort(seqs, kind="stable")
         keys, seqs = keys[order], seqs[order]
         surrogates = np.arange(
@@ -537,10 +584,10 @@ class ShardedSeenSet:
         self.next_surrogate += len(keys)
         shard_ids = keys % self.num_shards
         futs = []
-        for sid in range(self.num_shards):
+        for sid in np.unique(shard_ids):
             sel = np.flatnonzero(shard_ids == sid)
             futs.append(
-                self.shards[sid].assign.remote(keys[sel], surrogates[sel], seqs[sel])
+                self.shards[int(sid)].assign.remote(keys[sel], surrogates[sel], seqs[sel])
             )
         ray.get(futs)
         return pa.table(
