@@ -242,6 +242,33 @@ class TestCrawl:
                 want["bootstrap"] = "driver"
             assert r["paths"] == want
             assert r["seen_shards"] == run.seen.num_shards
+            # every fetched page went through exactly one extract route
+            docs = r["extract_docs"]
+            assert set(docs) == {"kernel", "per_doc"}
+            assert docs["kernel"] + docs["per_doc"] == r["stats"]["fetched"]
+        # the synthetic corpus's well-formed pages take the kernel route,
+        # its "not xml" pages the per-document one
+        assert sum(r["extract_docs"]["kernel"] for r in pub["rounds"]) > 0
+        assert sum(r["extract_docs"]["per_doc"] for r in pub["rounds"]) > 0
+
+    def test_part_files_hold_only_their_record_type(self, full_run):
+        """Each ``record_type=X`` part file's schema is exactly record
+        type X's columns (no union padding)."""
+        from vat_abcd_crawler_ray.functions.fields import FieldRegistry
+        from vat_abcd_crawler_ray.stages.extract import RECORD_TYPES, record_schemas
+
+        run, d = full_run
+        schemas = record_schemas(FieldRegistry())
+        base = os.path.join(str(d), "staging", "extracted")
+        seen = set()
+        for rnd in os.listdir(base):
+            for part in os.listdir(os.path.join(base, rnd)):
+                kind = part.split("=", 1)[1]
+                for f in os.listdir(os.path.join(base, rnd, part)):
+                    got = pq.read_schema(os.path.join(base, rnd, part, f))
+                    assert got.remove_metadata().equals(schemas[kind]), (part, f)
+                    seen.add(kind)
+        assert seen == set(RECORD_TYPES)
 
     def test_extracted_text_matches_pages_oracle(self, corpus, tmp_path):
         """Byte-identical extracted text per url (input_hint invariant):

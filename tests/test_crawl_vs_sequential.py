@@ -88,13 +88,14 @@ def test_distributed_crawl_matches_sequential_reference(
     for rnd in sorted(os.listdir(base)):
         # fetched = dataset rows + parse-error rows (both were fetched);
         # fetch-miss errors were never fetched
-        for kind in ("dataset", "error"):
+        # (each kind's part files hold only its own columns)
+        for kind, extra in (("dataset", []), ("error", ["error_kind"])):
             d = os.path.join(base, rnd, f"record_type={kind}")
             if os.path.isdir(d):
                 df = _read_parquet_dir(
-                    d, columns=["url", "surrogate", "seq", "round", "error_kind"]
+                    d, columns=["url", "surrogate", "seq", "round"] + extra
                 )
-                if kind == "error" and "error_kind" in df.columns:
+                if kind == "error":
                     df = df[df["error_kind"] != "FetchMiss"]
                 frames.append(df[["url", "surrogate", "seq", "round"]])
     dist_log = (

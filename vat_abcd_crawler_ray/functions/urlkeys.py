@@ -170,8 +170,9 @@ def _m3_chunk(blobs: list[bytes], lens: np.ndarray, seed: int) -> np.ndarray:
     # words can always be read as zero-padded uint64s
     padlen = ((maxlen + 15) // 16) * 16 + 16
     buf = np.zeros((m, padlen), dtype=np.uint8)
-    for i, b in enumerate(blobs):
-        buf[i, : len(b)] = np.frombuffer(b, dtype=np.uint8)
+    flat = np.frombuffer(b"".join(blobs), dtype=np.uint8)
+    starts = np.cumsum(lens) - lens
+    buf[np.repeat(np.arange(m), lens), np.arange(len(flat)) - np.repeat(starts, lens)] = flat
     words = buf.view(np.uint64)  # (m, padlen//8), little-endian reads
 
     h1 = np.full(m, seed, dtype=np.uint64)

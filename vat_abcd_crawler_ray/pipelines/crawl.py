@@ -94,7 +94,13 @@ import ray.data
 
 from ..config import Settings
 from ..functions.urlkeys import canonicalize_batch, hosts_batch, url_keys_batch
-from ..stages.extract import ExtractStage, RECORD_ERROR
+from ..stages.extract import (
+    RECORD_DATASET,
+    RECORD_ERROR,
+    RECORD_LINK,
+    RECORD_TYPES,
+    ExtractStage,
+)
 from ..state.manifest import RunManifest
 from ..state.seen_set import ShardedSeenSet, block_refs, seen_shard_count
 
@@ -225,10 +231,11 @@ def top_budget(frame: pd.DataFrame, budgets: dict, default_budget: int):
 LINK_ORD_SCALE = 1 << 20
 
 
-def _project_tables(prio_lookup, t: pa.Table):
-    """Round projection core over one extracted table: returns
-    (fetched-url table, deduped link table, raw link count, kept link
-    count). Runs inside the fused :func:`_extract_project_chunk` task.
+def _project_tables(prio_lookup, tables: dict[str, pa.Table]):
+    """Round projection core over one chunk's extracted record tables:
+    returns (fetched-url table, deduped link table, raw link count, kept
+    link count). Runs inside the fused :func:`_extract_project_chunk`
+    task.
 
     The link table carries its admission sort key ``ordv`` and the
     child ``priority`` (0.5 × parent priority, resolved here from the
@@ -237,11 +244,10 @@ def _project_tables(prio_lookup, t: pa.Table):
     — so neither admission path needs a later pass to attach them.
     """
     wseqs, wprio = prio_lookup
-    got_mask = pc.is_in(
-        t["record_type"], value_set=pa.array(["dataset", RECORD_ERROR])
+    got_t = pa.concat_tables(
+        [tables[rt].select(["url"]) for rt in (RECORD_ERROR, RECORD_DATASET)]
     )
-    got_t = t.filter(got_mask).select(["url"])
-    lt = t.filter(pc.equal(t["record_type"], "link"))
+    lt = tables[RECORD_LINK]
     seqs = lt["seq"].to_numpy(zero_copy_only=False)
     idxs = lt["link_idx"].to_numpy(zero_copy_only=False)
     ordv = seqs * LINK_ORD_SCALE + idxs
@@ -285,35 +291,38 @@ def _http_fetch_chunk(fetch_stage, meta: pa.Table) -> pa.Table:
     return fetch_stage(meta)
 
 
-@ray.remote(num_cpus=1, num_returns=5)
+@ray.remote(num_cpus=1, num_returns=4)
 def _extract_project_chunk(stage, prio_lookup, batch_size: int, pages: pa.Table):
     """FUSED fetch-chunk worker: one plain task takes a fetched chunk
     (a page-store ``get_with_meta`` or :func:`_http_fetch_chunk` ref,
     resolved as the task arg, so extraction starts the moment the
     chunk's fetch lands — no Dataset execution, no block accounting, no
-    separate projection wave), parses it in ``batch_size`` slices (the
-    wide-binary-row bound), and projects the result in-place. Returns
-    (extracted table, fetched-url table, link table, raw link count,
-    kept link count) as FIVE refs — the extracted ref feeds only the
-    write tasks; the driver pulls urls + counts; link refs follow the
-    admission path."""
-    parts = [
-        stage(pages.slice(off, batch_size))
-        for off in range(0, pages.num_rows, batch_size)
-    ]
-    if not parts:
-        parts = [stage(pages)]  # empty chunk: typed empty table
-    ext = pa.concat_tables(parts) if len(parts) > 1 else parts[0]
-    got_t, link_t, n_raw, n_kept = _project_tables(prio_lookup, ext)
-    return ext, got_t, link_t, n_raw, n_kept
+    separate projection wave), extracts it in ``batch_size`` slices
+    (the wide-binary-row bound) into the four narrow record tables, and
+    projects them in-place. Returns (record tables, fetched-url table,
+    link table, counts) as FOUR refs — the record tables feed only the
+    write tasks; the driver pulls urls + counts (raw and kept links,
+    documents per extract route); link refs follow the admission
+    path."""
+    parts, routes = [], {"kernel": 0, "per_doc": 0}
+    # at least one slice, so an empty chunk still yields typed tables
+    for off in range(0, max(pages.num_rows, 1), batch_size):
+        tables, docs = stage.extract(pages.slice(off, batch_size))
+        parts.append(tables)
+        for k, v in docs.items():
+            routes[k] += v
+    tables = {rt: pa.concat_tables([p[rt] for p in parts]) for rt in RECORD_TYPES}
+    got_t, link_t, n_raw, n_kept = _project_tables(prio_lookup, tables)
+    return tables, got_t, link_t, {"links_raw": n_raw, "links_kept": n_kept, **routes}
 
 
 @ray.remote(num_cpus=1)
-def _write_round_blocks(out_dir: str, task_idx: int, *tables: pa.Table) -> int:
-    """Write a group of extracted blocks as hive-partitioned parquet
-    (``record_type=X/part-{task_idx}.parquet``, partition column
-    dropped from the files — the same layout ``write_parquet(
-    partition_cols=...)`` produces). Submitted as plain tasks so the
+def _write_round_blocks(out_dir: str, task_idx: int, *blocks: dict) -> int:
+    """Write a group of chunks' record tables as hive-partitioned
+    parquet (``record_type=X/part-{task_idx}.parquet``, the partition
+    column in the path only — the same layout ``write_parquet(
+    partition_cols=...)`` produces). Each file holds its own record
+    type's columns only. Submitted as plain tasks so the
     round's write IO runs CONCURRENTLY with link admission and the
     next round's selection; the deferred manifest commit joins the
     futures before the round becomes durable.
@@ -324,12 +333,11 @@ def _write_round_blocks(out_dir: str, task_idx: int, *tables: pa.Table) -> int:
     the NEXT round's extract/projection tasks they overlap with
     (measured as multi-second nondeterministic inflation of those
     phases at 32 CPUs)."""
-    t = pa.concat_tables(tables)
     written = 0
-    for rt in pc.unique(t["record_type"]).to_pylist():
-        sub = t.filter(pc.equal(t["record_type"], rt)).drop_columns(
-            ["record_type"]
-        )
+    for rt in RECORD_TYPES:
+        sub = pa.concat_tables([b[rt] for b in blocks])
+        if not sub.num_rows:
+            continue
         d = os.path.join(out_dir, f"record_type={rt}")
         os.makedirs(d, exist_ok=True)
         pq.write_table(
@@ -438,6 +446,9 @@ class _Fetched:
     n_links_kept: int = 0
     n_fetched: int = 0
     n_miss: int = 0
+    # documents each extract route handled: the batch kernel, and the
+    # per-document parser for pages outside its certified subset
+    extract_docs: dict = field(default_factory=lambda: {"kernel": 0, "per_doc": 0})
 
 
 _FETCH_MODES = frozenset({"store", "http"})
@@ -877,8 +888,11 @@ class CrawlRun:
         ]
         got_tbls = [g for g in ray.get([f[1] for f in futs]) if g.num_rows]
         fx.link_refs = [f[2] for f in futs]
-        fx.n_links_raw = sum(ray.get([f[3] for f in futs]))
-        fx.n_links_kept = sum(ray.get([f[4] for f in futs]))
+        for counts in ray.get([f[3] for f in futs]):
+            fx.n_links_raw += counts["links_raw"]
+            fx.n_links_kept += counts["links_kept"]
+            for route in fx.extract_docs:
+                fx.extract_docs[route] += counts[route]
 
         # miss = winners whose url produced no dataset/error record.
         # Arrow is_in over the fetched-url table — the old Python
@@ -898,7 +912,6 @@ class CrawlRun:
         if n_miss:
             miss_t = pa.table(
                 {
-                    "record_type": pa.array([RECORD_ERROR] * n_miss),
                     "url": pa.array(miss["canonical_url"].tolist()),
                     "surrogate": pa.array(miss["surrogate"].to_numpy()),
                     "seq": pa.array(miss["seq"].to_numpy()),
@@ -1198,6 +1211,7 @@ class CrawlRun:
                 "stats": self.metrics.per_round[-1],
                 "counters": {k: getattr(self.metrics, k) for k in _COUNTERS},
                 "paths": paths,
+                "extract_docs": dict(fx.extract_docs),
                 "phase_sec": self.phase_times[-1],
             },
         )
