@@ -303,6 +303,39 @@ def test_cli_curate_with_dedup(docs_parquet, tmp_path, capsys, ray_session):
     assert sorted(kept["doc_id"]) == want
 
 
+@pytest.mark.parametrize("id_col", ["doc_id", "url"])
+def test_cli_curate_hands_dedup_a_materialized_table(
+        id_col, docs_parquet, tmp_path, monkeypatch, capsys, ray_session):
+    """curate cleans each document once: the dedup reads its input
+    twice (sign, anti-join), so it must get the materialized cleaned
+    table, with an int id and with a string id (murmur3 surrogate)."""
+    from ray.data.dataset import MaterializedDataset
+
+    from vat_abcd_crawler_ray.pipelines import dedup as dd
+
+    src = pd.read_parquet(docs_parquet)
+    src["url"] = [f"https://h{i % 5}.example/p{i}" for i in src["doc_id"]]
+    path = str(tmp_path / "docs.parquet")
+    src.to_parquet(path, index=False)
+    real, calls = dd.minhash_lsh_dedup, []
+
+    def checked(ds, *args, **kwargs):
+        calls.append(type(ds).__name__)
+        assert isinstance(ds, MaterializedDataset)
+        return real(ds, *args, **kwargs)
+
+    monkeypatch.setattr(dd, "minhash_lsh_dedup", checked)
+    out_dir = str(tmp_path / "cur")
+    rc = cli.main([
+        "curate", "--input", path, "--out", out_dir, "--id-col", id_col,
+        "--keep-unterminated", "--dedup", "minhash",
+    ])
+    assert rc == 0 and calls == ["MaterializedDataset"]
+    kept = _read_dir(out_dir)
+    assert 0 < len(kept) < len(src) and kept[id_col].is_unique
+    assert "__dedup_sid" not in kept.columns
+
+
 def test_cli_full_story_ingest_analyze_curate(tmp_path, capsys, ray_session):
     """The product story as one flow: WARC shards → ingest → analyze
     (report sanity) → curate with dedup + split + packing."""

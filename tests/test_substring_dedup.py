@@ -100,6 +100,44 @@ class TestSubstringDupStats:
         out = substring_dup_stats(ds, k=self.K, w=self.W).to_pandas()
         assert len(out) == 20 and out["doc_id"].is_unique
 
+    @staticmethod
+    def _reference(rows, k, w, min_docs=2):
+        """Per-doc stats in plain pandas, from ``winnow`` alone."""
+        fp = pd.DataFrame(
+            [(r["doc_id"], f) for r in rows for f in winnow(r["text"], k, w)],
+            columns=["doc_id", "fp"],
+        )
+        n_docs = fp.groupby("fp")["doc_id"].transform("size")
+        fp["dup"] = (n_docs >= min_docs).astype(np.int64)
+        ref = fp.groupby("doc_id").agg(n_fp=("fp", "size"),
+                                       n_dup_fp=("dup", "sum"))
+        ref["dup_fp_frac"] = ref["n_dup_fp"] / ref["n_fp"]
+        return ref.sort_index()
+
+    @pytest.mark.parametrize("limit", [5_000_000, 0],
+                             ids=["broadcast", "above_gate"])
+    @pytest.mark.parametrize("id_kind", ["int", "str"])
+    @pytest.mark.parametrize("blocks", [1, 3])
+    def test_unordered_ids_match_reference(self, limit, id_kind, blocks):
+        # ids neither ascending nor contiguous-sorted within a block:
+        # per-doc counts must not depend on the order ids arrive in
+        rng = np.random.default_rng(8)
+        rows = self._corpus(rng, 12, 6)
+        ids = rng.permutation(len(rows))[::-1]
+        for r, i in zip(rows, ids):
+            r["doc_id"] = int(i) if id_kind == "int" else f"https://h{i % 3}/p{i}"
+        ds = rd.from_pandas(pd.DataFrame(rows))
+        if blocks > 1:
+            ds = ds.repartition(blocks)
+        got = substring_dup_stats(
+            ds, k=self.K, w=self.W, broadcast_limit=limit
+        ).to_pandas().set_index("doc_id").sort_index()
+        want = self._reference(rows, self.K, self.W)
+        assert got.index.is_unique and list(got.index) == list(want.index)
+        assert (got["n_fp"].to_numpy() == want["n_fp"].to_numpy()).all()
+        assert (got["n_dup_fp"].to_numpy() == want["n_dup_fp"].to_numpy()).all()
+        np.testing.assert_allclose(got["dup_fp_frac"], want["dup_fp_frac"])
+
     def test_min_docs_threshold(self):
         # a span shared by exactly 2 docs disappears at min_docs=3
         rng = np.random.default_rng(6)
@@ -126,7 +164,6 @@ class TestFingerprintsBatch:
             "text": [_rand_text(rng, 300) for _ in range(3)],
         })
         out = fingerprints_batch(df, k=10, w=8)
-        # rows grouped by doc in input order (the broadcast-regime
-        # per-doc aggregation relies on contiguity)
+        # rows grouped by doc in input order
         change = out["doc_id"].ne(out["doc_id"].shift()).sum()
         assert change == 3

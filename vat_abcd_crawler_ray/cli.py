@@ -370,6 +370,10 @@ def cmd_curate(args: argparse.Namespace) -> int:
         from .functions.urlkeys import murmur3_64_batch
         from .pipelines import dedup as dd
 
+        # the dedup reads its input twice (sign, then the anti-join),
+        # and the schema probe would run the chain once more: clean,
+        # scrub and count tokens once, and let all three read the blocks
+        ds = ds.materialize()
         did = id_col
         sch = ds.schema()  # Ray schema wrapper: parallel names/types
         id_type = sch.types[sch.names.index(id_col)]
@@ -390,7 +394,9 @@ def cmd_curate(args: argparse.Namespace) -> int:
                 ).astype("int64")
                 return out
 
-            ds = ds.map_batches(add_sid, batch_format="pandas")
+            # a cheap map over the cleaned blocks, materialized for the
+            # same two dedup reads
+            ds = ds.map_batches(add_sid, batch_format="pandas").materialize()
         if args.dedup == "exact":
             ds = dd.exact_dedup(ds, text_col="text", id_col=did)
         elif args.dedup == "minhash":

@@ -1,8 +1,8 @@
 """Text analysis for training-data pipelines: token counting, quality
 scoring, language-ID heuristic, document fingerprinting.
 
-All are vectorized ``map_batches`` bodies over the ``documents`` table
-(compiled regexes at module import = once per worker process). Each has
+All are ``map_batches`` bodies over the ``documents`` table (compiled
+regexes at module import = once per worker process). Each has
 a DuckDB-oracle-equivalent definition where SQL can express it (see
 ``__ray_entry__.oracle_sql``); the rolling-hash fingerprint is the
 documented non-SQL exception.
@@ -191,21 +191,30 @@ _PII_PATTERNS: list[tuple[str, re.Pattern]] = [
 ]
 
 
+# Every pattern needs an "@" (EMAIL) or a ``\d`` match (the rest), and
+# no replacement token contains either: a text without both is clean.
+_PII_HINT = re.compile(r"[@\d]")
+
+
 def scrub_pii(texts: pd.Series) -> pd.DataFrame:
     """Redact PII spans with stable ``<TYPE>`` tokens. Returns a frame
     with ``text`` (scrubbed) and one ``n_<type>`` count column per
     pattern — counts feed quality filters (a page that is mostly
-    phone numbers is a directory, not prose). Compiled patterns at
-    module import (once per worker); vectorized ``str.count`` /
-    ``str.replace`` per pattern — no per-row Python."""
-    out = pd.DataFrame(index=texts.index)
-    scrubbed = texts
-    for name, pat in _PII_PATTERNS:
-        out[f"n_{name.lower()}"] = (
-            scrubbed.str.count(pat).fillna(0).astype(np.int64)
-        )
-        scrubbed = scrubbed.str.replace(pat, f"<{name}>", regex=True)
-    out.insert(0, "text", scrubbed)
+    phone numbers is a directory, not prose). Patterns apply in
+    ``_PII_PATTERNS`` order, each as one ``subn`` per document (text
+    and count in one pass); a document with no ``"@"`` and no digit
+    skips the pattern loop. Nulls stay null with zero counts."""
+    counts = np.zeros((len(_PII_PATTERNS), len(texts)), dtype=np.int64)
+    repls = [f"<{name}>" for name, _ in _PII_PATTERNS]
+    scrubbed = []
+    for i, t in enumerate(texts):
+        if isinstance(t, str) and _PII_HINT.search(t):
+            for j, (_, pat) in enumerate(_PII_PATTERNS):
+                t, counts[j, i] = pat.subn(repls[j], t)
+        scrubbed.append(t)
+    out = pd.DataFrame({"text": scrubbed}, index=texts.index, dtype=object)
+    for j, (name, _) in enumerate(_PII_PATTERNS):
+        out[f"n_{name.lower()}"] = counts[j]
     return out
 
 
@@ -224,29 +233,38 @@ def clean_lines(
     """C4-style line filtering: keep lines with at least ``min_words``
     words that end in terminal punctuation and contain no blocklisted
     marker (nav bars, cookie banners, code fragments). Returns
-    ``text`` (kept lines re-joined) + ``n_lines`` / ``n_kept`` counts
-    for page-level filtering downstream (C4 drops pages with too few
-    surviving sentences). Vectorized: one explode to line level, one
-    boolean mask, one groupby re-join — no per-row Python."""
-    lines = texts.fillna("").str.split("\n").explode()
-    stripped = lines.str.strip()
-    keep = stripped.str.count(_TOKEN) >= min_words
-    if require_terminal:
-        keep &= stripped.str.contains(_TERMINAL)
-    low = stripped.str.lower()
-    for marker in blocklist:
-        keep &= ~low.str.contains(marker, regex=False)
-    kept = stripped[keep]
-    joined = kept.groupby(level=0).agg("\n".join)
-    out = pd.DataFrame(index=texts.index)
-    out["text"] = joined.reindex(texts.index, fill_value="")
-    out["n_lines"] = stripped.groupby(level=0).size().reindex(
-        texts.index, fill_value=0
-    ).astype(np.int64)
-    out["n_kept"] = keep.groupby(level=0).sum().reindex(
-        texts.index, fill_value=0
-    ).astype(np.int64)
-    return out
+    ``text`` (kept lines, stripped, re-joined with ``"\\n"``) +
+    ``n_lines`` / ``n_kept`` counts for page-level filtering downstream
+    (C4 drops pages with too few surviving sentences). One Python pass
+    per document: split on ``"\\n"``, strip, count words, test the
+    terminal mark and the blocklist. A null document is one empty
+    line."""
+    kept_text = []
+    n_lines = np.empty(len(texts), dtype=np.int64)
+    n_kept = np.empty(len(texts), dtype=np.int64)
+    for i, t in enumerate(texts):
+        lines = t.split("\n") if isinstance(t, str) else [""]
+        kept = []
+        for line in lines:
+            s = line.strip()
+            # str.split() breaks on exactly the characters re's \s
+            # matches, so this counts the _TOKEN (\S+) runs
+            if len(s.split()) < min_words:
+                continue
+            if require_terminal and not _TERMINAL.search(s):
+                continue
+            low = s.lower()
+            if any(marker in low for marker in blocklist):
+                continue
+            kept.append(s)
+        kept_text.append("\n".join(kept))
+        n_lines[i] = len(lines)
+        n_kept[i] = len(kept)
+    return pd.DataFrame(
+        {"text": np.array(kept_text, dtype=object), "n_lines": n_lines,
+         "n_kept": n_kept},
+        index=texts.index,
+    )
 
 
 # -- repetition signals (Gopher rules, Rae et al. 2021) ---------------------

@@ -516,7 +516,11 @@ def minhash_lsh_dedup(
     parquet file without ``override_num_blocks`` arrives as one block
     and signs on one core. Readers should split to ~2 blocks per CPU
     (see bench.py); the redundant decode that over-splitting causes is
-    trivial next to the signing compute it parallelizes."""
+    trivial next to the signing compute it parallelizes.
+
+    ``ds`` is read twice, to sign and in the final anti-join: a caller
+    whose ``ds`` has an expensive upstream (``curate``'s clean map)
+    materializes it first."""
     assert num_perm % bands == 0
     a, b = _perm_params(num_perm, seed)
 
@@ -687,7 +691,10 @@ def simhash_dedup(
     id_col: str = "doc_id",
     hamming_max: int = 3,
 ) -> "ray.data.Dataset":
-    """Near-dup removal by simhash Hamming ≤ r with 16-bit band blocking."""
+    """Near-dup removal by simhash Hamming ≤ r with 16-bit band blocking.
+
+    ``ds`` is read twice, to sign and in the final anti-join: a caller
+    whose ``ds`` has an expensive upstream materializes it first."""
 
     def sign(batch: pd.DataFrame) -> pd.DataFrame:
         hs = simhash64_batch(list(batch[text_col]))

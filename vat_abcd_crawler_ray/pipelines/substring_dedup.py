@@ -59,8 +59,7 @@ def fingerprints_batch(
     w: int = DEFAULT_W,
 ) -> pd.DataFrame:
     """map_batches body: docs → flat (doc_id, fp) rows, each doc's
-    rows CONTIGUOUS (the broadcast-regime per-doc aggregation in
-    :func:`substring_dup_stats` relies on that co-location)."""
+    rows contiguous, in input order."""
     ids, fps = [], []
     id_vals = df[id_col].to_numpy()  # int64 OR string ids both work:
     # the doc-keyed combine partitions strings via vectorized siphash
@@ -97,15 +96,21 @@ def substring_dup_stats(
 
     Regimes: the duplicated-fingerprint key set is combined via
     hash-partitioned tasks; below ``broadcast_limit`` it broadcasts
-    and per-doc aggregation stays inside the fingerprint blocks (zero
-    extra exchange). Above it, rows are flagged via the bucketed
-    membership join and re-aggregated with a doc-keyed combine — one
-    extra key-only exchange, driver never holds the key set."""
+    and each fingerprint block flags its own rows. Above it, rows are
+    flagged via the bucketed membership join — the driver never holds
+    the key set. Both regimes then re-aggregate per doc with one
+    doc-keyed combine (a small exchange of per-doc partial counts), so
+    each doc gets exactly one row whatever its id order or type."""
     import ray
     import ray.data
 
+    # Arrow blocks: a pandas block reports a string id column as a
+    # Python object type, which the above-gate bucketed join rejects
     fp = docs.map_batches(
-        lambda df: fingerprints_batch(df, text_col, id_col, k, w),
+        lambda df: pa.Table.from_pandas(
+            fingerprints_batch(df, text_col, id_col, k, w),
+            preserve_index=False,
+        ),
         batch_format="pandas",
     ).materialize()  # consumed twice below; fingerprint once
 
@@ -128,57 +133,40 @@ def substring_dup_stats(
         dup_keys, _ = hot
         ref = ray.put(np.sort(dup_keys))
 
-        def per_doc(t: pa.Table) -> pa.Table:
+        def flag(t: pa.Table) -> pa.Table:
             keys = ray.get(ref)
-            ids = t[id_col].to_numpy(zero_copy_only=False)
             f = t["fp"].to_numpy(zero_copy_only=False)
             dup = np.zeros(len(f), dtype=bool)
             if len(keys):
                 pos = np.clip(np.searchsorted(keys, f), 0, len(keys) - 1)
                 dup = keys[pos] == f
-            uids, start = np.unique(ids, return_index=True)
-            n_fp = np.diff(np.append(start, len(ids)))
-            n_dup = np.add.reduceat(dup.astype(np.int64), start)
-            return pa.table(
-                {
-                    id_col: pa.array(uids),
-                    "n_fp": pa.array(n_fp, pa.int64()),
-                    "n_dup_fp": pa.array(n_dup, pa.int64()),
-                    "dup_fp_frac": pa.array(
-                        n_dup / np.maximum(1, n_fp), pa.float64()
-                    ),
-                }
-            )
+            return t.append_column("is_dup", pa.array(dup))
 
-        # batch_size=None pins whole-block batches: a doc's rows are
-        # contiguous WITHIN a block (fingerprints_batch contract); a
-        # sub-block batch boundary could split a doc and emit two
-        # partial rows for it
-        return fp.map_batches(
-            per_doc, batch_format="pyarrow", batch_size=None
+        flagged = fp.map_batches(flag, batch_format="pyarrow")
+    else:
+        # above-gate: the dup-key set never touches the driver —
+        # recombine the partials AS A DATASET, filter to hot keys and
+        # flag via the bucketed membership join
+        import pyarrow.compute as pc
+
+        from ..ops.joins import membership_flag_join
+
+        keys_ds = sum_combine_dataset(
+            partials, key="fp", sum_cols=["n"]
+        ).map_batches(
+            lambda t: t.filter(
+                pc.greater_equal(t["n"], pa.scalar(min_docs))
+            ).select(["fp"]),
+            batch_format="pyarrow",
+        )
+        flagged = membership_flag_join(
+            fp, keys_ds, on="fp", flag_col="is_dup",
+            broadcast_limit=broadcast_limit,
         )
 
-    # above-gate: the dup-key set never touches the driver — recombine
-    # the partials AS A DATASET, filter to hot keys, flag via the
-    # bucketed membership join, and re-aggregate with a doc-keyed
-    # task combine
-    import pyarrow.compute as pc
-
-    from ..ops.joins import membership_flag_join
-
-    keys_ds = sum_combine_dataset(
-        partials, key="fp", sum_cols=["n"]
-    ).map_batches(
-        lambda t: t.filter(
-            pc.greater_equal(t["n"], pa.scalar(min_docs))
-        ).select(["fp"]),
-        batch_format="pyarrow",
-    )
-    flagged = membership_flag_join(
-        fp, keys_ds, on="fp", flag_col="is_dup",
-        broadcast_limit=broadcast_limit,
-    )
-
+    # per-batch partial counts, re-aggregated with a doc-keyed task
+    # combine: a doc whose rows a block or batch boundary splits still
+    # gets one row, whatever order its ids arrive in
     def doc_partials(t: pa.Table) -> pa.Table:
         ids = t[id_col].to_numpy(zero_copy_only=False)
         dup = t["is_dup"].to_numpy(zero_copy_only=False).astype(np.int64)
