@@ -202,6 +202,38 @@ class TestCrawl:
         pd.testing.assert_frame_equal(_fetch_log(full_dir), _fetch_log(part_dir))
         assert rres.metrics.as_dict() == rfull.metrics.as_dict()
 
+    @pytest.mark.parametrize("stop,resume", [("driver", "actors"), ("actors", "driver")])
+    def test_resume_switches_seen_placement(
+        self, corpus, tmp_path, full_run, monkeypatch, stop, resume
+    ):
+        """A one-shard run stopped after 2 rounds with its shard in one
+        placement resumes with it in the other (the snapshot files are
+        the same), and equals the uninterrupted run."""
+        from vat_abcd_crawler_ray.state import seen_set
+
+        rfull, full_dir = full_run
+        part_dir = tmp_path / "part"
+        s = Settings()
+        s.crawl.num_seen_shards = 1
+        s.crawl.max_rounds = 2
+        monkeypatch.setattr(seen_set, "seen_placement", lambda n: stop)
+        _mk_run(corpus, part_dir, settings=s).run()
+
+        monkeypatch.setattr(seen_set, "seen_placement", lambda n: resume)
+        rres = _mk_run(corpus, part_dir)
+        rres.run(resume=True)
+        assert rres.seen.placement == resume and rres.seen.num_shards == 1
+        assert [r["seen_placement"] for r in rres.manifest.published()["rounds"]] == (
+            [stop] * 2 + [resume] * (rfull.metrics.rounds - 2)
+        )
+        pd.testing.assert_frame_equal(_seen_table(rfull), _seen_table(rres))
+        pd.testing.assert_frame_equal(_fetch_log(full_dir), _fetch_log(part_dir))
+        assert rres.metrics.as_dict() == rfull.metrics.as_dict()
+        assert (
+            rres.manifest.published()["metrics"]
+            == rfull.manifest.published()["metrics"]
+        )
+
     def test_seen_tiers_in_manifest(self, corpus, tmp_path):
         """Each round's info in MANIFEST.json names the shard count and
         every shard's tier sizes at the snapshot cut; a small RAM cap
@@ -242,6 +274,7 @@ class TestCrawl:
                 want["bootstrap"] = "driver"
             assert r["paths"] == want
             assert r["seen_shards"] == run.seen.num_shards
+            assert r["seen_placement"] == run.seen.placement == "actors"
             # every fetched page went through exactly one extract route
             docs = r["extract_docs"]
             assert set(docs) == {"kernel", "per_doc"}

@@ -27,10 +27,13 @@ FORCED = {
     "select": ("select",),
     "admission": ("admission",),
     "one_shard": (),
+    "one_shard_distributed": GATED,
 }
-# crawl settings a configuration pins: one seen-set shard whose 64-slot
-# prefilter must grow mid-crawl (457 keys)
-SETTINGS = {"one_shard": {"num_seen_shards": 1, "seen_capacity_per_shard": 64}}
+# crawl settings a configuration pins: one seen-set shard (held in the
+# driver) whose 64-slot prefilter must grow mid-crawl (457 keys); with
+# every stage distributed, the driver-held shard takes the block methods
+ONE_SHARD = {"num_seen_shards": 1, "seen_capacity_per_shard": 64}
+SETTINGS = {"one_shard": ONE_SHARD, "one_shard_distributed": ONE_SHARD}
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -55,12 +58,15 @@ def test_distributed_crawl_matches_sequential_reference(
             setattr(settings.crawl, k, v)
         run = _crawl(corpus, str(tmp_path / "run"), settings)
         assert run.metrics.as_dict() == auto_run(corpus).metrics.as_dict()
-    if modes == "one_shard":
+    placement = "driver" if modes in SETTINGS else "actors"
+    assert run.seen.placement == placement
+    if modes in SETTINGS:
         assert run.seen.num_shards == 1
         tiers = run.manifest.round_info(run.manifest.last_complete_round())["seen_tiers"]
         assert tiers[0]["filter_buckets"] > 32  # grew from 64 slots
     # every committed round records the path each gated stage took
     for r in range(run.manifest.last_complete_round() + 1):
+        assert run.manifest.round_info(r)["seen_placement"] == placement
         paths = run.manifest.round_info(r)["paths"]
         for stage in GATED:
             if stage in paths:

@@ -18,6 +18,7 @@ from vat_abcd_crawler_ray.ops.joins import (
     broadcast_join,
     broadcast_semi_join,
     bucket_hash_join,
+    membership_flag_join,
 )
 from vat_abcd_crawler_ray.ops.sketches import (
     hll_count_distinct,
@@ -83,6 +84,34 @@ class TestOps:
         right = rd.from_items([{"k": f"h{i}", "r": -i} for i in range(10, 30)])
         out = bucket_hash_join(left, right, on="k", num_buckets=3).to_pandas()
         assert len(out) == 10
+
+    def test_bucket_hash_join_pandas_string_key(self):
+        left = rd.from_pandas(pd.DataFrame({"k": [f"h{i}" for i in range(20)], "l": range(20)}))
+        right = rd.from_pandas(
+            pd.DataFrame({"k": [f"h{i}" for i in range(10, 30)], "r": range(10, 30)})
+        )
+        out = bucket_hash_join(left, right, on="k", num_buckets=3).to_pandas()
+        assert sorted(out["l"]) == list(range(10, 20))
+        assert (out["k"] == "h" + out["r"].astype(str)).all()
+
+    @pytest.mark.parametrize("broadcast_limit", [5_000_000, 0])
+    def test_membership_flag_join_pandas_string_keys(self, broadcast_limit):
+        """String keys in pandas blocks flag the same rows below and
+        above the broadcast gate (``schema()`` reports a pandas string
+        column as a Python ``object``, not an Arrow type)."""
+        big = rd.from_pandas(
+            pd.DataFrame({"k": [f"h{i}" for i in range(40)], "v": range(40)})
+        ).repartition(3)
+        keys = rd.from_pandas(pd.DataFrame({"k": [f"h{i}" for i in range(30, 50, 2)]}))
+        out = (
+            membership_flag_join(big, keys, on="k", flag_col="hit",
+                                 broadcast_limit=broadcast_limit)
+            .to_pandas()
+            .sort_values("v")
+        )
+        assert out["v"].tolist() == list(range(40))
+        assert out["k"].tolist() == [f"h{i}" for i in range(40)]
+        assert out["hit"].tolist() == [i >= 30 and i % 2 == 0 for i in range(40)]
 
     def test_bucket_hash_join_randomized_vs_pandas(self):
         """5 seeded random shapes (dup keys, skew, partial overlap,

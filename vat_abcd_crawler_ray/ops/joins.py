@@ -184,6 +184,18 @@ def _tag_and_pad(
     return ds.map_batches(pad, batch_format="pyarrow")
 
 
+def _arrow_schema(ds: "ray.data.Dataset"):
+    """``ds`` and its column types as Arrow types. ``schema()`` reports
+    a pandas block's string column as the Python ``object`` type, which
+    is no Arrow type; such a side is read through an Arrow-block map so
+    its schema is Arrow's."""
+    schema = ds.schema()
+    if not all(isinstance(t, pa.DataType) for t in schema.types):
+        ds = ds.map_batches(lambda t: t, batch_format="pyarrow")
+        schema = ds.schema()
+    return ds, dict(zip(schema.names, schema.types))
+
+
 def bucket_hash_join(
     left: "ray.data.Dataset",
     right: "ray.data.Dataset",
@@ -200,9 +212,8 @@ def bucket_hash_join(
     the caller before joining (append a salt column to both sides).
     """
     on_cols = [on] if isinstance(on, str) else list(on)
-    lschema, rschema = left.schema(), right.schema()
-    lcols = dict(zip(lschema.names, lschema.types))
-    rcols = dict(zip(rschema.names, rschema.types))
+    left, lcols = _arrow_schema(left)
+    right, rcols = _arrow_schema(right)
     for c in on_cols:
         if lcols[c] != rcols[c]:
             raise TypeError(f"join key {c!r}: {lcols[c]} != {rcols[c]}")

@@ -8,7 +8,7 @@ Maps the reference's sequential harvest loop
 | reference                          | here                                |
 |------------------------------------|-------------------------------------|
 | catalog scroll → Vec<Entry>        | seed parquet → frontier round 0     |
-| surrogate-key dedup (T1)           | sharded seen-set actors, min-seq    |
+| surrogate-key dedup (T1)           | sharded seen set, min-seq           |
 | sequential per-dataset loop        | per-host budgeted rounds            |
 | FileDownloader + cache recovery    | fetch = url lookup in the pages     |
 |                                    | table; misses → dead-letter rows    |
@@ -64,8 +64,10 @@ unbounded collections (frontier, links, extracted rows, seen set)
 never materialize on the driver: frontier stays on disk / in Datasets,
 links arrive pre-deduplicated per fused task and above the size
 gate never leave the object store (``_admit_distributed``),
-extracted blocks are written remotely, and the seen set lives in shard
-actors.
+extracted blocks are written remotely, and the seen set's shards are
+actors once there is more than one (one shard is held in the driver,
+``seen_set.seen_placement``; its block methods take one block at a
+time).
 
 First-wins in the distributed bootstrap and admission has ONE
 implementation, :func:`ops.firstwins.winner_vals`: per-block partial
@@ -1155,18 +1157,18 @@ class CrawlRun:
     ) -> None:
         """Queue the round's commit (``paths``: the path each gated
         stage took this round). Round N's shard snapshots run in
-        the background through all of round N+1 (actor message order
-        makes them a consistent cut); the manifest commit waits for
-        them and the round's writes at the NEXT round's commit point,
-        so the per-round serial path carries neither the snapshot IO
-        nor the commit fsync."""
+        the background through all of round N+1 when the shards are
+        actors (actor message order makes them a consistent cut); the
+        manifest commit waits for them and the round's writes at the
+        NEXT round's commit point, so the per-round serial path carries
+        neither the write IO nor the commit fsync."""
         cc = self.settings.crawl
         self._flush_pending_commit()  # its wait is recorded as the
         # PREVIOUS round's commit_wait (inside the flush) — timing it
         # here too would double-count it under "snapshot"
         t0 = _now()
         snap_mode = "full" if rnd % cc.snapshot_full_every == 0 else "delta"
-        seen_futs = self.seen.snapshot_async(self.seen_dir(rnd), snap_mode)
+        seen_snap = self.seen.snapshot_async(self.seen_dir(rnd), snap_mode)
         write_futs = fx.write_futs
         if self._preselect is not None:
             # this round's commit must not land before the pipelined
@@ -1195,7 +1197,7 @@ class CrawlRun:
             {"round": rnd, **{k: round(v, 3) for k, v in phase_t.items()}}
         )
         self._pending_commit = (
-            seen_futs,
+            seen_snap,
             write_futs,
             rnd,
             {
@@ -1203,9 +1205,11 @@ class CrawlRun:
                 "extracted_dir": self.extracted_dir(rnd),
                 "seen_snapshot": self.seen_dir(rnd),
                 "seen_snapshot_mode": snap_mode,
-                # the pool layout the snapshot needs on resume; outside
-                # "stats", which stay equal across shard counts
+                # the pool layout the snapshot needs on resume and
+                # where the shards ran; outside "stats", which stay
+                # equal across shard counts and placements
                 "seen_shards": self.seen.num_shards,
+                "seen_placement": self.seen.placement,
                 "next_seq": self.next_seq,
                 "next_surrogate": self.seen.next_surrogate,
                 "stats": self.metrics.per_round[-1],
@@ -1253,12 +1257,13 @@ class CrawlRun:
     def _flush_pending_commit(self) -> None:
         if self._pending_commit is None:
             return
-        seen_futs, write_futs, rnd, info = self._pending_commit
+        seen_snap, write_futs, rnd, info = self._pending_commit
         self._pending_commit = None
         t0 = _now()
         # snapshot + writes durable before the commit; each shard's
         # snapshot returns its tier sizes at the cut
-        info["seen_tiers"] = ray.get(seen_futs + write_futs)[: len(seen_futs)]
+        info["seen_tiers"] = seen_snap.wait()
+        ray.get(write_futs)
         # the real write/snapshot wall time, recorded where the futures
         # are actually joined (the extract phase only submits the writes)
         info["phase_sec"]["commit_wait"] = round(_now() - t0, 3)
@@ -1274,10 +1279,10 @@ class CrawlRun:
         cc = self.settings.crawl
         last = self.manifest.last_complete_round() if resume else -1
         info = self.manifest.round_info(last) if last >= 0 else None
-        # the shard pool is spawned first, so its worker start-up
-        # overlaps the page-store open and the seed keying. A resume
-        # rebuilds the pool its snapshots were written with (manifests
-        # from before the field ran the fixed 8-shard default)
+        # the shard pool is built first, so an actor pool's worker
+        # start-up overlaps the page-store open and the seed keying. A
+        # resume rebuilds the pool its snapshots were written with
+        # (manifests from before the field ran the fixed 8-shard default)
         self.seen = ShardedSeenSet(
             seen_shard_count(cc.num_seen_shards)
             if info is None
@@ -1337,6 +1342,12 @@ class CrawlRun:
                 break
         self._flush_pending_commit()  # wait lands in the last round's
         # commit_wait (recorded inside the flush), keeping Σ additive
+        # a caller that keeps the finished run (for its seen set or
+        # metrics) must not pin its object-store objects: Ray frees
+        # released objects in batches, so holding them until the run
+        # object dies keeps them in the store into the caller's next job
+        self._stage_put = self._fetch_put = None
+        self._preselect = self._next_links = None
         t_final = _now()
 
         self._count_outputs()

@@ -14,27 +14,32 @@ Two implementations, same semantics:
   (``groupby(key).min(seq)`` → sort → dense index). The
   oracle-checkable path, used for batch dedup.
 - :class:`ShardedSeenSet` — the streaming path for the crawl frontier:
-  N shard actors (shard = ``key % num_shards``), each holding a cuckoo
+  N shards (shard = ``key % num_shards``), each holding a cuckoo
   prefilter (state/cuckoo.py) + a TIERED exact ``key → (surrogate,
-  first_seq)`` store (bounded dict tail → sorted RAM runs → memmapped
-  disk runs past ``ram_cap``). Links discovered mid-round are filtered through
-  ``offer`` (batched actor calls from ``map_batches`` tasks); at the
-  round barrier ``commit_round`` resolves min-seq winners and assigns
-  dense surrogates in (round, first_seq) order — reproducing the
-  sequential crawl's first-seen ordering. Shards snapshot per round for
+  first_seq)`` store (bounded tail → sorted RAM runs → memmapped
+  disk runs past ``ram_cap``). Links discovered mid-round are filtered
+  through ``offer`` (batched calls from the driver); at the round
+  barrier ``commit_round`` resolves min-seq winners and assigns dense
+  surrogates in (round, first_seq) order — reproducing the sequential
+  crawl's first-seen ordering. Shards snapshot per round for
   kill/resume (the reference rebuilds from scratch,
   ``database_sink.rs:91-101``; at 10^10 we must not).
 
 N comes from the cluster (:func:`seen_shard_count`: one shard per CPU,
-at most 8) unless pinned. Surrogates are assigned globally, so N never
-changes a result; a shard's prefilter doubles on overflow, so N does
-not bound the key count either. A snapshot chain restores only into a
-pool of the N it was written with (the crawl records N per round).
+at most 8) unless pinned, and :func:`seen_placement` puts the shards
+from N: one shard is a plain object in the driver, more are actors.
+Surrogates are assigned globally, so N never changes a result; a
+shard's prefilter doubles on overflow, so N does not bound the key
+count either. A snapshot chain restores only into a pool of the N it
+was written with (the crawl records N per round), under either
+placement: both write the same files.
 """
 
 from __future__ import annotations
 
+import functools
 import os
+import zipfile
 
 import numpy as np
 import pyarrow as pa
@@ -101,8 +106,8 @@ class _Run:
         return len(self.keys)
 
 
-# Consolidate the tail dict into a sorted run past this size, so the
-# vectorized run probes (not per-key dict loops) carry the steady state.
+# Consolidate the tail into a RAM run past this size: the tail is
+# re-sorted at the first probe after each store, so it stays small.
 _TAIL_MAX = 1 << 16
 # Merge RAM runs down to one when this many accumulate (amortized
 # O(n log n) concatenate+argsort, keeps the per-probe run count small).
@@ -116,10 +121,10 @@ MAX_AUTO_SEEN_SHARDS = 8
 def seen_shard_count(num_seen_shards: int, cpus: int | None = None) -> int:
     """The shard count a crawl runs with: ``num_seen_shards > 0`` pins
     it; 0 means one shard per cluster CPU (``cpus``, read from Ray when
-    omitted), capped at :data:`MAX_AUTO_SEEN_SHARDS`. Every shard is a
-    worker process the crawl waits for at its first seen-set call, so
-    on a small host fewer shards start faster, and the shard count is
-    never a key ceiling (filters grow)."""
+    omitted), capped at :data:`MAX_AUTO_SEEN_SHARDS`. Above one shard
+    each is an actor (:func:`seen_placement`) the crawl waits for at its
+    first seen-set call; the shard count is never a key ceiling
+    (filters grow)."""
     if num_seen_shards > 0:
         return num_seen_shards
     if cpus is None:
@@ -127,24 +132,68 @@ def seen_shard_count(num_seen_shards: int, cpus: int | None = None) -> int:
     return max(1, min(cpus, MAX_AUTO_SEEN_SHARDS))
 
 
-# num_cpus=0: shard actors are memory-bound state holders that must not
-# reserve data-plane CPUs (a pool of them would otherwise starve the
-# map_batches stages on small clusters — observed deadlock at num_cpus=4).
-@ray.remote(num_cpus=0)
+def seen_placement(num_shards: int) -> str:
+    """Where a pool of ``num_shards`` seen-set shards lives: ``"driver"``
+    (plain objects called directly) for one shard, ``"actors"`` above.
+    One shard's state fits in the driver, and an actor's start-up
+    (about 1 s on a 1-CPU host) would be the largest cost of a small
+    crawl; several shards are actors so their work spreads over the
+    cluster. :class:`ShardedSeenSet` reads the rule here, so tests force
+    a placement by monkeypatching this one function."""
+    return "driver" if num_shards == 1 else "actors"
+
+
+@functools.cache
+def _shard_actor():
+    # num_cpus=0: shard actors are memory-bound state holders that must
+    # not reserve data-plane CPUs (a pool of them would otherwise starve
+    # the map_batches stages on small clusters — observed deadlock at
+    # num_cpus=4)
+    return ray.remote(num_cpus=0)(SeenSetShard)
+
+
+def _write_npz(path: str, arrays: dict) -> None:
+    """``np.savez`` (uncompressed) without its copy: each array goes
+    into the stored zip member as a ``.npy`` header and then its own
+    buffer, where ``np.savez`` first copies it to bytes. Same file
+    format, so ``np.load`` reads either."""
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
+        for name, arr in arrays.items():
+            arr = np.asarray(arr)  # keeps 0-d (ascontiguousarray would not)
+            if not arr.flags.c_contiguous:
+                arr = arr.copy(order="C")
+            with zf.open(name + ".npy", "w", force_zip64=True) as fh:
+                np.lib.format.write_array_header_1_0(
+                    fh, np.lib.format.header_data_from_array_1_0(arr)
+                )
+                fh.write(memoryview(arr.reshape(-1)))
+
+
+def _newest_wins(keys, surrogates, first_seqs) -> _Run:
+    """A sorted run of the entries, the last occurrence of a repeated
+    key winning (the ``dict.update`` order)."""
+    uniq, idx = np.unique(keys[::-1], return_index=True)
+    take = len(keys) - 1 - idx
+    return _Run(uniq, surrogates[take], first_seqs[take])
+
+
 class SeenSetShard:
-    """One shard of the seen set. All methods take/return numpy or Arrow
+    """One shard of the seen set: a plain class that
+    :class:`ShardedSeenSet` holds in the driver or runs as an actor
+    (:func:`seen_placement`). All methods take/return numpy or Arrow
     (zero pickling of Python row objects).
 
     Committed state is TIERED (the 10^10-key design the cuckoo module
-    promises): a small ``exact`` dict holds only the entries committed
-    since the last consolidation; everything older lives in sorted
-    ``(key, surrogate, first_seq)`` runs — RAM ndarrays first, spilled
-    to disk as memmapped ``.npy`` runs once RAM-resident entries exceed
-    ``ram_cap``. Membership and lookup are a cuckoo prefilter, then a
-    vectorized ``searchsorted`` over the runs, then a dict probe over
-    the bounded tail — so neither a steady-state crawl (mostly-seen
-    candidates) nor a 10^10-key shard ever walks keys one by one or
-    holds them all in actor memory."""
+    promises): a bounded tail holds the entries committed since the
+    last consolidation, as the stored array chunks plus one sorted run
+    of them built at the first probe after a store; everything older
+    lives in sorted ``(key, surrogate, first_seq)`` runs — RAM ndarrays
+    first, spilled to disk as memmapped ``.npy`` runs once RAM-resident
+    entries exceed ``ram_cap``. Membership and lookup are a cuckoo
+    prefilter, then a vectorized ``searchsorted`` over the tail and the
+    runs — so neither a steady-state crawl (mostly-seen candidates) nor
+    a 10^10-key shard ever walks keys one by one or holds them all in
+    memory, and the state is arrays, not one Python object per key."""
 
     def __init__(
         self,
@@ -154,12 +203,15 @@ class SeenSetShard:
         spill_dir: str | None = None,
     ):
         self.shard_id = shard_id
-        self.exact: dict[int, tuple[int, int]] = {}  # unconsolidated tail
+        self._clear_tail()
         self.filter = CuckooFilter(capacity)
-        self.pending: dict[int, int] = {}  # this round: key -> min seq
-        # (key, surrogate, first_seq) stored since the last snapshot —
-        # the payload of a DELTA snapshot (O(round), not O(total))
-        self._delta: list[tuple[int, int, int]] = []
+        # this round's fresh offered (keys, seqs) chunks; commit_round
+        # resolves each key's min seq
+        self._pending: list[tuple[np.ndarray, np.ndarray]] = []
+        # (keys, surrogates, first_seqs) array chunks stored since the
+        # last snapshot — the payload of a DELTA snapshot (O(round), not
+        # O(total))
+        self._delta: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._runs: list[_Run] = []  # oldest → newest
         if ram_cap is not None and spill_dir is None:
             raise ValueError("ram_cap requires spill_dir")
@@ -171,10 +223,34 @@ class SeenSetShard:
 
     # -- committed-tier internals ------------------------------------
 
-    def _in_runs(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorized membership of ``keys`` in the sorted runs."""
+    def _clear_tail(self) -> None:
+        # (keys, surrogates, first_seqs) chunks committed since the last
+        # consolidation, their entry count, and their sorted run
+        # (None until the first probe after a store)
+        self._tail: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._tail_len = 0
+        self._tail_run: _Run | None = None
+
+    def _sorted_tail(self) -> _Run | None:
+        """The tail as one sorted run, built at the first probe after a
+        store; the chunks collapse into it, so the next build sorts one
+        sorted chunk plus the new ones."""
+        if self._tail_run is None and self._tail:
+            run = _newest_wins(*(np.concatenate(c) for c in zip(*self._tail)))
+            self._tail = [(run.keys, run.surrogates, run.first_seqs)]
+            self._tail_len = len(run)
+            self._tail_run = run
+        return self._tail_run
+
+    def _probe_runs(self) -> list[_Run]:
+        """Every committed run, newest first: the tail, then the runs."""
+        tail = self._sorted_tail()
+        return ([tail] if tail is not None else []) + self._runs[::-1]
+
+    def _committed_mask(self, keys: np.ndarray) -> np.ndarray:
+        """True where ``keys[i]`` is committed-seen (tail or runs)."""
         out = np.zeros(len(keys), dtype=bool)
-        for run in self._runs:
+        for run in self._probe_runs():
             rk = run.keys
             if not len(rk):
                 continue
@@ -182,31 +258,16 @@ class SeenSetShard:
             out |= rk[pos] == keys
         return out
 
-    def _committed_mask(self, keys: np.ndarray) -> np.ndarray:
-        """True where ``keys[i]`` is committed-seen (runs OR tail)."""
-        mask = self._in_runs(keys)
-        exact = self.exact
-        if exact:
-            for i in np.flatnonzero(~mask):
-                if int(keys[i]) in exact:
-                    mask[i] = True
-        return mask
-
     def _consolidate_tail(self) -> None:
-        """Fold the tail dict into a sorted RAM run; merge RAM runs
+        """Move the sorted tail into the RAM runs; merge RAM runs
         when too many accumulate; spill past ``ram_cap``. Runs never
         contain duplicate keys across each other (commit filters
         already-committed keys before assignment), but lookup/dump
         resolve newest-run-wins anyway, matching dict.update."""
-        n = len(self.exact)
-        if n:
-            keys = np.fromiter(self.exact.keys(), np.int64, n)
-            vals = np.array(list(self.exact.values()), np.int64).reshape(-1, 2)
-            order = np.argsort(keys, kind="stable")
-            self._runs.append(
-                _Run(keys[order], vals[order, 0].copy(), vals[order, 1].copy())
-            )
-            self.exact = {}
+        tail = self._sorted_tail()
+        if tail is not None:
+            self._runs.append(tail)
+            self._clear_tail()
         ram_runs = [r for r in self._runs if r.path is None]
         if len(ram_runs) > _RAM_RUN_MAX:
             merged_keys = np.concatenate([r.keys for r in ram_runs])
@@ -256,13 +317,23 @@ class SeenSetShard:
                 np.concatenate([self._all_committed()[0], keys])
             )
 
-    def _store_committed(self, kl, gl, sl) -> None:
-        """Append committed entries to the tail; consolidate past the
-        tail bound (append + periodic merge — assign-time cost is
+    def _store_committed(
+        self,
+        keys: np.ndarray,
+        surrogates: np.ndarray,
+        first_seqs: np.ndarray,
+        log_delta: bool = True,
+    ) -> None:
+        """Append committed int64 entries to the tail and (unless they
+        are replayed from a snapshot) the delta buffer; consolidate past
+        the tail bound (append + periodic merge — store-time cost is
         amortized O(1) per key)."""
-        self.exact.update(zip(kl, zip(gl, sl)))  # C-level bulk store
-        self._delta.extend(zip(kl, gl, sl))
-        if len(self.exact) >= self._tail_max:
+        self._tail.append((keys, surrogates, first_seqs))
+        self._tail_len += len(keys)
+        self._tail_run = None
+        if log_delta:
+            self._delta.append((keys, surrogates, first_seqs))
+        if self._tail_len >= self._tail_max:
             self._consolidate_tail()
 
     def offer(self, keys: np.ndarray, seqs: np.ndarray) -> np.ndarray:
@@ -279,38 +350,27 @@ class SeenSetShard:
             fresh[pos_idx] = ~self._committed_mask(keys[pos_idx])
         idx = np.flatnonzero(fresh)
         if len(idx):
-            # within-call min-seq per key VECTORIZED (lexsort + first
-            # occurrence), then one bulk dict update; the per-key
-            # prev-min comparison only runs when pending already holds
-            # entries (a second offer within the same round)
-            k, s = keys[idx], seqs[idx]
-            order = np.lexsort((s, k))
-            k, s = k[order], s[order]
-            first = np.concatenate([[True], k[1:] != k[:-1]])
-            k, s = k[first], s[first]
-            pend = self.pending
-            if pend:
-                for kk, ss in zip(k.tolist(), s.tolist()):
-                    prev = pend.get(kk)
-                    if prev is None or ss < prev:
-                        pend[kk] = ss
-            else:
-                pend.update(zip(k.tolist(), s.tolist()))
+            self._pending.append((keys[idx], seqs[idx]))
         return fresh
 
     def commit_round(self) -> tuple[np.ndarray, np.ndarray]:
         """Round barrier step 1: return this shard's NEW (keys,
         first_seqs) (keys never committed before), clearing the pending
-        set. numpy, not Arrow: an actor that returns an Arrow table
-        imports ray.data and pandas for it, about 1 s on a 1-CPU host."""
-        n = len(self.pending)
-        keys = np.fromiter(self.pending.keys(), np.int64, n)
-        seqs = np.fromiter(self.pending.values(), np.int64, n)
-        self.pending = {}
-        if n:
-            mask = ~self._committed_mask(keys)
-            keys, seqs = keys[mask], seqs[mask]
-        return keys, seqs
+        set; keys come out ascending, each with its min offered seq.
+        numpy, not Arrow: an actor that returns an Arrow table imports
+        ray.data and pandas for it, about 1 s on a 1-CPU host."""
+        if not self._pending:
+            z = np.zeros(0, np.int64)
+            return z, z
+        keys = np.concatenate([k for k, _ in self._pending])
+        seqs = np.concatenate([q for _, q in self._pending])
+        self._pending = []
+        order = np.lexsort((seqs, keys))  # by key, then seq
+        keys, seqs = keys[order], seqs[order]
+        first = np.concatenate([[True], keys[1:] != keys[:-1]])
+        keys, seqs = keys[first], seqs[first]
+        mask = ~self._committed_mask(keys)
+        return keys[mask], seqs[mask]
 
     def assign(self, keys: np.ndarray, surrogates: np.ndarray, first_seqs: np.ndarray) -> int:
         """Round barrier step 2: store driver-assigned dense surrogates."""
@@ -318,9 +378,9 @@ class SeenSetShard:
         if len(keys):
             self._filter_add(keys)
             self._store_committed(
-                keys.tolist(),
-                np.asarray(surrogates).tolist(),
-                np.asarray(first_seqs).tolist(),
+                keys,
+                np.asarray(surrogates, dtype=np.int64),
+                np.asarray(first_seqs, dtype=np.int64),
             )
         return self.size()
 
@@ -340,26 +400,19 @@ class SeenSetShard:
         if len(sel):
             self._filter_add(keys[sel])
             self._store_committed(
-                keys[sel].tolist(),
-                table["surrogate"].to_numpy()[sel].tolist(),
-                table["seq"].to_numpy()[sel].tolist(),
+                keys[sel].astype(np.int64, copy=False),
+                table["surrogate"].to_numpy()[sel].astype(np.int64, copy=False),
+                table["seq"].to_numpy()[sel].astype(np.int64, copy=False),
             )
         return self.size()
 
     def lookup(self, keys: np.ndarray) -> np.ndarray:
-        """surrogate per key, -1 if unseen. Tail probe first (newest
-        wins), then vectorized run probes newest → oldest."""
+        """surrogate per key, -1 if unseen: vectorized probes of the
+        tail, then the runs newest → oldest (newest wins)."""
         keys = np.asarray(keys, dtype=np.int64)
         out = np.full(len(keys), -1, dtype=np.int64)
         resolved = np.zeros(len(keys), dtype=bool)
-        exact = self.exact
-        if exact:
-            for i, k in enumerate(keys.tolist()):
-                hit = exact.get(k)
-                if hit is not None:
-                    out[i] = hit[0]
-                    resolved[i] = True
-        for run in reversed(self._runs):
+        for run in self._probe_runs():
             todo = np.flatnonzero(~resolved)
             if not len(todo) or not len(run.keys):
                 continue
@@ -405,37 +458,41 @@ class SeenSetShard:
         at 10^10 keys. Both clear the delta buffer. Returns the tier
         sizes at the cut (:meth:`tiers`)."""
         tmp = path + ".tmp"
+        # uncompressed: snapshots happen EVERY round; compression cost
+        # grows with the seen set while the write stays page-cache fast
         if mode == "delta":
-            d = np.array(self._delta, dtype=np.int64).reshape(-1, 3)
-            np.savez(
+            cols = (
+                [np.concatenate(c) for c in zip(*self._delta)]
+                if self._delta
+                else [np.zeros(0, np.int64)] * 3
+            )
+            _write_npz(
                 tmp,
-                delta_keys=d[:, 0],
-                delta_surrogates=d[:, 1],
-                delta_first_seqs=d[:, 2],
+                dict(zip(("delta_keys", "delta_surrogates", "delta_first_seqs"), cols)),
             )
         else:
             keys, sur, seq = self._all_committed()
-            # uncompressed: snapshots happen EVERY round; compression cost
-            # grows with the seen set while the write stays page-cache fast
-            np.savez(
+            _write_npz(
                 tmp,
-                keys=keys,
-                surrogates=sur,
-                first_seqs=seq,
-                filter_table=self.filter.table,
-                filter_count=self.filter.count,
-                filter_slots=self.filter.slots,
+                {
+                    "keys": keys,
+                    "surrogates": sur,
+                    "first_seqs": seq,
+                    "filter_table": self.filter.table,
+                    "filter_count": np.int64(self.filter.count),
+                    "filter_slots": np.int64(self.filter.slots),
+                },
             )
-        os.replace(tmp + ".npz", path)
+        os.replace(tmp, path)
         self._delta = []
         return self.tiers()
 
     def tiers(self) -> dict:
-        """Committed entries per tier (dict tail, RAM-run rows, disk-run
+        """Committed entries per tier (tail, RAM-run rows, disk-run
         rows), the disk-run count and the prefilter's bucket count."""
         disk = [len(r) for r in self._runs if r.path is not None]
         return {
-            "tail": len(self.exact),
+            "tail": self._tail_len,
             "ram_rows": sum(len(r) for r in self._runs if r.path is None),
             "disk_rows": sum(disk),
             "disk_runs": len(disk),
@@ -455,7 +512,7 @@ class SeenSetShard:
                 st["first_seqs"].astype(np.int64, copy=False)[order],
             )
         ]
-        self.exact = {}
+        self._clear_tail()
         self.filter = CuckooFilter.from_state(
             {
                 "table": st["filter_table"],
@@ -463,7 +520,7 @@ class SeenSetShard:
                 "slots": int(st["filter_slots"]),
             }
         )
-        self.pending = {}
+        self._pending = []
         self._delta = []
         self._consolidate_tail()  # apply the ram_cap spill policy
         return self.size()
@@ -475,51 +532,36 @@ class SeenSetShard:
         replayed entries do NOT re-enter the delta buffer — they came
         from a durable snapshot already."""
         st = np.load(path)
-        keys = st["delta_keys"]
+        keys = st["delta_keys"].astype(np.int64, copy=False)
         if len(keys):
-            self._filter_add(keys.astype(np.int64))
-            self.exact.update(
-                zip(
-                    keys.tolist(),
-                    zip(
-                        st["delta_surrogates"].tolist(),
-                        st["delta_first_seqs"].tolist(),
-                    ),
-                )
+            self._filter_add(keys)
+            self._store_committed(
+                keys,
+                st["delta_surrogates"].astype(np.int64, copy=False),
+                st["delta_first_seqs"].astype(np.int64, copy=False),
+                log_delta=False,
             )
-            if len(self.exact) >= self._tail_max:
-                self._consolidate_tail()
         return self.size()
 
     def size(self) -> int:
-        return len(self.exact) + sum(len(r) for r in self._runs)
+        """Committed entries (no key is stored twice: commit filters
+        committed keys before assignment)."""
+        return self._tail_len + sum(len(r) for r in self._runs)
 
     def _all_committed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(keys, surrogates, first_seqs) across tail + runs, newest
-        occurrence winning on (never-expected) duplicates — the
-        dict.update semantics the single-tier store had."""
-        parts_k, parts_s, parts_q = [], [], []
-        for run in self._runs:
-            parts_k.append(np.asarray(run.keys))
-            parts_s.append(np.asarray(run.surrogates))
-            parts_q.append(np.asarray(run.first_seqs))
-        n = len(self.exact)
-        if n:
-            parts_k.append(np.fromiter(self.exact.keys(), np.int64, n))
-            vals = np.array(list(self.exact.values()), np.int64).reshape(-1, 2)
-            parts_s.append(vals[:, 0])
-            parts_q.append(vals[:, 1])
-        if not parts_k:
+        """(keys, surrogates, first_seqs) across runs + tail, ascending
+        by key, newest occurrence winning on (never-expected)
+        duplicates — the dict.update semantics the single-tier store
+        had."""
+        parts = [
+            (np.asarray(r.keys), np.asarray(r.surrogates), np.asarray(r.first_seqs))
+            for r in self._runs
+        ] + self._tail
+        if not parts:
             z = np.zeros(0, np.int64)
             return z, z, z
-        keys = np.concatenate(parts_k)
-        sur = np.concatenate(parts_s)
-        seq = np.concatenate(parts_q)
-        uniq, idx = np.unique(keys[::-1], return_index=True)
-        if len(uniq) != len(keys):  # newest-wins dedup, rare path
-            take = len(keys) - 1 - idx
-            keys, sur, seq = keys[take], sur[take], seq[take]
-        return keys, sur, seq
+        run = _newest_wins(*(np.concatenate(c) for c in zip(*parts)))
+        return run.keys, run.surrogates, run.first_seqs
 
     def dump(self) -> pa.Table:
         """(key, surrogate, first_seq) for this shard."""
@@ -533,8 +575,28 @@ class SeenSetShard:
         )
 
 
+class PendingSnapshot:
+    """A seen-set snapshot as :meth:`ShardedSeenSet.snapshot_async`
+    returns it: still being written by the shard actors, or already
+    written by the driver-held shards. ``wait()`` returns once every
+    shard file is written, with each shard's tier sizes at the cut."""
+
+    def __init__(self, futs: list | None = None, tiers: list | None = None):
+        self._futs = futs
+        self._tiers = tiers
+
+    def wait(self) -> list[dict]:
+        if self._tiers is None:
+            self._tiers = ray.get(self._futs)
+        return self._tiers
+
+
 class ShardedSeenSet:
-    """Driver-side handle over the shard actor pool."""
+    """Driver-side handle over the shards, held where
+    :func:`seen_placement` puts them: plain :class:`SeenSetShard`
+    objects in the driver, or ``num_cpus=0`` actors. Every method has the
+    same result and writes the same snapshot files under both
+    placements."""
 
     def __init__(
         self,
@@ -544,26 +606,47 @@ class ShardedSeenSet:
         spill_dir: str | None = None,
     ):
         self.num_shards = num_shards
+        self.placement = seen_placement(num_shards)
+        shard = SeenSetShard if self.placement == "driver" else _shard_actor().remote
         self.shards = [
-            SeenSetShard.remote(i, capacity_per_shard, ram_cap_per_shard, spill_dir)
+            shard(i, capacity_per_shard, ram_cap_per_shard, spill_dir)
             for i in range(num_shards)
         ]
         self.next_surrogate = 1
 
+    def _call(self, method: str, calls: list) -> list:
+        """``shards[i].method(*args)`` for each ``(i, args)`` in
+        ``calls``, results in order: direct calls in the driver, or one
+        actor call each, joined by one ``ray.get``."""
+        if self.placement == "driver":
+            return [getattr(self.shards[i], method)(*args) for i, args in calls]
+        return ray.get(
+            [getattr(self.shards[i], method).remote(*args) for i, args in calls]
+        )
+
+    def _each(self, method: str, *args) -> list:
+        """``method(*args)`` on every shard, results in shard order."""
+        return self._call(method, [(i, args) for i in range(self.num_shards)])
+
+    def _route(self, keys: np.ndarray) -> list[tuple[int, np.ndarray]]:
+        """``(shard id, row indices)`` per shard that owns some of
+        ``keys`` (shard = ``key % num_shards``)."""
+        shard_ids = keys % self.num_shards
+        return [
+            (int(sid), np.flatnonzero(shard_ids == sid)) for sid in np.unique(shard_ids)
+        ]
+
     def offer_batch(self, keys: np.ndarray, seqs: np.ndarray) -> np.ndarray:
         """Route one batch through the shards; bool mask of fresh keys.
-        Called from inside map_batches tasks (actor handles serialize)."""
+        Called by the driver: the seed bootstrap and the driver link
+        admission."""
         keys = np.asarray(keys, dtype=np.int64)
         seqs = np.asarray(seqs, dtype=np.int64)
-        shard_ids = keys % self.num_shards
+        routes = self._route(keys)
+        res = self._call("offer", [(sid, (keys[sel], seqs[sel])) for sid, sel in routes])
         mask = np.zeros(len(keys), dtype=bool)
-        futures, idxs = [], []
-        for sid in np.unique(shard_ids):
-            sel = np.flatnonzero(shard_ids == sid)
-            futures.append(self.shards[int(sid)].offer.remote(keys[sel], seqs[sel]))
-            idxs.append(sel)
-        for sel, res in zip(idxs, ray.get(futures)):
-            mask[sel] = res
+        for (_sid, sel), fresh in zip(routes, res):
+            mask[sel] = fresh
         return mask
 
     def commit_round(self) -> pa.Table:
@@ -573,7 +656,7 @@ class ShardedSeenSet:
         Driver-side by design: every caller offers at most a driver-
         sized round (the crawl's distributed stages bulk-load the
         shards with :meth:`load_assigned_blocks` instead)."""
-        parts = ray.get([s.commit_round.remote() for s in self.shards])
+        parts = self._each("commit_round")
         keys = np.concatenate([k for k, _ in parts])
         seqs = np.concatenate([q for _, q in parts])
         order = np.argsort(seqs, kind="stable")
@@ -582,14 +665,13 @@ class ShardedSeenSet:
             self.next_surrogate, self.next_surrogate + len(keys), dtype=np.int64
         )
         self.next_surrogate += len(keys)
-        shard_ids = keys % self.num_shards
-        futs = []
-        for sid in np.unique(shard_ids):
-            sel = np.flatnonzero(shard_ids == sid)
-            futs.append(
-                self.shards[int(sid)].assign.remote(keys[sel], surrogates[sel], seqs[sel])
-            )
-        ray.get(futs)
+        self._call(
+            "assign",
+            [
+                (sid, (keys[sel], surrogates[sel], seqs[sel]))
+                for sid, sel in self._route(keys)
+            ],
+        )
         return pa.table(
             {
                 "key": pa.array(keys),
@@ -600,50 +682,68 @@ class ShardedSeenSet:
 
     def lookup(self, keys: np.ndarray) -> np.ndarray:
         keys = np.asarray(keys, dtype=np.int64)
-        shard_ids = keys % self.num_shards
+        routes = self._route(keys)
+        res = self._call("lookup", [(sid, (keys[sel],)) for sid, sel in routes])
         out = np.full(len(keys), -1, dtype=np.int64)
-        futures, idxs = [], []
-        for sid in np.unique(shard_ids):
-            sel = np.flatnonzero(shard_ids == sid)
-            futures.append(self.shards[int(sid)].lookup.remote(keys[sel]))
-            idxs.append(sel)
-        for sel, res in zip(idxs, ray.get(futures)):
-            out[sel] = res
+        for (_sid, sel), sur in zip(routes, res):
+            out[sel] = sur
         return out
 
     def filter_unseen_refs(self, refs: list) -> list:
-        """Distributed anti-filter over Arrow block refs: every shard
-        actor extracts its own not-yet-committed rows from each shared
-        block (``filter_unseen_block``). Returns the refs of the unseen
-        rows — no driver materialization, O(blocks × shards) small
-        tasks."""
-        return [
-            shard.filter_unseen_block.remote(ref, self.num_shards)
-            for ref in refs
-            for shard in self.shards
-        ]
+        """Anti-filter over Arrow block refs: every shard extracts its
+        own not-yet-committed rows from each shared block
+        (``filter_unseen_block``). Returns the refs of the unseen rows,
+        block-major. Actors read each block from the object store, so
+        nothing passes through the driver; driver-held shards take one
+        block at a time (``ray.get``, filter, ``ray.put``), so the driver
+        holds one block. The crawl calls this only above its driver
+        size gate (``DRIVER_ROWS_MAX``)."""
+        if self.placement == "actors":
+            return [
+                shard.filter_unseen_block.remote(ref, self.num_shards)
+                for ref in refs
+                for shard in self.shards
+            ]
+        out = []
+        for ref in refs:
+            block = ray.get(ref)
+            out.extend(
+                ray.put(shard.filter_unseen_block(block, self.num_shards))
+                for shard in self.shards
+            )
+        return out
 
     def load_assigned_blocks(self, refs: list) -> None:
         """Bulk-commit pre-assigned (key, surrogate, seq) rows from
         Arrow block refs: every shard filters each shared block for its
-        own keys (``assign_block``). Used by the distributed bootstrap
-        and link admission."""
-        ray.get(
-            [
-                shard.assign_block.remote(ref, self.num_shards)
-                for ref in refs
-                for shard in self.shards
-            ]
-        )
+        own keys (``assign_block``). Driver-held shards take one block
+        at a time (``ray.get``, then assign), so the driver holds one
+        block. Used by the distributed bootstrap and link admission,
+        which run only above the crawl's driver size gate
+        (``DRIVER_ROWS_MAX``)."""
+        if self.placement == "actors":
+            ray.get(
+                [
+                    shard.assign_block.remote(ref, self.num_shards)
+                    for ref in refs
+                    for shard in self.shards
+                ]
+            )
+            return
+        for ref in refs:
+            block = ray.get(ref)
+            for shard in self.shards:
+                shard.assign_block(block, self.num_shards)
 
-    def snapshot_async(self, dir_path: str, mode: str = "full") -> list:
-        """Submit the per-shard snapshot writes and return their
-        futures WITHOUT blocking. Per-actor message ordering makes the
-        snapshot a consistent post-round cut even while the next
-        round's ``offer`` calls queue behind it; the caller must
-        ``ray.get`` the futures before treating the round as durable
-        (a half-written snapshot can only belong to an uncommitted
-        round, which is never restored).
+    def snapshot_async(self, dir_path: str, mode: str = "full") -> PendingSnapshot:
+        """Snapshot every shard to ``dir_path``. Actors write in the
+        background: per-actor message ordering makes the snapshot a
+        consistent post-round cut even while the next round's ``offer``
+        calls queue behind it. Driver-held shards write before this
+        returns. Either way the caller must ``wait()`` on the result
+        before treating the round as durable (a half-written snapshot
+        can only belong to an uncommitted round, which is never
+        restored).
 
         ``mode="delta"`` writes only each shard's additions since its
         previous snapshot — O(round) IO instead of O(total seen);
@@ -651,30 +751,37 @@ class ShardedSeenSet:
         (``restore_chain``). The crawl takes a full snapshot every
         ``snapshot_full_every`` rounds and deltas between."""
         os.makedirs(dir_path, exist_ok=True)
-        futs = [
-            s.snapshot.remote(os.path.join(dir_path, f"shard_{i}.npz"), mode)
-            for i, s in enumerate(self.shards)
+        calls = [
+            (i, (os.path.join(dir_path, f"shard_{i}.npz"), mode))
+            for i in range(self.num_shards)
         ]
+        if self.placement == "driver":
+            pending = PendingSnapshot(tiers=self._call("snapshot", calls))
+        else:
+            pending = PendingSnapshot(
+                futs=[self.shards[i].snapshot.remote(*args) for i, args in calls]
+            )
         tmp = os.path.join(dir_path, "_meta.tmp")
         with open(tmp, "w") as fh:
             fh.write(f"{self.next_surrogate}\n{mode}")
         os.replace(tmp, os.path.join(dir_path, "_meta"))
-        return futs
+        return pending
 
     def snapshot(self, dir_path: str, mode: str = "full") -> None:
-        ray.get(self.snapshot_async(dir_path, mode))
+        self.snapshot_async(dir_path, mode).wait()
 
     def _read_meta(self, dir_path: str) -> int:
         with open(os.path.join(dir_path, "_meta")) as fh:
             return int(fh.read().split()[0])
 
+    def _shard_files(self, dir_path: str) -> list:
+        return [
+            (i, (os.path.join(dir_path, f"shard_{i}.npz"),))
+            for i in range(self.num_shards)
+        ]
+
     def restore(self, dir_path: str) -> None:
-        ray.get(
-            [
-                s.restore.remote(os.path.join(dir_path, f"shard_{i}.npz"))
-                for i, s in enumerate(self.shards)
-            ]
-        )
+        self._call("restore", self._shard_files(dir_path))
         self.next_surrogate = self._read_meta(dir_path)
 
     def restore_chain(self, dirs: list[str]) -> None:
@@ -682,16 +789,10 @@ class ShardedSeenSet:
         in round order; ``next_surrogate`` comes from the last link."""
         self.restore(dirs[0])
         for d in dirs[1:]:
-            ray.get(
-                [
-                    s.apply_delta.remote(os.path.join(d, f"shard_{i}.npz"))
-                    for i, s in enumerate(self.shards)
-                ]
-            )
+            self._call("apply_delta", self._shard_files(d))
         self.next_surrogate = self._read_meta(dirs[-1])
 
     def to_table(self) -> pa.Table:
         """Full (key, surrogate, first_seq) table, sorted by surrogate.
         Test/summary scale only (materializes every shard)."""
-        t = pa.concat_tables(ray.get([s.dump.remote() for s in self.shards]))
-        return t.sort_by("surrogate")
+        return pa.concat_tables(self._each("dump")).sort_by("surrogate")
