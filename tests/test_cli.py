@@ -334,6 +334,36 @@ def test_cli_curate_hands_dedup_a_materialized_table(
     kept = _read_dir(out_dir)
     assert 0 < len(kept) < len(src) and kept[id_col].is_unique
     assert "__dedup_sid" not in kept.columns
+    if id_col == "url":
+        # the surrogate changes which row of a cluster wins, not the
+        # clusters: the corpus only plants exact copies, so each kept
+        # url row maps one-to-one, by text, onto a kept row of the
+        # doc_id run
+        by_doc = str(tmp_path / "cur_doc_id")
+        assert cli.main([
+            "curate", "--input", path, "--out", by_doc, "--id-col", "doc_id",
+            "--keep-unterminated", "--dedup", "minhash",
+        ]) == 0
+        kept_doc = _read_dir(by_doc)
+        assert kept["text"].is_unique and kept_doc["text"].is_unique
+        assert sorted(kept["text"]) == sorted(kept_doc["text"])
+
+
+@pytest.mark.parametrize("method", ["minhash", "simhash"])
+def test_cli_dedup_keeps_null_text_rows(method, tmp_path, capsys, ray_session):
+    """A null text is kept and never matched; it does not fail the job."""
+    path = str(tmp_path / "nulls.parquet")
+    pd.DataFrame({
+        "doc_id": np.arange(4, dtype=np.int64),
+        "text": ["one shared text of the corpus", None,
+                 "one shared text of the corpus", None],
+    }).to_parquet(path, index=False)
+    out = str(tmp_path / f"out_{method}")
+    assert cli.main(["dedup", "--input", path, "--out", out,
+                     "--method", method]) == 0
+    report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert report["rows_removed"] == 1
+    assert sorted(_read_dir(out)["doc_id"]) == [0, 1, 3]
 
 
 def test_cli_full_story_ingest_analyze_curate(tmp_path, capsys, ray_session):

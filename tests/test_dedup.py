@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import HealthCheck, given, settings as hyp_settings, strategies as st
 
 import ray.data as rd
 
@@ -101,6 +102,40 @@ class TestMinhashMath:
         for i in range(len(texts)):
             np.testing.assert_array_equal(buckets[i], band_buckets(sigs[i], 8))
 
+    def test_char_shingle_hashes_equal_percent_form(self):
+        # the floor-divide mod must give the `%` fold's hashes bit for
+        # bit (winnowing fingerprints are compared across runs)
+        from vat_abcd_crawler_ray.pipelines.dedup import (
+            _MH_CB,
+            _MH_P,
+            char_shingle_hashes,
+        )
+
+        def percent_form(text, k):
+            cp = np.frombuffer(text.encode("utf-32-le"), np.uint32).astype(np.int64)
+            n = len(cp)
+            if n < k:
+                h = np.int64(0)
+                for c in cp:
+                    h = (h * _MH_CB + c) % _MH_P
+                return np.array([h], dtype=np.int64)
+            h = np.zeros(n - k + 1, dtype=np.int64)
+            for j in range(k):
+                h = (h * _MH_CB + cp[j : n - k + 1 + j]) % _MH_P
+            return h
+
+        rng = np.random.default_rng(5)
+        # code points from ASCII to the astral planes, surrogates excluded
+        pool = np.r_[
+            np.arange(32, 127), np.arange(0xA0, 0xD800), np.arange(0xE000, 0x110000)
+        ]
+        for _ in range(200):
+            text = "".join(map(chr, rng.choice(pool, int(rng.integers(0, 80)))))
+            for k in (5, 20):
+                np.testing.assert_array_equal(
+                    char_shingle_hashes(text, k), percent_form(text, k)
+                )
+
     def test_ngram_jaccard(self):
         assert ngram_jaccard("a b c d e", "a b c d e") == 1.0
         assert ngram_jaccard("a b c d e", "x y z w v") == 0.0
@@ -120,26 +155,40 @@ class TestMinhashMath:
 class TestGateBranches:
     """The size-gated scale paths must agree with the default paths."""
 
-    def test_hot_reps_distributed_equals_driver(self):
-        from vat_abcd_crawler_ray.pipelines.dedup import (
-            _hot_reps,
-            _perm_params,
-            minhash_signatures_batch,
-        )
+    @pytest.mark.parametrize("parts", [1, 4])
+    def test_hot_reps_one_or_many_partitions_equal_reference(
+        self, parts, monkeypatch
+    ):
+        # _hot_reps combines the signing tasks' per-block band partials
+        # with hot_combine alone; one reducer or several, it must give
+        # the hot buckets and min ids of the exploded band table
+        import ray
 
-        a, b = _perm_params(64)
+        import vat_abcd_crawler_ray.pipelines.dedup as dd
+
+        a, b = dd._perm_params(64)
         rows = _docs()
-        sigs = minhash_signatures_batch([r["text"] for r in rows], a, b, 5)
-        sigs_ds = rd.from_items(
-            [
-                {"id": r["doc_id"], "sig": s.tobytes()}
-                for r, s in zip(rows, sigs)
-            ]
+        ids = np.array([r["doc_id"] for r in rows], np.int64)
+        sigs = dd.minhash_signatures_batch([r["text"] for r in rows], a, b, 5)
+        partials = [
+            dd._band_partial(ids[s], sigs[s], 16)
+            for s in (slice(0, 9), slice(9, 17), slice(17, None))
+        ]
+        monkeypatch.setattr(dd, "combine_parts", lambda rows: parts)
+        buckets, rep_ids = dd._hot_reps(
+            [ray.put(p) for p in partials], sum(p.num_rows for p in partials)
         )
-        drv = _hot_reps(sigs_ds, bands=16, driver_limit=10_000_000)
-        dist = _hot_reps(sigs_ds, bands=16, driver_limit=0)
-        np.testing.assert_array_equal(drv[0], dist[0])
-        np.testing.assert_array_equal(drv[1], dist[1])
+        band = pd.DataFrame(
+            {
+                "bucket": dd.band_buckets_batch(sigs, 16).ravel(),
+                "id": np.repeat(ids, 16),
+            }
+        )
+        ref = band.groupby("bucket").agg(n=("id", "size"), rep=("id", "min"))
+        ref = ref[ref["n"] >= 2]
+        np.testing.assert_array_equal(buckets, ref.index.to_numpy(np.int64))
+        np.testing.assert_array_equal(rep_ids, ref["rep"].to_numpy(np.int64))
+        assert len(buckets) >= 16  # the planted copies share every band
 
     def test_minhash_grouped_fallback_equals_broadcast(self, monkeypatch):
         import vat_abcd_crawler_ray.pipelines.dedup as dd
@@ -160,6 +209,18 @@ class TestGateBranches:
 
 
 @pytest.mark.usefixtures("ray_session")
+class TestMinhashArguments:
+    def test_bands_must_divide_num_perm(self):
+        with pytest.raises(ValueError, match="multiple of bands"):
+            minhash_lsh_dedup(rd.from_items(_docs()), num_perm=64, bands=10)
+
+    @pytest.mark.parametrize("threshold", [0.0, -0.5, 1.01])
+    def test_threshold_outside_unit_interval(self, threshold):
+        with pytest.raises(ValueError, match="threshold"):
+            minhash_lsh_dedup(rd.from_items(_docs()), threshold=threshold)
+
+
+@pytest.mark.usefixtures("ray_session")
 class TestNearDedup:
     def test_minhash_lsh_removes_exact_and_near(self):
         out, edges = minhash_lsh_dedup(
@@ -170,6 +231,12 @@ class TestNearDedup:
         assert 102 not in kept  # near-dup of 1 caught
         assert 0 in kept and 1 in kept
         assert edges.count() >= 3
+
+    def test_minhash_on_blocks_left_empty_by_a_filter(self):
+        # a filter can leave empty blocks without a schema; the dedup's
+        # block tasks must take them
+        ds = rd.from_items(_docs()).filter(lambda r: r["doc_id"] > 10_000)
+        assert minhash_lsh_dedup(ds).count() == 0
 
     def test_simhash_dedup(self):
         out = simhash_dedup(rd.from_items(_docs()), hamming_max=3).to_pandas()
@@ -190,3 +257,104 @@ class TestNearDedup:
             rd.from_items(rows), threshold=0.99
         ).to_pandas()
         assert {(0, 100)} == set(zip(pairs["id_a"], pairs["id_b"]))
+
+
+# ---------------------------------------------------------------------------
+# kept ids against a per-document reference
+# ---------------------------------------------------------------------------
+
+_VOCAB = [f"{c}{v}{n}" for c in "bcdfgklmnprst" for v in "aeiou" for n in "lnrs"]
+
+
+def _reference_kept(rows, threshold=0.8, num_perm=64, bands=16, k=5):
+    """Kept ids from signing EVERY row on its own: per-doc
+    ``minhash_signature`` + ``band_buckets``, star verify against each
+    bucket's min id, ``components_driver``, min id per component."""
+    from collections import defaultdict
+
+    from vat_abcd_crawler_ray.ops.components import components_driver
+    from vat_abcd_crawler_ray.pipelines.dedup import band_buckets
+
+    a, b = _perm_params(num_perm)
+    sigs = {
+        i: minhash_signature(char_shingles(t, k), a, b)
+        for i, t in rows
+        if t is not None
+    }
+    buckets = defaultdict(set)
+    for i, sig in sigs.items():
+        for bucket in band_buckets(sig, bands):
+            buckets[int(bucket)].add(i)
+    edges = set()
+    for members in buckets.values():
+        rep = min(members)
+        for m in members - {rep}:
+            if (sigs[m] == sigs[rep]).mean() >= threshold:
+                edges.add((rep, m))
+    labels = components_driver(pd.DataFrame(sorted(edges), columns=["src", "dst"]))
+    removed = {n for n, lab in labels.items() if n != lab}
+    return sorted(i for i, _ in rows if i not in removed)
+
+
+def _corpus(kind: str, seed: int):
+    """(id, text) rows of one corpus kind, ids shuffled so that a copy's
+    id may be smaller than its original's; two null texts ride along."""
+    rng = np.random.default_rng(seed)
+    base = [
+        " ".join(rng.choice(_VOCAB, int(rng.integers(30, 60))))
+        for _ in range(int(rng.integers(4, 10)))
+    ]
+    texts = list(base)
+    near = []
+    if kind in ("near", "copies_of_near"):
+        for t in base[: len(base) // 2]:
+            words = t.split()
+            words[int(rng.integers(len(words)))] = "zzz"
+            near.append(" ".join(words))
+        texts += near
+    if kind == "exact":
+        texts += [base[int(j)] for j in rng.integers(0, len(base), len(base))]
+    if kind == "copies_of_near":
+        texts += [near[int(j)] for j in rng.integers(0, len(near), 2 * len(near))]
+    texts += [None, None]
+    ids = rng.permutation(10 * len(texts))[: len(texts)]
+    return [(int(i), t) for i, t in zip(ids, texts)]
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestMinhashEqualsPerDocReference:
+    """The kept ids of the one-sign-per-distinct-text pipeline equal a
+    reference that signs every row, on the broadcast path (exact-copy
+    collapse on) and on the grouped path (collapse off)."""
+
+    @pytest.mark.parametrize("path", ["broadcast", "grouped"])
+    @pytest.mark.parametrize("kind", ["exact", "near", "copies_of_near", "distinct"])
+    @given(seed=st.integers(0, 2**31 - 1))
+    @hyp_settings(max_examples=3, deadline=None,
+                  suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_kept_ids_and_edges(self, kind, path, seed):
+        import vat_abcd_crawler_ray.pipelines.dedup as dd
+
+        rows = _corpus(kind, seed)
+        frame = pd.DataFrame(rows, columns=["doc_id", "text"])
+        ds = rd.from_pandas([frame.iloc[0::2], frame.iloc[1::2]])
+        with pytest.MonkeyPatch.context() as mp:
+            if path == "grouped":
+                mp.setattr(dd, "_REP_BROADCAST_LIMIT", -1)
+            out, edges = dd.minhash_lsh_dedup(ds, return_edges=True)
+            kept = sorted(out.to_pandas()["doc_id"].tolist())
+            # an edge-free result may come back without columns
+            edges = edges.to_pandas().reindex(columns=["src", "dst"])
+        assert kept == _reference_kept(rows)
+        # every removed id, and only those, is an edge's dst
+        removed = set(frame["doc_id"]) - set(kept)
+        assert set(edges["dst"]) == removed
+        assert set(frame.loc[frame["text"].isna(), "doc_id"]) <= set(kept)
+        if path == "broadcast":
+            # exact copies are (min id of their text, id) edges
+            texts = frame.dropna()
+            owner = texts.groupby("text")["doc_id"].transform("min")
+            copies = owner != texts["doc_id"]
+            assert set(zip(owner[copies], texts["doc_id"][copies])) <= set(
+                zip(edges["src"], edges["dst"])
+            )

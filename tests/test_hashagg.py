@@ -81,3 +81,31 @@ class TestHotCombine:
         ds = rd.from_pandas(df)
         keys, mins = hot_combine(ds, min_col="min_id", parts=8)
         assert keys.size == 0 and mins.size == 0
+
+    @pytest.mark.parametrize("parts", [1, 4])
+    def test_fixed_binary_keys(self, parts):
+        # the MinHash exact-copy combine keys on 16-byte content digests
+        import pyarrow as pa
+        import ray
+
+        rng = np.random.default_rng(13)
+        pool = rng.bytes(16 * 300)
+        keys = [pool[16 * j : 16 * j + 16] for j in rng.integers(0, 300, 2_000)]
+        ids = rng.permutation(2_000).astype(np.int64)
+        blocks = [
+            ray.put(pa.table({
+                "key": pa.array(keys[s : s + 500], pa.binary(16)),
+                "n": np.ones(len(keys[s : s + 500]), np.int64),
+                "min_id": ids[s : s + 500],
+            }))
+            for s in range(0, 2_000, 500)
+        ]
+        got_keys, got_mins = hot_combine(
+            blocks, key="key", min_col="min_id", min_count=2, parts=parts
+        )
+        ref = pd.DataFrame({"key": keys, "id": ids}).groupby("key")["id"].agg(
+            ["size", "min"]
+        )
+        ref = ref[ref["size"] >= 2].sort_index()
+        assert list(got_keys) == list(ref.index)
+        np.testing.assert_array_equal(got_mins, ref["min"].to_numpy(np.int64))

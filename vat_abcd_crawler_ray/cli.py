@@ -330,6 +330,7 @@ def cmd_curate(args: argparse.Namespace) -> int:
     import ray.data
 
     from .functions import textstats as ts
+    from .functions.urlkeys import murmur3_64_batch
     from .ops.packing import pack_sequences
     from .ops.sampling import add_split_column, sample_by_hash
 
@@ -341,6 +342,18 @@ def cmd_curate(args: argparse.Namespace) -> int:
     )
     id_col, text_col = args.id_col, args.text_col
     require_terminal = not args.keep_unterminated
+    # the dedup family keys on int64 ids; a non-integer id column
+    # (urls) rides through a stable murmur3 surrogate added by the
+    # curate map and dropped after the dedup (collision odds ~n^2/2^64
+    # — nil at any corpus)
+    did = id_col
+    if args.dedup:
+        import pyarrow.dataset as pds
+        import pyarrow.types as pat
+
+        schema = pds.dataset(args.input, format="parquet").schema
+        if not pat.is_integer(schema.field(id_col).type):
+            did = "__dedup_sid"
 
     def curate(df: pd.DataFrame) -> pd.DataFrame:
         cl = ts.clean_lines(
@@ -355,48 +368,22 @@ def cmd_curate(args: argparse.Namespace) -> int:
             if c != "text":
                 out[c] = sc[c]
         out["n_tokens"] = ts.token_count(sc["text"])
+        if did != id_col:
+            out[did] = murmur3_64_batch(
+                df[id_col].astype(str).tolist()
+            ).astype("int64")
         return out
 
     ds = ds.map_batches(curate, batch_format="pandas")
     if args.dedup:
         # near-dup removal INSIDE the chain (post-clean/scrub text is
         # what should be compared — boilerplate removal first makes
-        # the similarity signal about content, not chrome). The dedup
-        # family keys on int64 ids; string id columns (urls) ride
-        # through a stable murmur3 surrogate added for the step and
-        # dropped after (collision odds ~n^2/2^64 — nil at any corpus)
-        import pyarrow.types as pat
-
-        from .functions.urlkeys import murmur3_64_batch
+        # the similarity signal about content, not chrome)
         from .pipelines import dedup as dd
 
-        # the dedup reads its input twice (sign, then the anti-join),
-        # and the schema probe would run the chain once more: clean,
-        # scrub and count tokens once, and let all three read the blocks
+        # the dedup reads its input more than once: clean, scrub and
+        # count tokens once, and let every read share the blocks
         ds = ds.materialize()
-        did = id_col
-        sch = ds.schema()  # Ray schema wrapper: parallel names/types
-        id_type = sch.types[sch.names.index(id_col)]
-        # Ray may report a PYTHON type (object) for pandas-produced
-        # string columns; only a genuine Arrow integer skips the sid
-        import pyarrow as _pa
-
-        is_int_id = isinstance(id_type, _pa.DataType) and pat.is_integer(
-            id_type
-        )
-        if not is_int_id:
-            did = "__dedup_sid"
-
-            def add_sid(df: pd.DataFrame, _id=id_col) -> pd.DataFrame:
-                out = df.copy()
-                out["__dedup_sid"] = murmur3_64_batch(
-                    df[_id].astype(str).tolist()
-                ).astype("int64")
-                return out
-
-            # a cheap map over the cleaned blocks, materialized for the
-            # same two dedup reads
-            ds = ds.map_batches(add_sid, batch_format="pandas").materialize()
         if args.dedup == "exact":
             ds = dd.exact_dedup(ds, text_col="text", id_col=did)
         elif args.dedup == "minhash":
@@ -407,7 +394,7 @@ def cmd_curate(args: argparse.Namespace) -> int:
         else:  # simhash
             ds = dd.simhash_dedup(ds, text_col="text", id_col=did)
         if did != id_col:
-            ds = ds.drop_columns(["__dedup_sid"])
+            ds = ds.drop_columns([did])
     if args.ppl_model:
         # CCNet-style LM filter: drop docs above the perplexity cap
         # (model trained once via `lm-train`, broadcast to every task)

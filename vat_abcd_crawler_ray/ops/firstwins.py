@@ -35,18 +35,13 @@ import numpy as np
 import pyarrow as pa
 import ray
 
-from .hashagg import hot_combine
+from .hashagg import combine_parts, hot_combine
 
 
 def _as_arrow(block) -> pa.Table:
     if isinstance(block, pa.Table):
         return block
     return pa.Table.from_pandas(block, preserve_index=False)
-
-
-# partial rows per combine partition when the caller leaves ``parts``
-# unset: ~24 MB of (key, n, val) per reducer
-_ROWS_PER_PART = 1 << 20
 
 
 @ray.remote(num_cpus=0.5, num_returns=2)
@@ -88,8 +83,8 @@ def winner_vals(
     empty — bootstrap derives ``next_seq`` from it without a separate
     Dataset ``max()`` execution). ``parts`` is the combine's
     partition count; by default it follows the observed partial volume
-    (one per ``_ROWS_PER_PART`` rows, capped at the cluster's CPUs), so
-    a small round pays one reducer, not one per CPU.
+    (:func:`ops.hashagg.combine_parts`), so a small round pays one
+    reducer, not one per CPU.
     """
     metas, partial_refs = [], []
     for ref in block_refs:
@@ -102,9 +97,7 @@ def winner_vals(
         "vmax": max((m[2] for m in metas), default=-1),
     }
     if parts is None:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        partial_rows = sum(m[0] for m in metas)
-        parts = max(1, min(cpus, -(-partial_rows // _ROWS_PER_PART)))
+        parts = combine_parts(sum(m[0] for m in metas))
     _keys, mins = hot_combine(
         partial_refs,
         key=key,

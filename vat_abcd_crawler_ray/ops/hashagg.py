@@ -23,9 +23,9 @@ tasks and Arrow kernels:
 - **driver**: pulls per-reducer HOT counts first, so a caller gate
   (``hot_limit``) can bail out before fetching a single result table.
 
-Used by the dedup hot-bucket/hot-rep combines (``pipelines/dedup.py``)
-whenever the partial table is too large for the in-driver combine, by
-substring dedup, and by the crawl's first-wins (``ops/firstwins.py``).
+Used by the MinHash dedup's exact-copy and hot-rep combines and the
+hot-bucket combine (``pipelines/dedup.py``), by substring dedup, and by
+the crawl's first-wins (``ops/firstwins.py``).
 """
 
 from __future__ import annotations
@@ -191,6 +191,19 @@ def sum_combine_dataset(
     )
 
 
+# partial rows per combine partition when a caller sizes ``parts`` from
+# the observed partial volume: ~24 MB of (key, n, min) per reducer
+_ROWS_PER_PART = 1 << 20
+
+
+def combine_parts(partial_rows: int) -> int:
+    """Partition count for ``partial_rows`` partial rows: one per
+    ``_ROWS_PER_PART`` rows, capped at the cluster's CPUs, so a small
+    combine pays one reducer (and no split wave), not one per CPU."""
+    cpus = int(ray.cluster_resources().get("CPU", 8))
+    return max(1, min(cpus, -(-partial_rows // _ROWS_PER_PART)))
+
+
 def hot_combine(
     partials: "ray.data.Dataset",
     *,
@@ -205,10 +218,12 @@ def hot_combine(
     Arrow table refs — into the HOT groups (``sum >= min_count``),
     sorted by key.
 
-    Returns ``(keys, mins)`` int64 arrays (``mins`` is None when
-    ``min_col`` is None), or ``None`` when ``hot_limit`` is set and the
-    hot-group count exceeds it (checked from per-reducer counts before
-    any result table is fetched).
+    Returns ``(keys, mins)`` (``mins`` is None when ``min_col`` is
+    None), or ``None`` when ``hot_limit`` is set and the hot-group
+    count exceeds it (checked from per-reducer counts before any result
+    table is fetched). Integer keys come back as int64; other key types
+    (the dedup's 16-byte content digests) as an object array of their
+    Python values. ``mins`` is int64.
     """
     refs = partials if isinstance(partials, list) else partials.to_arrow_refs()
     if parts is None:
@@ -241,7 +256,9 @@ def hot_combine(
         keys = np.zeros(0, np.int64)
         return (keys, np.zeros(0, np.int64)) if min_col else (keys, None)
     tbl = pa.concat_tables(live)
-    keys = tbl[key].to_numpy(zero_copy_only=False).astype(np.int64)
+    keys = tbl[key].to_numpy(zero_copy_only=False)
+    if pa.types.is_integer(tbl[key].type):
+        keys = keys.astype(np.int64)
     order = np.argsort(keys)
     keys = keys[order]
     if min_col is None:

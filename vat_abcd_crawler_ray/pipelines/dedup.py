@@ -2,31 +2,38 @@
 core ops: exact (hash-partitioned first-wins), MinHash+LSH, SimHash,
 n-gram Jaccard, embedding-cosine near-dup.
 
-Design (all Ray-Data-first):
+Design:
 
 - **exact**: content key per batch (vectorized) → ``groupby(key)`` →
   per-group first-wins by min id — the T1 surrogate-dedup semantics
   (``/root/reference/src/storage/surrogate_key.rs:16-41``) applied to
   content instead of URLs. Only (key64, row) shuffles; within-group
   exact-text check guards hash collisions.
-- **minhash-LSH**: per batch shingle → k-permutation MinHash (numpy) →
-  explode to ``(bucket, id, signature)`` rows — bucket =
-  murmur3(band ‖ band-signature), the fixed 512-byte signature travels
-  through the shuffle, the text does NOT → hot-bucket prefilter →
-  ``groupby(bucket).map_groups`` star verification (signature-estimated
-  Jaccard against the min-id representative, REMOTE — the round-1
-  driver candidate pull is gone) → connected components
-  (ops/components.py: driver loop for sparse edge sets, iterated
-  Dataset min-label joins at scale) → duplicate keys removed via
-  ``ops.joins.anti_join_keys`` (broadcast below a size gate, bucketed
-  left-anti join above it).
+- **minhash-LSH**: plain Ray tasks over the input's materialized
+  blocks (one task per block per stage; no Dataset executions below
+  the broadcast gate). A 128-bit content digest per row gives per-block
+  (key, n, min_id) partials, combined by ``ops/hashagg.hot_combine``:
+  a row whose text a smaller id holds is an exact copy and is not
+  signed. Each signing task shingles → k-permutation MinHash (numpy)
+  and also emits its (bucket, n, min_id) band partials — bucket =
+  fold of (band ‖ band-signature); signatures, never text, leave the
+  task → ``hot_combine`` gives the hot buckets and their min-id
+  representatives → the reps' signatures are broadcast and each block
+  is star-verified (signature-estimated Jaccard against the rep) →
+  connected components (ops/components.py: driver loop for sparse
+  edge sets, iterated Dataset min-label joins at scale) → component
+  non-roots and exact copies removed via ``ops.joins.anti_join_keys``
+  (broadcast below a size gate, bucketed left-anti join above it).
+  Above the broadcast gate every row is signed (more duplicated texts)
+  or the star verify runs as ``groupby(bucket).map_groups`` over an
+  exploded (id, bucket, sig) band table (more hot buckets).
 - **ngram-jaccard**: exact word-n-gram Jaccard verification for a
   given candidate pair set (the precise second pass).
 - **simhash**: 64-bit token simhash — fully vectorized (batched
   murmur3 over the flattened token stream + segment reduction); near-
   dup = Hamming ≤ r with 4×16-bit band blocking (pigeonhole: distance
-  ≤ 3 ⇒ one band equal); same remote verify / components / anti-join
-  spine as minhash.
+  ≤ 3 ⇒ one band equal); all-pairs ``groupby(bucket)`` verify, then
+  the same components / anti-join spine as minhash.
 - **embedding near-dup**: block-wise cosine pairs via per-group numpy
   matmul (block = label here; kmeans/LSH cell at scale).
 
@@ -36,15 +43,18 @@ tiebreaks by min id; no wall-clock anywhere.
 
 from __future__ import annotations
 
+import hashlib
 import re
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import ray
 import ray.data
 
 from ..functions.urlkeys import murmur3_64_batch
 from ..ops.components import min_label_components
+from ..ops.hashagg import combine_parts, hot_combine
 from ..ops.joins import anti_join_keys
 
 _TOKEN = re.compile(r"\S+")
@@ -120,8 +130,11 @@ def char_shingle_hashes(text: str, k: int = 5) -> np.ndarray:
             h = (h * _MH_CB + c) % _MH_P
         return np.array([h], dtype=np.int64)
     h = np.zeros(n - k + 1, dtype=np.int64)
-    for j in range(k):  # k (=5) vectorized passes, not n passes
-        h = (h * _MH_CB + cp[j : n - k + 1 + j]) % _MH_P
+    q = np.empty_like(h)
+    for j in range(k):  # k vectorized passes, not n passes
+        h *= _MH_CB
+        h += cp[j : n - k + 1 + j]
+        _mod_p(h, q)
     return h
 
 
@@ -137,6 +150,18 @@ def minhash_signature(shingles: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.
     v += b[:, None]
     v %= _MH_P
     return v.min(axis=1)
+
+
+def _mod_p(v: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Exact in-place ``v mod P`` for 0 ≤ v < 2^63, with ``q`` a scratch
+    buffer of ``v``'s shape: ``v - (v // P)·P``. numpy divides by a
+    scalar through libdivide (a multiply and shifts per element), so
+    this beats ``v %= P``, whose int64 remainder is one hardware
+    division per element."""
+    np.floor_divide(v, _MH_P, out=q)
+    q *= _MH_P
+    v -= q
+    return v
 
 
 def _mod_p62(v: np.ndarray) -> np.ndarray:
@@ -207,16 +232,17 @@ def minhash_signatures_batch(
     # matrix: the matrix form allocates 8·perm·S bytes per batch
     # (77 MB at 512×300-char docs) and saturates memory bandwidth
     # across concurrent workers (measured 16 s → 66 s when batch size
-    # ×8); this form's working set is 8·S bytes. ``%`` beats the
-    # Mersenne fold here (1 hardware-div pass vs 9 cheap passes,
-    # measured 0.59 vs 0.84 per 10 batches).
+    # ×8); this form's working set is 16·S bytes. The reduction is
+    # ``_mod_p``'s floor-divide form: faster than both ``%=`` and the
+    # Mersenne fold (9 cheap passes), and bit-identical to ``%``.
     doc_starts = np.r_[0, np.cumsum(cnt)[:-1]]
     sigs = np.empty((D, num_perm), dtype=np.int64)
     buf = np.empty(tot, dtype=np.int64)
+    q = np.empty_like(buf)
     for p in range(num_perm):
         np.multiply(hv, a[p], out=buf)
         buf += b[p]
-        buf %= _MH_P
+        _mod_p(buf, q)
         sigs[:, p] = np.minimum.reduceat(buf, doc_starts)
     return sigs
 
@@ -271,50 +297,36 @@ def ngram_jaccard(text_a: str, text_b: str, n: int = 3) -> float:
 
 _EMPTY_EDGES = {"src": pd.Series(dtype=np.int64), "dst": pd.Series(dtype=np.int64)}
 
+# Max hot-group count for a broadcast. Two tables are broadcast: the
+# exact-copy table (24 B per text held by ≥2 rows) and the rep table
+# (~(16 + 8·num_perm) B per hot bucket, so 1M buckets ≈ 0.5 GiB in the
+# object store). Above it the signing skips the exact-copy collapse and
+# the star verify falls back to the grouped shuffle.
+_REP_BROADCAST_LIMIT = 1_000_000
 
-def _hot_buckets(
-    signed: "ray.data.Dataset", driver_limit: int = 5_000_000
-) -> np.ndarray:
-    """Bucket ids with ≥2 members, via per-batch PARTIAL counts (≤ one
-    row per distinct bucket per batch). The HOT set itself is
-    duplicate-bounded — tiny relative to the corpus — so it always
-    returns driver-side (it is broadcast next); only the COMBINE of
-    partials switches: below ``driver_limit`` partial rows a pandas
-    combine (a per-group map_groups over mostly-singleton buckets
-    costs ~0.1 ms Python each, and Ray's sort-based groupby-count
-    measured 37 s on 80k rows — both pathological here), above it the
-    hash-partitioned task combine (``ops/hashagg.py``) so the driver
-    never holds the full bucket-count table."""
+# texts per signing-kernel call: bounds the kernel's working set
+_SIGN_BATCH = 512
+
+
+def _hot_buckets(signed: "ray.data.Dataset") -> np.ndarray:
+    """Sorted bucket ids with ≥2 band-table rows, via per-batch PARTIAL
+    counts (≤ one row per distinct bucket per batch) combined by the
+    hash-partitioned task combine of ``ops/hashagg.py`` (Ray's
+    sort-based groupby-count measured 37 s on 80k mostly-singleton
+    rows). The HOT set itself is duplicate-bounded, so it returns
+    driver-side (it is broadcast next)."""
     partials = signed.map_batches(
         lambda df: df.groupby("bucket", sort=False).size().reset_index(name="n"),
         batch_format="pandas",
     ).materialize()
-    if partials.count() <= driver_limit:
-        import pyarrow as pa
-        import pyarrow.compute as pc
-
-        tbl = pa.concat_tables(ray.get(partials.to_arrow_refs()))
-        if not tbl.num_rows:
-            return np.zeros(0, np.int64)
-        g = pa.TableGroupBy(tbl, "bucket").aggregate([("n", "sum")])
-        g = g.filter(pc.greater_equal(g["n_sum"], pa.scalar(2)))
-        return np.sort(
-            g["bucket"].to_numpy(zero_copy_only=False).astype(np.int64)
-        )
-    # past the driver gate: hash-partitioned task combine (C++ hash-agg
-    # per partition) — Ray's sort-based groupby measured 705 s on 5.7M
-    # mostly-singleton partials at 32 CPUs (ops/hashagg.py docstring)
-    from ..ops.hashagg import hot_combine
-
-    keys, _ = hot_combine(partials, key="bucket", sum_col="n", min_count=2)
+    keys, _ = hot_combine(
+        partials,
+        key="bucket",
+        sum_col="n",
+        min_count=2,
+        parts=combine_parts(partials.count()),
+    )
     return keys
-
-
-# Max hot-bucket count for the broadcast star verify: the rep table
-# costs ~(16 + 8·num_perm) B per bucket, so 1M buckets ≈ 0.5 GiB in the
-# object store — comfortably a broadcast; above it the grouped shuffle
-# path takes over.
-_REP_BROADCAST_LIMIT = 1_000_000
 
 
 def _verify_fanout(n_groups: int, groups_per_task: int = 256) -> int:
@@ -333,168 +345,268 @@ def _sig_matrix(col: pd.Series) -> np.ndarray:
     return np.frombuffer(b"".join(col), np.int64).reshape(len(col), -1)
 
 
-def _hot_reps(
-    sigs_ds: "ray.data.Dataset", bands: int, driver_limit: int = 5_000_000
-):
-    """(hot_buckets, rep_ids) for buckets with ≥2 band-table rows, via
-    ONE slim pass over the per-doc signature table: each batch
-    recomputes its docs' band buckets from the signatures (a pure
-    function — the ×bands-replicated band table is never materialized)
-    and emits a partial (bucket, n, min_id) row per distinct bucket.
-    Below ``driver_limit`` partial rows the combine is a driver numpy
-    reduceat (Ray's sort groupby measured 37 s on 80k mostly-singleton
-    buckets); above it the hash-partitioned task combine of
-    ``ops/hashagg.py`` and the driver only pulls the duplicate-bounded
-    hot slice. Returns None if the
-    hot set exceeds the broadcast gate (caller falls back to the
-    grouped shuffle verify)."""
+def _block_refs(ds: "ray.data.Dataset") -> list:
+    """The block refs of ``ds`` materialized, in order. Iterating a
+    ``MaterializedDataset`` whose plan is marked executed starts no
+    executor; ``from_pandas``/``from_arrow_refs`` results are only
+    marked so by ``materialize()``, which for them runs nothing."""
+    ds = ds.materialize()
+    return [r for bundle in ds.iter_internal_ref_bundles() for r in bundle.block_refs]
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame(
-                {
-                    "bucket": pd.Series(dtype=np.int64),
-                    "n": pd.Series(dtype=np.int64),
-                    "min_id": pd.Series(dtype=np.int64),
-                }
-            )
-        ids = df["id"].to_numpy(np.int64)
-        flat = band_buckets_batch(_sig_matrix(df["sig"]), bands).ravel()
-        mids = np.repeat(ids, bands)
-        order = np.lexsort((mids, flat))
-        flat, mids = flat[order], mids[order]
-        first = np.ones(len(flat), dtype=bool)
-        first[1:] = flat[1:] != flat[:-1]
-        starts = np.flatnonzero(first)
-        counts = np.diff(np.append(starts, len(flat)))
-        return pd.DataFrame(
-            {"bucket": flat[first], "n": counts, "min_id": mids[first]}
-        )
 
-    partials = sigs_ds.map_batches(partial, batch_format="pandas").materialize()
-    if partials.count() <= driver_limit:
-        import pyarrow as pa
-        import pyarrow.compute as pc
+def _id_text(block, id_col: str, text_col: str):
+    """(ids, texts, live) of one Arrow or pandas block: int64 ids, the
+    texts as a list, and the positions of the non-null texts. An empty
+    block may have no schema (filter and shuffle ops emit such)."""
+    if not len(block):
+        return np.zeros(0, np.int64), [], np.zeros(0, np.int64)
+    if isinstance(block, pa.Table):
+        ids = block[id_col].to_numpy(zero_copy_only=False)
+        texts = block[text_col].to_pylist()
+    else:
+        ids = block[id_col].to_numpy()
+        texts = block[text_col].tolist()
+    is_text = np.fromiter((isinstance(t, str) for t in texts), bool, len(texts))
+    return ids.astype(np.int64, copy=False), texts, np.flatnonzero(is_text)
 
-        tbl = pa.concat_tables(ray.get(partials.to_arrow_refs()))
-        if not tbl.num_rows:
-            return np.zeros(0, np.int64), np.zeros(0, np.int64)
-        # C++ hash-agg (O(n)) instead of a driver-side numpy sort —
-        # only the duplicate-bounded HOT slice gets sorted (the rep
-        # arrays are searchsorted downstream)
-        g = pa.TableGroupBy(tbl, "bucket").aggregate(
-            [("n", "sum"), ("min_id", "min")]
-        )
-        g = g.filter(pc.greater_equal(g["n_sum"], pa.scalar(2)))
-        if g.num_rows > _REP_BROADCAST_LIMIT:
-            return None  # same broadcast gate as the distributed branch
-        bk = g["bucket"].to_numpy(zero_copy_only=False).astype(np.int64)
-        mi = g["min_id_min"].to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.argsort(bk)
-        return bk[order], mi[order]
-    # past the driver gate: hash-partitioned task combine (C++ hash-agg
-    # per partition) — Ray's sort-based groupby measured 705 s on 5.7M
-    # mostly-singleton partials at 32 CPUs (ops/hashagg.py docstring);
-    # the broadcast gate is checked from per-reducer counts before any
-    # hot slice is fetched
-    from ..ops.hashagg import hot_combine
 
+def _content_keys(texts: list) -> bytes:
+    """128-bit BLAKE2b digest of each text, concatenated (16 B each)."""
+    return b"".join(
+        hashlib.blake2b(t.encode("utf-8", "surrogatepass"), digest_size=16).digest()
+        for t in texts
+    )
+
+
+def _fixed_binary(buf, n: int, width: int) -> pa.Array:
+    """``n`` values of ``width`` bytes each over one contiguous buffer."""
+    return pa.FixedSizeBinaryArray.from_buffers(
+        pa.binary(width), n, [None, pa.py_buffer(buf)]
+    )
+
+
+def _table_sigs(t: pa.Table) -> np.ndarray:
+    """(D, num_perm) int64 view of a signature table's ``sig`` column."""
+    col = t["sig"].combine_chunks()
+    width = col.type.byte_width
+    if not len(col):
+        return np.zeros((0, width // 8), np.int64)
+    return np.frombuffer(
+        col.buffers()[1], np.int64, len(col) * width // 8, col.offset * width
+    ).reshape(len(col), width // 8)
+
+
+def _edge_table(src: np.ndarray, dst: np.ndarray) -> pa.Table:
+    return pa.table(
+        {"src": pa.array(src, pa.int64()), "dst": pa.array(dst, pa.int64())}
+    )
+
+
+def _edge_dataset(refs: list) -> "ray.data.Dataset":
+    """Edge Dataset over edge-table refs; one empty table when none."""
+    if not refs:
+        none = np.zeros(0, np.int64)
+        refs = [ray.put(_edge_table(none, none))]
+    return ray.data.from_arrow_refs(refs)
+
+
+@ray.remote(num_returns=2)
+def _copy_partial(block, id_col: str, text_col: str):
+    """(rows, partial) for one block: one (key, n, min_id) row per
+    distinct non-null text, keyed by its content digest."""
+    ids, texts, live = _id_text(block, id_col, text_col)
+    keyed = pa.table(
+        {
+            "key": _fixed_binary(
+                _content_keys([texts[i] for i in live]), len(live), 16
+            ),
+            "id": ids[live],
+        }
+    )
+    g = keyed.group_by("key").aggregate([("id", "count"), ("id", "min")])
+    partial = pa.table({"key": g["key"], "n": g["id_count"], "min_id": g["id_min"]})
+    return partial.num_rows, partial
+
+
+def _exact_groups(refs: list, id_col: str, text_col: str):
+    """(keys, min_ids) of the texts held by ≥2 rows — content digests
+    as a sorted ``S16`` array and each text's min id — or None when
+    there are none or more than ``_REP_BROADCAST_LIMIT``."""
+    metas, partials = zip(*(_copy_partial.remote(r, id_col, text_col) for r in refs))
     res = hot_combine(
+        list(partials),
+        key="key",
+        sum_col="n",
+        min_col="min_id",
+        min_count=2,
+        hot_limit=_REP_BROADCAST_LIMIT,
+        parts=combine_parts(sum(ray.get(list(metas)))),
+    )
+    if res is None or not len(res[0]):
+        return None
+    return res[0].astype("S16"), res[1]
+
+
+def _band_partial(ids: np.ndarray, sigs: np.ndarray, bands: int) -> pa.Table:
+    """One (bucket, n, min_id) row per distinct band bucket of these
+    docs — the bucket keys are recomputed from the signatures, so the
+    ×bands band table is never built."""
+    if not len(ids):
+        none = pa.array([], pa.int64())
+        return pa.table({"bucket": none, "n": none, "min_id": none})
+    flat = band_buckets_batch(sigs, bands).ravel()
+    mids = np.repeat(ids, bands)
+    order = np.lexsort((mids, flat))
+    flat, mids = flat[order], mids[order]
+    first = np.ones(len(flat), dtype=bool)
+    first[1:] = flat[1:] != flat[:-1]
+    counts = np.diff(np.append(np.flatnonzero(first), len(flat)))
+    return pa.table({"bucket": flat[first], "n": counts, "min_id": mids[first]})
+
+
+@ray.remote(num_returns=4)
+def _sign_block(block, id_col, text_col, a, b, k, bands, copies):
+    """Sign one block → (partial_rows, sig table (id, sig), band
+    partial, exact-copy edges). With ``copies`` (sorted digests, min
+    ids of the texts held by ≥2 rows), a row whose text a smaller id
+    holds is not signed: it becomes an exact-copy edge (min_id, id).
+    Null texts are neither signed nor matched."""
+    ids, texts, live = _id_text(block, id_col, text_col)
+    src = dst = np.zeros(0, np.int64)
+    if copies is not None:
+        keys, mins = copies
+        mine = np.frombuffer(_content_keys([texts[i] for i in live]), "S16")
+        pos = np.minimum(np.searchsorted(keys, mine), len(keys) - 1)
+        owner = np.where(keys[pos] == mine, mins[pos], ids[live])
+        copy = owner != ids[live]
+        src, dst = owner[copy], ids[live[copy]]
+        live = live[~copy]
+    sigs = np.empty((len(live), len(a)), np.int64)
+    for s in range(0, len(live), _SIGN_BATCH):
+        chunk = live[s : s + _SIGN_BATCH]
+        sigs[s : s + len(chunk)] = minhash_signatures_batch(
+            [texts[i] for i in chunk], a, b, k
+        )
+    ids = ids[live]
+    partial = _band_partial(ids, sigs, bands)
+    sig_table = pa.table(
+        {"id": ids, "sig": _fixed_binary(sigs, len(ids), 8 * len(a))}
+    )
+    return partial.num_rows, sig_table, partial, _edge_table(src, dst)
+
+
+def _hot_reps(partials: list, partial_rows: int):
+    """(hot_buckets, rep_ids): the sorted buckets held by ≥2 signed docs
+    and each one's min id, combined from the signing tasks' band
+    partials by the hash-partitioned task combine (partition count
+    from the observed partial volume). None if the hot set exceeds the
+    broadcast gate (the caller falls back to the grouped shuffle
+    verify)."""
+    return hot_combine(
         partials,
         key="bucket",
         sum_col="n",
         min_col="min_id",
         min_count=2,
         hot_limit=_REP_BROADCAST_LIMIT,
+        parts=combine_parts(partial_rows),
     )
-    if res is None:
-        return None
-    return res
+
+
+@ray.remote
+def _rep_rows(sig_table: pa.Table, rep_ids: np.ndarray) -> pa.Table:
+    """The rows of one signature block whose id is a representative."""
+    ids = sig_table["id"].to_numpy()
+    pos = np.minimum(np.searchsorted(rep_ids, ids), len(rep_ids) - 1)
+    return sig_table.filter(rep_ids[pos] == ids)
+
+
+@ray.remote
+def _verify_block(sig_table: pa.Table, reps: tuple, bands: int, threshold: float):
+    """Star-verify one signature block against the broadcast rep table:
+    recompute each doc's band buckets, match them against the hot
+    buckets and compare signatures with each distinct rep met."""
+    rb, uri, ridx, rs = reps
+    ids = sig_table["id"].to_numpy()
+    if not len(ids):
+        return _edge_table(ids, ids)
+    sigs = _table_sigs(sig_table)
+    flat = band_buckets_batch(sigs, bands).ravel()
+    rows = np.repeat(np.arange(len(ids)), bands)
+    pos = np.minimum(np.searchsorted(rb, flat), len(rb) - 1)
+    valid = (rb[pos] == flat) & (uri[ridx[pos]] != ids[rows])
+    rows, ri_hit = rows[valid], ridx[pos[valid]]
+    # one comparison per distinct (member, rep) pair: near-dup members
+    # share most bands, so keying by REP ID — not bucket — collapses
+    # the ~bands-fold duplicate pairs before the signature compare
+    pair = np.unique(rows * np.int64(len(rs) + 1) + ri_hit)
+    rows, ri_hit = pair // (len(rs) + 1), pair % (len(rs) + 1)
+    est = (sigs[rows] == rs[ri_hit]).mean(axis=1) if len(rows) else np.zeros(0)
+    hit = est >= threshold
+    return _edge_table(uri[ri_hit[hit]], ids[rows[hit]])
 
 
 def _star_verify_broadcast(
-    sigs_ds: "ray.data.Dataset",
+    sig_refs: list,
     rep_buckets: np.ndarray,
     rep_ids: np.ndarray,
     bands: int,
     threshold: float,
-) -> "ray.data.Dataset":
-    """Shuffle-free star verification over the per-doc signature table:
-    fetch the hot buckets' min-id representative signatures (a filter
-    pass bounded by the rep count, which already passed the broadcast
-    gate), broadcast them, and in ONE vectorized pass recompute each
-    doc's band buckets, match them against the rep table and compare
-    signatures. Emits the same edge set as the grouped star verify:
-    (rep_id, member_id) where the estimated Jaccard (mean signature
-    agreement) ≥ threshold — a member meets each hot bucket it occupies
-    exactly as a band-table row would, minus the ×bands sig-byte
-    replication through the object store (measured 1.6 GB → 0.1 GB at
-    200k docs × 16 bands × 64 perms)."""
+) -> list:
+    """Shuffle-free star verification → one edge-table ref per
+    signature block: fetch the hot buckets' min-id representative
+    signatures (bounded by the rep count, which already passed the
+    broadcast gate), broadcast them, and verify each block in one
+    vectorized task. Emits the same edge set as the grouped star
+    verify: (rep_id, member_id) where the estimated Jaccard (mean
+    signature agreement) ≥ threshold — a member meets each hot bucket
+    it occupies exactly as a band-table row would, minus the ×bands
+    sig-byte replication through the object store (measured 1.6 GB →
+    0.1 GB at 200k docs × 16 bands × 64 perms)."""
+    if not len(rep_ids):
+        return []
     uniq_rep_ids = np.unique(rep_ids)
-    rep_id_ref = ray.put(uniq_rep_ids)
-
-    def is_rep(df: pd.DataFrame) -> pd.DataFrame:
-        ri = ray.get(rep_id_ref)
-        if not len(ri) or not len(df):
-            return df.iloc[:0][["id", "sig"]]
-        ids = df["id"].to_numpy(np.int64)
-        pos = np.searchsorted(ri, ids)
-        pos[pos == len(ri)] = 0
-        return df.loc[ri[pos] == ids, ["id", "sig"]]
-
-    reps = sigs_ds.map_batches(is_rep, batch_format="pandas").to_pandas()
-    rid = reps["id"].to_numpy(np.int64)
+    uniq_ref = ray.put(uniq_rep_ids)
+    reps = pa.concat_tables(ray.get([_rep_rows.remote(r, uniq_ref) for r in sig_refs]))
+    rid = reps["id"].to_numpy()
     rorder = np.argsort(rid)
-    rep_sigs_by_id = _sig_matrix(reps["sig"].iloc[rorder])  # id-sorted
-    # per-bucket → index into the id-sorted rep sig matrix (a doc can
-    # rep many buckets; near-dup members share most bands, so keying
-    # comparisons by REP ID — not bucket — collapses the ~bands-fold
-    # duplicate (member, rep) pairs before the signature compare)
+    rep_sigs_by_id = _table_sigs(reps.take(rorder))
+    # per-bucket index into the id-sorted rep sig matrix (a doc can rep
+    # many buckets)
     rep_idx = np.searchsorted(rid[rorder], rep_ids)
     rep_ref = ray.put((rep_buckets, uniq_rep_ids, rep_idx, rep_sigs_by_id))
+    return [_verify_block.remote(r, rep_ref, bands, threshold) for r in sig_refs]
 
-    def verify(df: pd.DataFrame) -> pd.DataFrame:
-        rb, uri, ridx, rs = ray.get(rep_ref)
-        if not len(df) or not len(rb):
-            return pd.DataFrame(_EMPTY_EDGES)
-        ids = df["id"].to_numpy(np.int64)
-        sigs = _sig_matrix(df["sig"])
-        flat = band_buckets_batch(sigs, bands).ravel()
-        rows = np.repeat(np.arange(len(df)), bands)
-        pos = np.searchsorted(rb, flat)
-        pos[pos == len(rb)] = 0
-        valid = (rb[pos] == flat) & (uri[ridx[pos]] != ids[rows])
-        rows, ri_hit = rows[valid], ridx[pos[valid]]
-        # one comparison per distinct (member, rep) pair
-        pair = np.unique(rows * np.int64(len(rs) + 1) + ri_hit)
-        rows, ri_hit = pair // (len(rs) + 1), pair % (len(rs) + 1)
-        est = (
-            (sigs[rows] == rs[ri_hit]).mean(axis=1) if len(rows) else np.zeros(0)
-        )
-        hit = est >= threshold
-        return pd.DataFrame({"src": uri[ri_hit[hit]], "dst": ids[rows[hit]]})
 
-    return sigs_ds.map_batches(verify, batch_format="pandas")
+@ray.remote
+def _removed_ids(block, keep_col: str, drop_col: str, id_col: str) -> pa.Table:
+    """``drop_col`` of the rows whose ``keep_col`` differs, as ``id_col``:
+    the non-root nodes of a (node, label) block, or the dst of an
+    exact-copy edge block."""
+    import pyarrow.compute as pc
+
+    t = block
+    if not isinstance(t, pa.Table):
+        t = pa.Table.from_pandas(t, preserve_index=False)
+    t = t.filter(pc.not_equal(t[keep_col], t[drop_col]))
+    return pa.table({id_col: t[drop_col].cast(pa.int64())})
 
 
 def _drop_duplicate_ids(
-    ds: "ray.data.Dataset", edges: "ray.data.Dataset", id_col: str
+    ds: "ray.data.Dataset",
+    edges: "ray.data.Dataset",
+    id_col: str,
+    copy_refs: list = (),
 ) -> "ray.data.Dataset":
     """Cluster verified edges, keep min id per cluster, remove the rest
-    from ``ds`` — every step Dataset-native (components and the anti
-    join auto-switch to their distributed forms past their size gates).
-    """
+    — and the dst of every exact-copy edge block in ``copy_refs`` —
+    from ``ds`` (components and the anti join auto-switch to their
+    distributed forms past their size gates)."""
     labels = min_label_components(edges)
-
-    def dups(t):
-        import pyarrow as pa
-        import pyarrow.compute as pc
-
-        t = t.filter(pc.not_equal(t["label"], t["node"]))
-        return pa.table({id_col: t["node"]})
-
-    dup_keys = labels.map_batches(dups, batch_format="pyarrow")
-    return anti_join_keys(ds, dup_keys, on=id_col)
+    removed = [
+        _removed_ids.remote(r, "label", "node", id_col) for r in _block_refs(labels)
+    ] + [_removed_ids.remote(r, "src", "dst", id_col) for r in copy_refs]
+    return anti_join_keys(ds, ray.data.from_arrow_refs(removed), on=id_col)
 
 
 def minhash_lsh_dedup(
@@ -509,58 +621,62 @@ def minhash_lsh_dedup(
     return_edges: bool = False,
 ):
     """Near-duplicate removal via MinHash + LSH banding; returns the
-    kept rows (min id per duplicate cluster).
+    kept rows (min id per duplicate cluster). Null texts are kept and
+    never matched.
 
-    Parallelism contract: the signing stage (the compute-dominant
-    step) runs one task per INPUT BLOCK — a dataset read from a single
-    parquet file without ``override_num_blocks`` arrives as one block
-    and signs on one core. Readers should split to ~2 blocks per CPU
-    (see bench.py); the redundant decode that over-splitting causes is
-    trivial next to the signing compute it parallelizes.
+    ``ds`` is materialized once (a no-op for a ``MaterializedDataset``);
+    every stage then runs as plain Ray tasks over its blocks, one task
+    per block per stage, and the kept rows are a lazy anti-join over
+    the same blocks. The signing (the compute-dominant step) thus runs
+    one task per INPUT BLOCK: a dataset read from a single parquet
+    file without ``override_num_blocks`` arrives as one block and
+    signs on one core. Readers should split to ~2 blocks per CPU.
 
-    ``ds`` is read twice, to sign and in the final anti-join: a caller
-    whose ``ds`` has an expensive upstream (``curate``'s clean map)
-    materializes it first."""
-    assert num_perm % bands == 0
+    Each distinct text is signed once: a row whose text a smaller id
+    also holds (128-bit content digest) is removed as an exact copy of
+    it. The kept rows are those of signing every row, because each
+    bucket's min-id representative is the min of its own exact group,
+    and exact copies share every bucket and verify at Jaccard 1.0.
+
+    ``return_edges`` also returns the edge Dataset: the verified
+    (rep_id, member_id) pairs and the exact-copy (min_id, id) pairs,
+    so every removed id appears as a ``dst``."""
+    if bands < 1 or num_perm % bands:
+        raise ValueError(f"num_perm ({num_perm}) must be a multiple of bands ({bands})")
+    if not 0 < threshold <= 1:
+        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
     a, b = _perm_params(num_perm, seed)
+    ds = ds.materialize()
+    refs = _block_refs(ds)
+    if not refs:
+        return (ds, _edge_dataset([])) if return_edges else ds
 
-    # Per-DOC signature table: (id, sig-bytes) once per doc. Band
-    # buckets are a pure function of the signature, so every later
-    # stage recomputes them per batch (64 cheap int folds per doc)
-    # instead of shipping a ×bands-replicated (id, bucket, sig) band
-    # table through the object store — measured 1.6 GB → 0.1 GB and
-    # 40.8 s → see bench at 200k docs × 16 bands.
-    def sign(batch: pd.DataFrame) -> pd.DataFrame:
-        ids = batch[id_col].to_numpy(dtype=np.int64)
-        sigs = minhash_signatures_batch(
-            list(batch[text_col]), a, b, shingle_k
-        )
-        return pd.DataFrame({"id": ids, "sig": [s.tobytes() for s in sigs]})
-
-    sigs_ds = ds.select_columns([id_col, text_col]).map_batches(
-        sign, batch_format="pandas", batch_size=512  # bound signature RAM
-    )
-    sigs_ds = sigs_ds.materialize()  # consumed by hot/rep pass + verify
+    # exact copies first: only texts held by ≥2 rows come back, and a
+    # copy of a smaller id's text skips the signing
+    copies = _exact_groups(refs, id_col, text_col)
+    copies_ref = ray.put(copies) if copies is not None else None
+    signed = [
+        _sign_block.remote(r, id_col, text_col, a, b, shingle_k, bands, copies_ref)
+        for r in refs
+    ]
+    sig_refs = [s[1] for s in signed]
+    copy_refs = [s[3] for s in signed] if copies is not None else []
 
     # STAR verification: estimate Jaccard only against the min-id
     # representative of each hot (≥2-member) bucket — O(|bucket|), not
     # O(|bucket|²); transitive members meet the same representative
     # through other bands, and min-label components still merge across
-    # buckets.
-    #
-    # Below the gate the rep table (one (bucket, id, sig) per hot
-    # bucket) is BROADCAST, so verification is a row-local vectorized
-    # map_batches with NO shuffle. Above the gate (rep table too big to
-    # broadcast: ~8·num_perm bytes per bucket) fall back to a grouped
-    # shuffle star verify over an (id, bucket, sig) band table built
-    # only in that branch.
-    reps = _hot_reps(sigs_ds, bands)
+    # buckets. Below the gate the rep table is BROADCAST and each
+    # signature block verifies in one task, with no shuffle; above it
+    # (~8·num_perm bytes per bucket) a grouped shuffle star verify runs
+    # over an (id, bucket, sig) band table built only in that branch.
+    reps = _hot_reps([s[2] for s in signed], sum(ray.get([s[0] for s in signed])))
     if reps is not None:
-        rep_buckets, rep_ids = reps
-        edges = _star_verify_broadcast(
-            sigs_ds, rep_buckets, rep_ids, bands, threshold
-        ).materialize()
+        edges = _edge_dataset(
+            _star_verify_broadcast(sig_refs, *reps, bands, threshold)
+        )
     else:
+        sigs_ds = ray.data.from_arrow_refs(sig_refs)
 
         def to_bands(df: pd.DataFrame) -> pd.DataFrame:
             sigs = _sig_matrix(df["sig"])
@@ -572,9 +688,9 @@ def minhash_lsh_dedup(
                 }
             )
 
-        signed = sigs_ds.map_batches(to_bands, batch_format="pandas")
-        signed = signed.materialize()
-        hot_arr = _hot_buckets(signed)
+        signed_ds = sigs_ds.map_batches(to_bands, batch_format="pandas")
+        signed_ds = signed_ds.materialize()
+        hot_arr = _hot_buckets(signed_ds)
         hot_ref = ray.put(hot_arr)
 
         def in_hot(df: pd.DataFrame) -> pd.DataFrame:
@@ -595,15 +711,19 @@ def minhash_lsh_dedup(
             )
 
         edges = (
-            signed.map_batches(in_hot, batch_format="pandas")
+            signed_ds.map_batches(in_hot, batch_format="pandas")
             .repartition(_verify_fanout(len(hot_arr)))
             .groupby("bucket")
             .map_groups(star_verify, batch_format="pandas")
             .materialize()
         )
 
-    out = _drop_duplicate_ids(ds, edges, id_col)
-    return (out, edges) if return_edges else out
+    out = _drop_duplicate_ids(ds, edges, id_col, copy_refs)
+    if not return_edges:
+        return out
+    if copy_refs:
+        edges = edges.union(_edge_dataset(copy_refs))
+    return out, edges
 
 
 # ---------------------------------------------------------------------------
@@ -692,11 +812,15 @@ def simhash_dedup(
     hamming_max: int = 3,
 ) -> "ray.data.Dataset":
     """Near-dup removal by simhash Hamming ≤ r with 16-bit band blocking.
+    Null texts are kept and never matched.
 
     ``ds`` is read twice, to sign and in the final anti-join: a caller
     whose ``ds`` has an expensive upstream materializes it first."""
 
     def sign(batch: pd.DataFrame) -> pd.DataFrame:
+        batch = batch.loc[
+            np.fromiter((isinstance(t, str) for t in batch[text_col]), bool, len(batch))
+        ]
         hs = simhash64_batch(list(batch[text_col]))
         ids = batch[id_col].to_numpy(dtype=np.int64)
         u = hs.view(np.uint64)
