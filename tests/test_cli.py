@@ -366,6 +366,38 @@ def test_cli_dedup_keeps_null_text_rows(method, tmp_path, capsys, ray_session):
     assert sorted(_read_dir(out)["doc_id"]) == [0, 1, 3]
 
 
+@pytest.mark.parametrize("method", ["exact", "minhash", "simhash"])
+def test_cli_curate_dedup_int_ids_with_nulls(method, tmp_path, ray_session):
+    """An integer id column with nulls: each null-id row gets a dedup
+    surrogate of its own, so one row per text is kept, copies among
+    null-id rows included, and the rows with a unique text all stay."""
+    import glob
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    texts = list(_docs_frame(12)["text"].drop_duplicates())[:5]
+    path = str(tmp_path / "null_ids.parquet")
+    pq.write_table(pa.table({
+        "doc_id": pa.array([0, 1, None, None, None, 5, None, 7], pa.int64()),
+        "text": [texts[0], texts[1], texts[0], texts[2], texts[2], texts[3],
+                 texts[4], texts[4]],
+    }), path)
+    out = str(tmp_path / f"cur_{method}")
+    assert cli.main([
+        "curate", "--input", path, "--out", out, "--keep-unterminated",
+        "--dedup", method,
+    ]) == 0
+    # part files whose ids are all null type the column as null, so
+    # they are read one by one rather than as one dataset
+    kept = pd.concat(
+        pq.read_table(f).to_pandas() for f in glob.glob(f"{out}/**/*.parquet", recursive=True)
+    )
+    assert len(kept) == 5 and kept["text"].is_unique
+    assert {1, 5} <= set(kept["doc_id"].dropna().astype(int))
+    assert "__dedup_sid" not in kept.columns
+
+
 def test_cli_full_story_ingest_analyze_curate(tmp_path, capsys, ray_session):
     """The product story as one flow: WARC shards → ingest → analyze
     (report sanity) → curate with dedup + split + packing."""

@@ -296,10 +296,45 @@ def _reference_kept(rows, threshold=0.8, num_perm=64, bands=16, k=5):
     return sorted(i for i, _ in rows if i not in removed)
 
 
+def _lone_copies_corpus(rng, verified: bool):
+    """A text held by rows 100-102 whose every band bucket also holds a
+    smaller-id variant of it, so no bucket has 100 as its rep. With
+    ``verified`` the variants reach the 0.8 threshold, and signing
+    every row removes all three; without, they fall short, nothing
+    links the three, and all are kept."""
+    from vat_abcd_crawler_ray.pipelines.dedup import band_buckets
+
+    a, b = _perm_params(64)
+    words = list(rng.choice(_VOCAB, 50))
+    text = " ".join(words)
+    sig = minhash_signature(char_shingles(text), a, b)
+    buckets = band_buckets(sig, 16)
+    cover = {}  # band → the first variant found sharing it
+    for _ in range(5000):
+        w = list(words)
+        changes = rng.integers(1, 3) if verified else rng.integers(4, 7)
+        for j in rng.choice(len(w), int(changes), replace=False):
+            w[j] = str(rng.choice(_VOCAB))
+        v = " ".join(w)
+        vs = minhash_signature(char_shingles(v), a, b)
+        if v == text or ((vs == sig).mean() >= 0.8) != verified:
+            continue
+        for band in np.flatnonzero(band_buckets(vs, 16) == buckets):
+            cover.setdefault(int(band), v)
+        if len(cover) == 16:
+            break
+    assert len(cover) == 16, "variant search did not cover every band"
+    variants = sorted(set(cover.values()))
+    rows = [(i + 1, v) for i, v in enumerate(variants)]
+    return rows + [(100, text), (101, text), (102, text), (103, None)]
+
+
 def _corpus(kind: str, seed: int):
     """(id, text) rows of one corpus kind, ids shuffled so that a copy's
     id may be smaller than its original's; two null texts ride along."""
     rng = np.random.default_rng(seed)
+    if kind in ("lone_copies", "verified_lone_copies"):
+        return _lone_copies_corpus(rng, verified=kind == "verified_lone_copies")
     base = [
         " ".join(rng.choice(_VOCAB, int(rng.integers(30, 60))))
         for _ in range(int(rng.integers(4, 10)))
@@ -324,16 +359,27 @@ def _corpus(kind: str, seed: int):
 @pytest.mark.usefixtures("ray_session")
 class TestMinhashEqualsPerDocReference:
     """The kept ids of the one-sign-per-distinct-text pipeline equal a
-    reference that signs every row, on the broadcast path (exact-copy
-    collapse on) and on the grouped path (collapse off)."""
+    reference that signs every row: with the exact-copy collapse on the
+    broadcast and the grouped star verify, and with the collapse off."""
 
-    @pytest.mark.parametrize("path", ["broadcast", "grouped"])
-    @pytest.mark.parametrize("kind", ["exact", "near", "copies_of_near", "distinct"])
+    @pytest.mark.parametrize("path", ["broadcast", "grouped", "uncollapsed"])
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            "exact",
+            "near",
+            "copies_of_near",
+            "distinct",
+            "lone_copies",
+            "verified_lone_copies",
+        ],
+    )
     @given(seed=st.integers(0, 2**31 - 1))
     @hyp_settings(max_examples=3, deadline=None,
                   suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_kept_ids_and_edges(self, kind, path, seed):
         import vat_abcd_crawler_ray.pipelines.dedup as dd
+        from vat_abcd_crawler_ray.ops.components import components_driver
 
         rows = _corpus(kind, seed)
         frame = pd.DataFrame(rows, columns=["doc_id", "text"])
@@ -341,20 +387,28 @@ class TestMinhashEqualsPerDocReference:
         with pytest.MonkeyPatch.context() as mp:
             if path == "grouped":
                 mp.setattr(dd, "_REP_BROADCAST_LIMIT", -1)
+            if path == "uncollapsed":
+                mp.setattr(dd, "_COPY_BROADCAST_LIMIT", -1)
             out, edges = dd.minhash_lsh_dedup(ds, return_edges=True)
             kept = sorted(out.to_pandas()["doc_id"].tolist())
             # an edge-free result may come back without columns
             edges = edges.to_pandas().reindex(columns=["src", "dst"])
         assert kept == _reference_kept(rows)
-        # every removed id, and only those, is an edge's dst
+        # the removed ids are exactly the non-root nodes of the edge
+        # graph's components
         removed = set(frame["doc_id"]) - set(kept)
-        assert set(edges["dst"]) == removed
+        labels = components_driver(edges)
+        assert {n for n, label in labels.items() if n != label} == removed
         assert set(frame.loc[frame["text"].isna(), "doc_id"]) <= set(kept)
-        if path == "broadcast":
-            # exact copies are (min id of their text, id) edges
+        if path != "uncollapsed":
+            # removed exact copies are (min id of their text, id) edges
             texts = frame.dropna()
             owner = texts.groupby("text")["doc_id"].transform("min")
-            copies = owner != texts["doc_id"]
+            copies = (owner != texts["doc_id"]) & texts["doc_id"].isin(removed)
             assert set(zip(owner[copies], texts["doc_id"][copies])) <= set(
                 zip(edges["src"], edges["dst"])
             )
+        if kind == "lone_copies":
+            assert {100, 101, 102} <= set(kept)
+        if kind == "verified_lone_copies":
+            assert not {100, 101, 102} & set(kept)

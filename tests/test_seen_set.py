@@ -13,12 +13,12 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
+from vat_abcd_crawler_ray.ops.blocks import block_refs
 from vat_abcd_crawler_ray.state import seen_set
 from vat_abcd_crawler_ray.state.cuckoo import CuckooFilter
 from vat_abcd_crawler_ray.state.seen_set import (
     SeenSetShard,
     ShardedSeenSet,
-    block_refs,
     first_wins_dataset,
     seen_placement,
     seen_shard_count,

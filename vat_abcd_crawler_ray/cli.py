@@ -320,6 +320,65 @@ def cmd_lm_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _dedup_sid(ids, int_ids: bool):
+    """int64 dedup surrogate per row of a pandas batch: an integer id
+    as itself, any other id as murmur3 of its string form (collision
+    odds ~n^2/2^64 — nil at any corpus). Null ids get a placeholder
+    that ``_number_null_ids`` replaces."""
+    import numpy as np
+
+    from .functions.urlkeys import murmur3_64_batch
+
+    if int_ids:  # pandas holds an integer column with nulls as float
+        return ids.fillna(0).to_numpy().astype(np.int64)
+    return murmur3_64_batch(ids.astype(str).tolist())
+
+
+def _null_count_digest(block, id_col: str) -> tuple:
+    """(null-id rows, 128-bit digest of the rows) of one pandas block."""
+    import hashlib
+
+    import pandas as pd
+
+    rows = pd.util.hash_pandas_object(block, index=False).to_numpy()
+    digest = hashlib.blake2b(rows.tobytes(), digest_size=16).digest()
+    return int(block[id_col].isna().sum()), digest
+
+
+def _set_null_sids(block, id_col: str, did: str, first: int):
+    """One pandas block with the surrogates of its null-id rows set to
+    INT64_MAX - first, - first - 1, ... in row order."""
+    import numpy as np
+
+    null = block[id_col].isna().to_numpy()
+    sid = block[did].to_numpy(np.int64).copy()
+    sid[null] = np.iinfo(np.int64).max - first - np.arange(null.sum())
+    return block.assign(**{did: sid})
+
+
+def _number_null_ids(ds, id_col: str, did: str):
+    """The materialized curate output ``ds`` with a surrogate of its
+    own for each null-id row: INT64_MAX minus its rank among the null-id
+    rows, counted over the blocks in content-digest order. The ranks
+    depend only on the data (blocks of equal content may swap, which
+    changes no output row), and they sort after the surrogate of
+    (almost) any id, so a row with an id wins over a copy without."""
+    import ray
+    import ray.data
+
+    from .ops.blocks import block_refs
+
+    refs = block_refs(ds)
+    count_digest = ray.remote(_null_count_digest)
+    keys = ray.get([count_digest.remote(r, id_col) for r in refs])
+    set_sids = ray.remote(_set_null_sids)
+    out, first = [None] * len(refs), 0
+    for i in sorted(range(len(refs)), key=lambda i: keys[i][1]):
+        out[i] = set_sids.remote(refs[i], id_col, did, first)
+        first += keys[i][0]
+    return ray.data.from_pandas_refs(out)
+
+
 def cmd_curate(args: argparse.Namespace) -> int:
     """One-pass web-corpus curation: C4 line cleaning → PII scrub →
     token count, then optional deterministic sampling, train/val/test
@@ -330,7 +389,6 @@ def cmd_curate(args: argparse.Namespace) -> int:
     import ray.data
 
     from .functions import textstats as ts
-    from .functions.urlkeys import murmur3_64_batch
     from .ops.packing import pack_sequences
     from .ops.sampling import add_split_column, sample_by_hash
 
@@ -342,17 +400,19 @@ def cmd_curate(args: argparse.Namespace) -> int:
     )
     id_col, text_col = args.id_col, args.text_col
     require_terminal = not args.keep_unterminated
-    # the dedup family keys on int64 ids; a non-integer id column
-    # (urls) rides through a stable murmur3 surrogate added by the
-    # curate map and dropped after the dedup (collision odds ~n^2/2^64
-    # — nil at any corpus)
+    # the dedup family keys on non-null int64 ids; a non-integer id
+    # column (urls), or one with nulls, rides through a surrogate added
+    # by the curate map and dropped after the dedup (see _dedup_sid)
     did = id_col
+    int_ids, null_ids = True, 0
     if args.dedup:
         import pyarrow.dataset as pds
         import pyarrow.types as pat
 
-        schema = pds.dataset(args.input, format="parquet").schema
-        if not pat.is_integer(schema.field(id_col).type):
+        src = pds.dataset(args.input, format="parquet")
+        int_ids = pat.is_integer(src.schema.field(id_col).type)
+        null_ids = src.count_rows(filter=pds.field(id_col).is_null())
+        if not int_ids or null_ids:
             did = "__dedup_sid"
 
     def curate(df: pd.DataFrame) -> pd.DataFrame:
@@ -369,9 +429,7 @@ def cmd_curate(args: argparse.Namespace) -> int:
                 out[c] = sc[c]
         out["n_tokens"] = ts.token_count(sc["text"])
         if did != id_col:
-            out[did] = murmur3_64_batch(
-                df[id_col].astype(str).tolist()
-            ).astype("int64")
+            out[did] = _dedup_sid(out[id_col], int_ids)
         return out
 
     ds = ds.map_batches(curate, batch_format="pandas")
@@ -384,6 +442,8 @@ def cmd_curate(args: argparse.Namespace) -> int:
         # the dedup reads its input more than once: clean, scrub and
         # count tokens once, and let every read share the blocks
         ds = ds.materialize()
+        if null_ids:
+            ds = _number_null_ids(ds, id_col, did)
         if args.dedup == "exact":
             ds = dd.exact_dedup(ds, text_col="text", id_col=did)
         elif args.dedup == "minhash":

@@ -31,6 +31,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from .blocks import block_refs
+
 DRIVER_EDGE_LIMIT = 1_000_000
 
 
@@ -315,12 +317,7 @@ def components_dataset(
           reduces) grows quadratically in blocks and the DRIVER spins
           serializing thousands of shuffle task args; coalescing to
           ≤ ~2·CPU blocks keeps the grid constant."""
-        mat = ds.materialize()
-        refs = [
-            r
-            for bundle in mat.iter_internal_ref_bundles()
-            for r in bundle.block_refs
-        ]
+        refs = block_refs(ds.materialize())
         target = max(2, 2 * ncpu)
         if len(refs) > target:
             chunks = np.array_split(np.arange(len(refs)), target)
@@ -346,13 +343,7 @@ def components_dataset(
     if n_partial <= 3 * broadcast_limit:
         part_blocks = [
             b
-            for b in ray.get(
-                [
-                    r
-                    for bundle in partials.iter_internal_ref_bundles()
-                    for r in bundle.block_refs
-                ]
-            )
+            for b in ray.get(block_refs(partials))
             if b.num_rows
         ]
         part_t = (
@@ -422,13 +413,7 @@ def components_dataset(
                 ).materialize()
                 imp_blocks = [
                     b
-                    for b in ray.get(
-                        [
-                            r
-                            for bundle in imp.iter_internal_ref_bundles()
-                            for r in bundle.block_refs
-                        ]
-                    )
+                    for b in ray.get(block_refs(imp))
                     if b.num_rows
                 ]
                 if not imp_blocks:
@@ -471,16 +456,9 @@ def components_dataset(
     # no re-bucketing of the big edge side, no driver data.
     nb = max(2, 2 * ncpu)
 
-    def _refs_of(ds: "ray.data.Dataset") -> list:
-        return [
-            r
-            for bundle in ds.iter_internal_ref_bundles()
-            for r in bundle.block_refs
-        ]
-
     und_shards = [
         _split_und_block.options(num_returns=nb).remote(ref, nb)
-        for ref in _refs_of(und)
+        for ref in block_refs(und)
     ]
     und_buckets = [
         _coalesce_blocks.remote(*[s[b] for s in und_shards])
@@ -488,7 +466,7 @@ def components_dataset(
     ]
     part_shards = [
         _split_partial_block.options(num_returns=nb).remote(ref, nb)
-        for ref in _refs_of(partials)
+        for ref in block_refs(partials)
     ]
     label_refs = [
         _init_bucket.remote(*[s[b] for s in part_shards]) for b in range(nb)

@@ -96,6 +96,7 @@ import ray.data
 
 from ..config import Settings
 from ..functions.urlkeys import canonicalize_batch, hosts_batch, url_keys_batch
+from ..ops.blocks import block_refs
 from ..stages.extract import (
     RECORD_DATASET,
     RECORD_ERROR,
@@ -104,7 +105,7 @@ from ..stages.extract import (
     ExtractStage,
 )
 from ..state.manifest import RunManifest
-from ..state.seen_set import ShardedSeenSet, block_refs, seen_shard_count
+from ..state.seen_set import ShardedSeenSet, seen_shard_count
 
 from time import perf_counter as _now
 

@@ -14,17 +14,20 @@ Design:
   the broadcast gate). A 128-bit content digest per row gives per-block
   (key, n, min_id) partials, combined by ``ops/hashagg.hot_combine``:
   a row whose text a smaller id holds is an exact copy and is not
-  signed. Each signing task shingles → k-permutation MinHash (numpy)
-  and also emits its (bucket, n, min_id) band partials — bucket =
-  fold of (band ‖ band-signature); signatures, never text, leave the
-  task → ``hot_combine`` gives the hot buckets and their min-id
+  signed. It is removed as a copy of that id, unless that id
+  represents none of its band buckets and verifies against none of
+  their reps: then signing every row would keep it too. Each signing
+  task shingles → k-permutation MinHash (numpy) and also emits its
+  (bucket, n, min_id) band partials — bucket = fold of (band ‖
+  band-signature); signatures, never text, leave the task →
+  ``hot_combine`` gives the hot buckets and their min-id
   representatives → the reps' signatures are broadcast and each block
   is star-verified (signature-estimated Jaccard against the rep) →
   connected components (ops/components.py: driver loop for sparse
   edge sets, iterated Dataset min-label joins at scale) → component
   non-roots and exact copies removed via ``ops.joins.anti_join_keys``
   (broadcast below a size gate, bucketed left-anti join above it).
-  Above the broadcast gate every row is signed (more duplicated texts)
+  Above a broadcast gate every row is signed (more duplicated texts)
   or the star verify runs as ``groupby(bucket).map_groups`` over an
   exploded (id, bucket, sig) band table (more hot buckets).
 - **ngram-jaccard**: exact word-n-gram Jaccard verification for a
@@ -53,6 +56,7 @@ import ray
 import ray.data
 
 from ..functions.urlkeys import murmur3_64_batch
+from ..ops.blocks import block_refs
 from ..ops.components import min_label_components
 from ..ops.hashagg import combine_parts, hot_combine
 from ..ops.joins import anti_join_keys
@@ -297,11 +301,12 @@ def ngram_jaccard(text_a: str, text_b: str, n: int = 3) -> float:
 
 _EMPTY_EDGES = {"src": pd.Series(dtype=np.int64), "dst": pd.Series(dtype=np.int64)}
 
-# Max hot-group count for a broadcast. Two tables are broadcast: the
-# exact-copy table (24 B per text held by ≥2 rows) and the rep table
-# (~(16 + 8·num_perm) B per hot bucket, so 1M buckets ≈ 0.5 GiB in the
-# object store). Above it the signing skips the exact-copy collapse and
+# Max group counts for the two broadcast tables: the exact-copy table
+# (24 B per text held by ≥2 rows) and the rep table (~(16 + 8·num_perm)
+# B per hot bucket, so 1M buckets ≈ 0.5 GiB in the object store). Above
+# the first the signing skips the exact-copy collapse; above the second
 # the star verify falls back to the grouped shuffle.
+_COPY_BROADCAST_LIMIT = 1_000_000
 _REP_BROADCAST_LIMIT = 1_000_000
 
 # texts per signing-kernel call: bounds the kernel's working set
@@ -343,15 +348,6 @@ def _sig_matrix(col: pd.Series) -> np.ndarray:
     if not len(col):
         return np.zeros((0, 1), np.int64)
     return np.frombuffer(b"".join(col), np.int64).reshape(len(col), -1)
-
-
-def _block_refs(ds: "ray.data.Dataset") -> list:
-    """The block refs of ``ds`` materialized, in order. Iterating a
-    ``MaterializedDataset`` whose plan is marked executed starts no
-    executor; ``from_pandas``/``from_arrow_refs`` results are only
-    marked so by ``materialize()``, which for them runs nothing."""
-    ds = ds.materialize()
-    return [r for bundle in ds.iter_internal_ref_bundles() for r in bundle.block_refs]
 
 
 def _id_text(block, id_col: str, text_col: str):
@@ -396,6 +392,11 @@ def _table_sigs(t: pa.Table) -> np.ndarray:
     ).reshape(len(col), width // 8)
 
 
+def _id_concat(arrays: list) -> np.ndarray:
+    """One int64 id array of the ``arrays`` (empty when none)."""
+    return np.concatenate([np.zeros(0, np.int64), *arrays])
+
+
 def _edge_table(src: np.ndarray, dst: np.ndarray) -> pa.Table:
     return pa.table(
         {"src": pa.array(src, pa.int64()), "dst": pa.array(dst, pa.int64())}
@@ -431,7 +432,7 @@ def _copy_partial(block, id_col: str, text_col: str):
 def _exact_groups(refs: list, id_col: str, text_col: str):
     """(keys, min_ids) of the texts held by ≥2 rows — content digests
     as a sorted ``S16`` array and each text's min id — or None when
-    there are none or more than ``_REP_BROADCAST_LIMIT``."""
+    there are none or more than ``_COPY_BROADCAST_LIMIT``."""
     metas, partials = zip(*(_copy_partial.remote(r, id_col, text_col) for r in refs))
     res = hot_combine(
         list(partials),
@@ -439,7 +440,7 @@ def _exact_groups(refs: list, id_col: str, text_col: str):
         sum_col="n",
         min_col="min_id",
         min_count=2,
-        hot_limit=_REP_BROADCAST_LIMIT,
+        hot_limit=_COPY_BROADCAST_LIMIT,
         parts=combine_parts(sum(ray.get(list(metas)))),
     )
     if res is None or not len(res[0]):
@@ -499,18 +500,49 @@ def _hot_reps(partials: list, partial_rows: int):
     """(hot_buckets, rep_ids): the sorted buckets held by ≥2 signed docs
     and each one's min id, combined from the signing tasks' band
     partials by the hash-partitioned task combine (partition count
-    from the observed partial volume). None if the hot set exceeds the
-    broadcast gate (the caller falls back to the grouped shuffle
-    verify)."""
+    from the observed partial volume)."""
     return hot_combine(
         partials,
         key="bucket",
         sum_col="n",
         min_col="min_id",
         min_count=2,
-        hot_limit=_REP_BROADCAST_LIMIT,
         parts=combine_parts(partial_rows),
     )
+
+
+@ray.remote
+def _lone_owners(
+    sig_table: pa.Table, hot: tuple, bands: int, owners: np.ndarray
+) -> np.ndarray:
+    """The ids of one signature block that are in ``owners`` and
+    represent none of their band buckets: each bucket is hot with a
+    smaller rep (``hot`` = sorted hot buckets, rep id of each)."""
+    hb, hr = hot
+    ids = sig_table["id"].to_numpy()
+    mine = np.flatnonzero(np.isin(ids, owners))
+    if not len(mine) or not len(hb):
+        return np.zeros(0, np.int64)
+    ids = ids[mine]
+    flat = band_buckets_batch(_table_sigs(sig_table)[mine], bands).ravel()
+    pos = np.minimum(np.searchsorted(hb, flat), len(hb) - 1)
+    other = (hb[pos] == flat) & (hr[pos] != np.repeat(ids, bands))
+    return ids[other.reshape(len(ids), bands).all(axis=1)]
+
+
+@ray.remote
+def _dsts_in(block, ids: np.ndarray) -> np.ndarray:
+    """The edge ``dst`` values of one edge block that are in ``ids``."""
+    if not len(block):
+        return np.zeros(0, np.int64)
+    dst = np.asarray(block["dst"], np.int64)
+    return dst[np.isin(dst, ids)]
+
+
+@ray.remote
+def _without_src(edges: pa.Table, srcs: np.ndarray) -> pa.Table:
+    """The exact-copy edges whose owner is not in ``srcs``."""
+    return edges.filter(pa.array(~np.isin(edges["src"].to_numpy(), srcs)))
 
 
 @ray.remote
@@ -521,20 +553,26 @@ def _rep_rows(sig_table: pa.Table, rep_ids: np.ndarray) -> pa.Table:
     return sig_table.filter(rep_ids[pos] == ids)
 
 
-@ray.remote
-def _verify_block(sig_table: pa.Table, reps: tuple, bands: int, threshold: float):
+@ray.remote(num_returns=2)
+def _verify_block(
+    sig_table: pa.Table, reps: tuple, bands: int, threshold: float, owners
+):
     """Star-verify one signature block against the broadcast rep table:
     recompute each doc's band buckets, match them against the hot
-    buckets and compare signatures with each distinct rep met."""
+    buckets and compare signatures with each distinct rep met.
+    Returns (edges, lone owners): the ids in ``owners`` that represent
+    none of their buckets (each is hot with a smaller rep) and verify
+    against none of those reps."""
     rb, uri, ridx, rs = reps
     ids = sig_table["id"].to_numpy()
     if not len(ids):
-        return _edge_table(ids, ids)
+        return _edge_table(ids, ids), ids
     sigs = _table_sigs(sig_table)
     flat = band_buckets_batch(sigs, bands).ravel()
     rows = np.repeat(np.arange(len(ids)), bands)
     pos = np.minimum(np.searchsorted(rb, flat), len(rb) - 1)
     valid = (rb[pos] == flat) & (uri[ridx[pos]] != ids[rows])
+    lone = valid.reshape(len(ids), bands).all(axis=1)
     rows, ri_hit = rows[valid], ridx[pos[valid]]
     # one comparison per distinct (member, rep) pair: near-dup members
     # share most bands, so keying by REP ID — not bucket — collapses
@@ -543,7 +581,9 @@ def _verify_block(sig_table: pa.Table, reps: tuple, bands: int, threshold: float
     rows, ri_hit = pair // (len(rs) + 1), pair % (len(rs) + 1)
     est = (sigs[rows] == rs[ri_hit]).mean(axis=1) if len(rows) else np.zeros(0)
     hit = est >= threshold
-    return _edge_table(uri[ri_hit[hit]], ids[rows[hit]])
+    lone[rows[hit]] = False
+    lone_ids = ids[lone & np.isin(ids, owners)] if owners is not None else ids[:0]
+    return _edge_table(uri[ri_hit[hit]], ids[rows[hit]]), lone_ids
 
 
 def _star_verify_broadcast(
@@ -552,9 +592,11 @@ def _star_verify_broadcast(
     rep_ids: np.ndarray,
     bands: int,
     threshold: float,
-) -> list:
-    """Shuffle-free star verification → one edge-table ref per
-    signature block: fetch the hot buckets' min-id representative
+    owners,
+) -> tuple:
+    """Shuffle-free star verification → (edge-table refs, lone-owner
+    refs), one of each per signature block (see ``_verify_block``):
+    fetch the hot buckets' min-id representative
     signatures (bounded by the rep count, which already passed the
     broadcast gate), broadcast them, and verify each block in one
     vectorized task. Emits the same edge set as the grouped star
@@ -564,7 +606,7 @@ def _star_verify_broadcast(
     sig-byte replication through the object store (measured 1.6 GB →
     0.1 GB at 200k docs × 16 bands × 64 perms)."""
     if not len(rep_ids):
-        return []
+        return [], []
     uniq_rep_ids = np.unique(rep_ids)
     uniq_ref = ray.put(uniq_rep_ids)
     reps = pa.concat_tables(ray.get([_rep_rows.remote(r, uniq_ref) for r in sig_refs]))
@@ -575,7 +617,8 @@ def _star_verify_broadcast(
     # many buckets)
     rep_idx = np.searchsorted(rid[rorder], rep_ids)
     rep_ref = ray.put((rep_buckets, uniq_rep_ids, rep_idx, rep_sigs_by_id))
-    return [_verify_block.remote(r, rep_ref, bands, threshold) for r in sig_refs]
+    out = [_verify_block.remote(r, rep_ref, bands, threshold, owners) for r in sig_refs]
+    return [o[0] for o in out], [o[1] for o in out]
 
 
 @ray.remote
@@ -602,9 +645,9 @@ def _drop_duplicate_ids(
     — and the dst of every exact-copy edge block in ``copy_refs`` —
     from ``ds`` (components and the anti join auto-switch to their
     distributed forms past their size gates)."""
-    labels = min_label_components(edges)
+    labels = min_label_components(edges).materialize()
     removed = [
-        _removed_ids.remote(r, "label", "node", id_col) for r in _block_refs(labels)
+        _removed_ids.remote(r, "label", "node", id_col) for r in block_refs(labels)
     ] + [_removed_ids.remote(r, "src", "dst", id_col) for r in copy_refs]
     return anti_join_keys(ds, ray.data.from_arrow_refs(removed), on=id_col)
 
@@ -632,29 +675,40 @@ def minhash_lsh_dedup(
     file without ``override_num_blocks`` arrives as one block and
     signs on one core. Readers should split to ~2 blocks per CPU.
 
-    Each distinct text is signed once: a row whose text a smaller id
-    also holds (128-bit content digest) is removed as an exact copy of
-    it. The kept rows are those of signing every row, because each
-    bucket's min-id representative is the min of its own exact group,
-    and exact copies share every bucket and verify at Jaccard 1.0.
+    Each distinct text is signed once: only the min id of each text
+    (128-bit content digest) is signed, and its other rows leave as
+    exact copies. The kept rows are those of signing every row. An
+    owner's copies share all its buckets and are never a bucket's
+    min-id representative, so signing them adds only their own
+    (rep, copy) edges: (owner, copy) where the owner represents a
+    bucket (the copy verifies against it at Jaccard 1.0), else one
+    edge from each rep the owner verifies against. A copy is thus
+    removed as an (owner, copy) edge unless its owner is LONE — each
+    of its buckets also holds a smaller signed id and none of those
+    reps verifies it — in which case owner and copies are all kept.
 
     ``return_edges`` also returns the edge Dataset: the verified
-    (rep_id, member_id) pairs and the exact-copy (min_id, id) pairs,
-    so every removed id appears as a ``dst``."""
+    (rep_id, member_id) pairs and the exact-copy (min_id, id) pairs.
+    The removed ids are exactly the nodes of this edge graph that are
+    not their connected component's min id (a rep that verifies a
+    member of a smaller rep is removed without being a ``dst``)."""
     if bands < 1 or num_perm % bands:
         raise ValueError(f"num_perm ({num_perm}) must be a multiple of bands ({bands})")
     if not 0 < threshold <= 1:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
     a, b = _perm_params(num_perm, seed)
     ds = ds.materialize()
-    refs = _block_refs(ds)
+    refs = block_refs(ds)
     if not refs:
         return (ds, _edge_dataset([])) if return_edges else ds
 
     # exact copies first: only texts held by ≥2 rows come back, and a
     # copy of a smaller id's text skips the signing
     copies = _exact_groups(refs, id_col, text_col)
-    copies_ref = ray.put(copies) if copies is not None else None
+    copies_ref = owners = None
+    if copies is not None:
+        copies_ref = ray.put(copies)
+        owners = ray.put(np.unique(copies[1]))
     signed = [
         _sign_block.remote(r, id_col, text_col, a, b, shingle_k, bands, copies_ref)
         for r in refs
@@ -670,13 +724,16 @@ def minhash_lsh_dedup(
     # signature block verifies in one task, with no shuffle; above it
     # (~8·num_perm bytes per bucket) a grouped shuffle star verify runs
     # over an (id, bucket, sig) band table built only in that branch.
-    reps = _hot_reps([s[2] for s in signed], sum(ray.get([s[0] for s in signed])))
-    if reps is not None:
-        edges = _edge_dataset(
-            _star_verify_broadcast(sig_refs, *reps, bands, threshold)
+    hot = _hot_reps([s[2] for s in signed], sum(ray.get([s[0] for s in signed])))
+    if len(hot[0]) <= _REP_BROADCAST_LIMIT:
+        edge_refs, lone_refs = _star_verify_broadcast(
+            sig_refs, *hot, bands, threshold, owners
         )
+        edges = _edge_dataset(edge_refs)
+        lone = _id_concat(ray.get(lone_refs) if copy_refs else [])
     else:
         sigs_ds = ray.data.from_arrow_refs(sig_refs)
+        hot_ref = ray.put(hot)
 
         def to_bands(df: pd.DataFrame) -> pd.DataFrame:
             sigs = _sig_matrix(df["sig"])
@@ -688,13 +745,8 @@ def minhash_lsh_dedup(
                 }
             )
 
-        signed_ds = sigs_ds.map_batches(to_bands, batch_format="pandas")
-        signed_ds = signed_ds.materialize()
-        hot_arr = _hot_buckets(signed_ds)
-        hot_ref = ray.put(hot_arr)
-
         def in_hot(df: pd.DataFrame) -> pd.DataFrame:
-            return df[df["bucket"].isin(ray.get(hot_ref))]
+            return df[df["bucket"].isin(ray.get(hot_ref)[0])]
 
         def star_verify(group: pd.DataFrame) -> pd.DataFrame:
             g = group.drop_duplicates("id").sort_values("id")
@@ -711,13 +763,26 @@ def minhash_lsh_dedup(
             )
 
         edges = (
-            signed_ds.map_batches(in_hot, batch_format="pandas")
-            .repartition(_verify_fanout(len(hot_arr)))
+            sigs_ds.map_batches(to_bands, batch_format="pandas")
+            .map_batches(in_hot, batch_format="pandas")
+            .repartition(_verify_fanout(len(hot[0])))
             .groupby("bucket")
             .map_groups(star_verify, batch_format="pandas")
             .materialize()
         )
+        lone = _id_concat(
+            ray.get([_lone_owners.remote(r, hot_ref, bands, owners) for r in sig_refs])
+            if copy_refs
+            else []
+        )
+        if len(lone):  # an owner a rep verifies is not lone
+            verified = ray.get([_dsts_in.remote(r, lone) for r in block_refs(edges)])
+            lone = np.setdiff1d(lone, _id_concat(verified))
 
+    # a lone owner's copies stay, as its own row does
+    if len(lone):
+        lone_ref = ray.put(lone)
+        copy_refs = [_without_src.remote(r, lone_ref) for r in copy_refs]
     out = _drop_duplicate_ids(ds, edges, id_col, copy_refs)
     if not return_edges:
         return out

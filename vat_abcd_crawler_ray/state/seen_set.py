@@ -61,13 +61,6 @@ def _as_arrow_block(block) -> pa.Table:
     return pa.Table.from_pandas(block, preserve_index=False)
 
 
-def block_refs(ds: "ray.data.Dataset") -> list:
-    """The Arrow block refs of a MATERIALIZED Dataset, in order."""
-    return [
-        ref for bundle in ds.iter_internal_ref_bundles() for ref in bundle.block_refs
-    ]
-
-
 def first_wins_dataset(
     ds: "ray.data.Dataset",
     key_col: str,
