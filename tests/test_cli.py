@@ -349,7 +349,7 @@ def test_cli_curate_hands_dedup_a_materialized_table(
         assert sorted(kept["text"]) == sorted(kept_doc["text"])
 
 
-@pytest.mark.parametrize("method", ["minhash", "simhash"])
+@pytest.mark.parametrize("method", ["exact", "minhash", "simhash"])
 def test_cli_dedup_keeps_null_text_rows(method, tmp_path, capsys, ray_session):
     """A null text is kept and never matched; it does not fail the job."""
     path = str(tmp_path / "nulls.parquet")
@@ -371,9 +371,8 @@ def test_cli_curate_dedup_int_ids_with_nulls(method, tmp_path, ray_session):
     """An integer id column with nulls: each null-id row gets a dedup
     surrogate of its own, so one row per text is kept, copies among
     null-id rows included, and the rows with a unique text all stay."""
-    import glob
-
     import pyarrow as pa
+    import pyarrow.dataset as pds
     import pyarrow.parquet as pq
 
     texts = list(_docs_frame(12)["text"].drop_duplicates())[:5]
@@ -388,14 +387,33 @@ def test_cli_curate_dedup_int_ids_with_nulls(method, tmp_path, ray_session):
         "curate", "--input", path, "--out", out, "--keep-unterminated",
         "--dedup", method,
     ]) == 0
-    # part files whose ids are all null type the column as null, so
-    # they are read one by one rather than as one dataset
-    kept = pd.concat(
-        pq.read_table(f).to_pandas() for f in glob.glob(f"{out}/**/*.parquet", recursive=True)
-    )
+    kept = pds.dataset(out).to_table().to_pandas()
     assert len(kept) == 5 and kept["text"].is_unique
     assert {1, 5} <= set(kept["doc_id"].dropna().astype(int))
     assert "__dedup_sid" not in kept.columns
+
+
+@pytest.mark.parametrize("dedup", [None, "exact", "minhash"])
+def test_cli_curate_null_ids_keep_one_id_type(dedup, tmp_path, ray_session):
+    """Every part file types the id column as the input does, so the
+    output reads as one dataset, even where a block's ids are all null
+    (8 rows, 5 null ids, 4 CPUs)."""
+    import pyarrow as pa
+    import pyarrow.dataset as pds
+    import pyarrow.parquet as pq
+
+    texts = list(_docs_frame(12)["text"].drop_duplicates())[:8]
+    path = str(tmp_path / "null_ids.parquet")
+    ids = pa.array([0, None, None, 3, None, None, 6, None], pa.int64())
+    pq.write_table(pa.table({"doc_id": ids, "text": texts}), path)
+    out = str(tmp_path / "cur")
+    argv = ["curate", "--input", path, "--out", out, "--keep-unterminated",
+            "--num-cpus", "4"]
+    assert cli.main(argv + (["--dedup", dedup] if dedup else [])) == 0
+    kept = pds.dataset(out).to_table()
+    assert kept.schema.field("doc_id").type == pa.int64()
+    assert sorted(kept["doc_id"].drop_null().to_pylist()) == [0, 3, 6]
+    assert kept["doc_id"].null_count == 5
 
 
 def test_cli_full_story_ingest_analyze_curate(tmp_path, capsys, ray_session):

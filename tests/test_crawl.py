@@ -10,12 +10,14 @@ import shutil
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
 from vat_abcd_crawler_ray.config import Settings
 from vat_abcd_crawler_ray.pipelines.crawl import CrawlRun, _read_parquet_dir
 from vat_abcd_crawler_ray.sources.synthetic import corpus_dir, MEGA_HOST
+from vat_abcd_crawler_ray.stages.extract import RECORD_TYPES
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +64,7 @@ def _fetch_log(run_dir) -> pd.DataFrame:
     for rnd in sorted(os.listdir(base)):
         d = os.path.join(base, rnd, "record_type=dataset")
         if os.path.isdir(d):
-            df = _read_parquet_dir(d, columns=["url", "surrogate", "seq", "round"])
+            df = _read_parquet_dir(d, columns=["url", "surrogate", "seq", "round"]).to_pandas()
             frames.append(df)
     return (
         pd.concat(frames, ignore_index=True)
@@ -288,7 +290,7 @@ class TestCrawl:
         """Each ``record_type=X`` part file's schema is exactly record
         type X's columns (no union padding)."""
         from vat_abcd_crawler_ray.functions.fields import FieldRegistry
-        from vat_abcd_crawler_ray.stages.extract import RECORD_TYPES, record_schemas
+        from vat_abcd_crawler_ray.stages.extract import record_schemas
 
         run, d = full_run
         schemas = record_schemas(FieldRegistry())
@@ -303,6 +305,80 @@ class TestCrawl:
                     seen.add(kind)
         assert seen == set(RECORD_TYPES)
 
+    def test_narrow_round_is_one_chunk_with_one_part_per_type(self, full_run):
+        """A round below one extract batch (``batch_size`` pages) is one
+        fetch chunk, so each non-empty record type holds one part file
+        (fetch misses go to their own ``misses.parquet``)."""
+        run, d = full_run
+        base = os.path.join(str(d), "staging", "extracted")
+        for r in range(run.manifest.last_complete_round() + 1):
+            stats = run.manifest.round_info(r)["stats"]
+            assert 0 < stats["selected"] < run.settings.crawl.batch_size
+            rdir = os.path.join(base, f"round={r}")
+            for part in os.listdir(rdir):
+                files = sorted(os.listdir(os.path.join(rdir, part)))
+                parts = [f for f in files if f != "misses.parquet"]
+                assert parts == ["part-00000.parquet"] or files == [
+                    "misses.parquet"
+                ], (r, part, files)
+
+    def test_wide_round_splits_into_at_most_two_chunks_per_cpu(self, corpus, tmp_path):
+        """Every chunk holds at least one extract batch, and a round
+        wider than that splits into at most 2 × CPU chunks."""
+        import ray
+
+        run = _mk_run(corpus, tmp_path / "run")
+        urls = pq.read_table(f"{corpus}/pages.parquet", columns=["url"])["url"]
+        n = len(urls)
+        meta = run._fetch_meta(
+            pa.table({"canonical_url": urls, "surrogate": np.arange(n),
+                      "seq": np.arange(n), "priority": np.ones(n)}),
+            0,
+        )
+        run.settings.crawl.batch_size = 32
+        sizes = [t.num_rows for t in ray.get(run._fetch_store_refs(meta))]
+        ncpu = int(ray.cluster_resources()["CPU"])
+        assert 1 < len(sizes) <= 2 * ncpu and min(sizes) >= 32 and sum(sizes) == n
+        run.settings.crawl.batch_size = n
+        assert len(run._fetch_store_refs(meta)) == 1
+
+    def test_rerun_chunk_task_overwrites_its_own_parts(self, corpus, tmp_path):
+        """A chunk task writes fixed part names, so running it again (a
+        task retry) replaces its files instead of adding rows."""
+        import ray
+
+        from vat_abcd_crawler_ray.pipelines.crawl import _extract_project_chunk
+
+        run = _mk_run(corpus, tmp_path / "run")
+        urls = pq.read_table(f"{corpus}/pages.parquet", columns=["url"])["url"]
+        n = len(urls)
+        seqs, prio = np.arange(n), np.ones(n)
+        meta = run._fetch_meta(
+            pa.table({"canonical_url": urls, "surrogate": seqs, "seq": seqs,
+                      "priority": prio}),
+            0,
+        )
+        (chunk,) = run._fetch_store_refs(meta)
+        out = str(tmp_path / "out")
+
+        def run_chunk() -> dict:
+            refs = _extract_project_chunk.remote(
+                run._stage_ref(), (seqs, prio), 64, out, 3, chunk
+            )
+            ray.get(refs[1])  # a pulled count: the files are written
+            return {
+                part: {
+                    f: pq.ParquetFile(os.path.join(out, part, f)).metadata.num_rows
+                    for f in os.listdir(os.path.join(out, part))
+                }
+                for part in os.listdir(out)
+            }
+
+        first = run_chunk()
+        assert set(first) == {f"record_type={rt}" for rt in RECORD_TYPES}
+        assert all(list(files) == ["part-00003.parquet"] for files in first.values())
+        assert run_chunk() == first
+
     def test_extracted_text_matches_pages_oracle(self, corpus, tmp_path):
         """Byte-identical extracted text per url (input_hint invariant):
         the Title extracted from html equals the corpus's oracle `text`."""
@@ -314,7 +390,7 @@ class TestCrawl:
         for rnd in sorted(os.listdir(base)):
             d = os.path.join(base, rnd, "record_type=dataset")
             if os.path.isdir(d):
-                frames.append(_read_parquet_dir(d, columns=["url", title_col]))
+                frames.append(_read_parquet_dir(d, columns=["url", title_col]).to_pandas())
         got = pd.concat(frames, ignore_index=True)
         pages = pq.read_table(
             f"{corpus}/pages.parquet", columns=["url", "text"]
@@ -436,9 +512,10 @@ def test_bad_seen_setting_rejected(tmp_path, key, value):
 
 
 def test_robots_denied_vectorized_matches_rowwise():
-    """`_robots_denied` (grouped-by-distinct-prefix vectorization) must
-    equal the row-wise definition `bool(p) and path.startswith(p)` on
-    randomized frontiers, including query-only URLs and empty frames."""
+    """`_robots_denied` (grouped-by-distinct-prefix vectorization over an
+    Arrow frontier) must equal the row-wise definition `bool(p) and
+    path.startswith(p)` on randomized frontiers, including query-only
+    URLs and empty frames."""
     from vat_abcd_crawler_ray.pipelines.crawl import _robots_denied
 
     rng = np.random.default_rng(7)
@@ -452,8 +529,9 @@ def test_robots_denied_vectorized_matches_rowwise():
         path = ["/x/1", "/deep/pre/2", "?q=1", "/ok"][kind]
         rows.append((h, f"https://{h}{path}"))
     df = pd.DataFrame(rows, columns=["host", "canonical_url"])
+    t = pa.Table.from_pandas(df, preserve_index=False)
 
-    got = _robots_denied(df, robots)
+    got = _robots_denied(t, robots)
     prefix = df["host"].map(robots).fillna("")
     paths = df["canonical_url"].str.replace(
         r"^[a-z][a-z0-9+.-]*://[^/]*", "", regex=True
@@ -463,5 +541,5 @@ def test_robots_denied_vectorized_matches_rowwise():
     )
     assert (got == exp).all()
     assert exp.sum() > 0 and (~exp).sum() > 0  # both classes exercised
-    assert not _robots_denied(df, {}).any()
-    assert len(_robots_denied(df.iloc[:0], robots)) == 0
+    assert not _robots_denied(t, {}).any()
+    assert len(_robots_denied(t.slice(0, 0), robots)) == 0

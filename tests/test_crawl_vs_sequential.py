@@ -100,7 +100,7 @@ def test_distributed_crawl_matches_sequential_reference(
             if os.path.isdir(d):
                 df = _read_parquet_dir(
                     d, columns=["url", "surrogate", "seq", "round"] + extra
-                )
+                ).to_pandas()
                 if kind == "error":
                     df = df[df["error_kind"] != "FetchMiss"]
                 frames.append(df[["url", "surrogate", "seq", "round"]])

@@ -186,7 +186,7 @@ def test_crawl_fetch_mode_http_matches_store(tmp_path):
             d = os.path.join(base, rnd, "record_type=dataset")
             if os.path.isdir(d):
                 frames.append(
-                    _read_parquet_dir(d, columns=["url", "surrogate", "seq", "round"])
+                    _read_parquet_dir(d, columns=["url", "surrogate", "seq", "round"]).to_pandas()
                 )
         return (
             pd.concat(frames, ignore_index=True)
@@ -222,7 +222,7 @@ def test_crawl_fetch_mode_http_matches_store(tmp_path):
     for rnd in sorted(os.listdir(base)):
         d = os.path.join(base, rnd, "record_type=error")
         if os.path.isdir(d):
-            err_dirs.append(_read_parquet_dir(d, columns=["url", "error_kind", "error_message"]))
+            err_dirs.append(_read_parquet_dir(d, columns=["url", "error_kind", "error_message"]).to_pandas())
     errs = pd.concat(err_dirs, ignore_index=True)
     http_errs = errs[errs["error_kind"] == FETCH_HTTP_ERROR]
     assert len(http_errs) > 0

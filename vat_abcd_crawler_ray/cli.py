@@ -403,17 +403,14 @@ def cmd_curate(args: argparse.Namespace) -> int:
     # the dedup family keys on non-null int64 ids; a non-integer id
     # column (urls), or one with nulls, rides through a surrogate added
     # by the curate map and dropped after the dedup (see _dedup_sid)
-    did = id_col
-    int_ids, null_ids = True, 0
-    if args.dedup:
-        import pyarrow.dataset as pds
-        import pyarrow.types as pat
+    import pyarrow.dataset as pds
+    import pyarrow.types as pat
 
-        src = pds.dataset(args.input, format="parquet")
-        int_ids = pat.is_integer(src.schema.field(id_col).type)
-        null_ids = src.count_rows(filter=pds.field(id_col).is_null())
-        if not int_ids or null_ids:
-            did = "__dedup_sid"
+    src = pds.dataset(args.input, format="parquet")
+    id_type = src.schema.field(id_col).type
+    int_ids = pat.is_integer(id_type)
+    null_ids = src.count_rows(filter=pds.field(id_col).is_null())
+    did = "__dedup_sid" if args.dedup and (not int_ids or null_ids) else id_col
 
     def curate(df: pd.DataFrame) -> pd.DataFrame:
         cl = ts.clean_lines(
@@ -481,6 +478,16 @@ def cmd_curate(args: argparse.Namespace) -> int:
         ds = add_split_column(ds, id_col, fractions, salt=args.salt)
     if args.pack_budget:
         ds = pack_sequences(ds, "n_tokens", args.pack_budget, id_col=id_col)
+    if not int_ids or null_ids:
+        # pandas blocks type a null or non-integer id column per block
+        # (null, double, string), so every part file gets the input's
+        # id type back; non-null integer ids keep theirs already
+        ds = ds.map_batches(
+            lambda t: t.set_column(
+                t.schema.get_field_index(id_col), id_col, t[id_col].cast(id_type)
+            ),
+            batch_format="pyarrow",
+        )
     if args.splits:
         # hive-partition by split: consumers read one split without
         # scanning the others, and a re-run can skip finished splits

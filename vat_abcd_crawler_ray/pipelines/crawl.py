@@ -27,7 +27,7 @@ implementations (tested identical); :func:`stage_path` picks one from
 the row count the stage observes, and each committed round's info
 records the path taken (``paths``, outside ``stats``):
 
-- **driver** — vectorized pandas on the driver; fastest below ~2M
+- **driver** — vectorized Arrow on the driver; fastest below ~2M
   rows (no shuffle). Selection rounds are PIPELINED: the next round's
   backlog read + per-host ordering runs as a remote pre-selection
   task during this round's extract/project (``_preselect_backlog`` —
@@ -44,13 +44,16 @@ records the path taken (``paths``, outside ``stats``):
   skeleton (``_first_wins_frontier``).
 
 Every round is four steps (``CrawlRun._round``): **select** the
-politeness-bounded winners, **fetch → extract → project** them in ONE
-fused task per fetch chunk (``_extract_project_chunk``; the chunk is a
-page-store ``get_with_meta`` ref in ``fetch_mode="store"`` or an
-``HttpFetchStage`` task ref in ``fetch_mode="http"``), **admit** the
-discovered links first-wins against the seen set, and **commit** the
-round (seen-set snapshot + writes joined at the next round's commit
-point).
+politeness-bounded winners, **fetch → extract → write → project** them
+in ONE fused task per fetch chunk (``_extract_project_chunk``; the
+chunk is a page-store ``get_with_meta`` ref in ``fetch_mode="store"``
+or an ``HttpFetchStage`` task ref in ``fetch_mode="http"``; a chunk is
+at least one extract batch unless the round is smaller, so a narrow
+round is one store call and one task), **admit** the discovered links
+first-wins against the seen set, and **commit** the round (seen-set
+snapshot + next-frontier pre-selection joined at the next round's
+commit point). A round's remote calls are thus the pre-selection task
+plus one store call and one extract task per chunk.
 
 Resume: every round commit records outputs, a seen-set snapshot and
 the cumulative metric counters; a restarted run restores them and
@@ -59,12 +62,13 @@ replays from the first uncommitted round.
 Driver-memory bound: the per-round WINNER set (and the fetch meta
 built from it) is POLITENESS-BOUNDED — at most Σ(per-host budget) rows
 per round regardless of frontier or corpus size — so holding it as a
-driver frame is a config-bounded cost, not a data-scaled one. The
+driver Arrow table is a config-bounded cost, not a data-scaled one. The
 unbounded collections (frontier, links, extracted rows, seen set)
 never materialize on the driver: frontier stays on disk / in Datasets,
 links arrive pre-deduplicated per fused task and above the size
 gate never leave the object store (``_admit_distributed``),
-extracted blocks are written remotely, and the seen set's shards are
+extracted records are written by the task that extracts them and
+never enter the object store, and the seen set's shards are
 actors once there is more than one (one shard is held in the driver,
 ``seen_set.seen_placement``; its block methods take one block at a
 time).
@@ -163,39 +167,51 @@ def _count_parquet_rows(path: str) -> int:
     )
 
 
-def _read_parquet_dir(d: str, columns: list[str] | None = None) -> pd.DataFrame:
+def _read_parquet_dir(d: str, columns: list[str] | None = None) -> pa.Table:
     parts = []
     for root, _dirs, files in os.walk(d):
         for f in sorted(files):
             if f.endswith(".parquet"):
                 parts.append(pq.read_table(os.path.join(root, f), columns=columns))
     if not parts:
-        return pd.DataFrame(columns=columns or [])
-    return pa.concat_tables(parts, promote_options="default").to_pandas()
+        return pa.table({c: pa.array([]) for c in columns or []})
+    return pa.concat_tables(parts, promote_options="default")
 
 
-def _robots_denied(df: pd.DataFrame, robots: dict) -> np.ndarray:
+def _host_codes(t: pa.Table) -> tuple[np.ndarray, list]:
+    """Per-row codes into ``t``'s distinct hosts, and those hosts (the
+    last entry, ``None``, is the code of a null host)."""
+    enc = pc.dictionary_encode(t["host"].combine_chunks())
+    hosts = enc.dictionary.to_pylist() + [None]
+    return enc.indices.fill_null(len(hosts) - 1).to_numpy(), hosts
+
+
+def _robots_denied(t: pa.Table, robots: dict) -> np.ndarray:
     """True = denied: the host's disallow prefix is a prefix of the
     canonical path (robots gate, S1 admission level). Vectorized by
     DISTINCT prefix — rows without a robots rule (the vast majority)
-    never enter a Python loop, and the loop that remains is over the
+    never leave Arrow compute, and the loop that remains is over the
     handful of distinct disallow prefixes, not over rows."""
-    denied = np.zeros(len(df), dtype=bool)
-    if not robots or not len(df):
+    denied = np.zeros(t.num_rows, dtype=bool)
+    if not robots or not t.num_rows:
         return denied
-    prefix = df["host"].map(robots).fillna("")
-    nz = prefix.to_numpy() != ""
-    if not nz.any():
+    codes, hosts = _host_codes(t)
+    rules = [robots.get(h) or "" for h in hosts]
+    prefixes = sorted(set(rules) - {""})
+    if not prefixes:
         return denied
-    paths = df["canonical_url"].str.replace(
-        r"^[a-z][a-z0-9+.-]*://[^/]*", "", regex=True
+    pid = {p: i for i, p in enumerate(prefixes)}
+    row_pid = np.array([pid.get(r, -1) for r in rules])[codes]
+    nz = np.flatnonzero(row_pid >= 0)
+    paths = pc.replace_substring_regex(
+        t["canonical_url"].take(nz),
+        pattern=r"^[a-z][a-z0-9+.-]*://[^/]*",
+        replacement="",
     )
-    sub_paths = paths[nz]
-    sub_pre = prefix[nz]
-    sub_denied = np.zeros(len(sub_paths), dtype=bool)
-    for p, pos in sub_pre.groupby(sub_pre, sort=False).indices.items():
-        sub_denied[pos] = sub_paths.iloc[pos].str.startswith(p).to_numpy()
-    denied[nz] = sub_denied
+    for i, p in enumerate(prefixes):
+        pos = np.flatnonzero(row_pid[nz] == i)
+        hit = pc.starts_with(paths.take(pos), pattern=p).fill_null(False)
+        denied[nz[pos]] = hit.to_numpy(zero_copy_only=False)
     return denied
 
 
@@ -214,17 +230,31 @@ def stage_path(stage: str, rows: int) -> str:
     return "distributed" if rows > DRIVER_ROWS_MAX else "driver"
 
 
-def top_budget(frame: pd.DataFrame, budgets: dict, default_budget: int):
-    """The politeness ranking: order ``frame`` by (priority desc, seq)
-    and split it into each host's top-budget rows (the winners) and the
-    rest, both in that order."""
-    ordered = frame.sort_values(
-        ["priority", "seq"], ascending=[False, True], kind="mergesort"
+def top_budget(t: pa.Table, budgets: dict, default_budget: int):
+    """The politeness ranking: order ``t`` by (priority desc, seq) and
+    split it into each host's top-budget rows (the winners) and the
+    rest, both in that order. A host absent from ``budgets`` (or with a
+    ``None`` budget) gets ``default_budget``."""
+    ordered = t.take(
+        pc.sort_indices(t, sort_keys=[("priority", "descending"), ("seq", "ascending")])
     )
-    rank = ordered.groupby("host", sort=False).cumcount()
-    budget = ordered["host"].map(budgets).fillna(default_budget).astype(np.int64)
-    mask = (rank < budget).to_numpy()
-    return ordered[mask], ordered[~mask]
+    n = ordered.num_rows
+    if not n:
+        return ordered, ordered
+    codes, hosts = _host_codes(ordered)
+    # rank within the host: position in a stable sort by host code,
+    # minus the position where that host's run starts
+    by = np.argsort(codes, kind="stable")
+    pos = np.arange(n)
+    run_start = np.r_[True, codes[by][1:] != codes[by][:-1]]
+    rank = np.empty(n, dtype=np.int64)
+    rank[by] = pos - np.maximum.accumulate(np.where(run_start, pos, 0))
+    cap = np.array(
+        [default_budget if budgets.get(h) is None else budgets[h] for h in hosts],
+        dtype=np.int64,
+    )
+    win = rank < cap[codes]
+    return ordered.filter(win), ordered.filter(~win)
 
 
 # ordv = parent_seq * SCALE + link_idx packs the (seq, link_idx)
@@ -294,61 +324,45 @@ def _http_fetch_chunk(fetch_stage, meta: pa.Table) -> pa.Table:
     return fetch_stage(meta)
 
 
-@ray.remote(num_cpus=1, num_returns=4)
-def _extract_project_chunk(stage, prio_lookup, batch_size: int, pages: pa.Table):
+@ray.remote(num_cpus=1, num_returns=2)
+def _extract_project_chunk(
+    stage, prio_lookup, batch_size: int, out_dir: str, chunk: int, pages: pa.Table
+):
     """FUSED fetch-chunk worker: one plain task takes a fetched chunk
     (a page-store ``get_with_meta`` or :func:`_http_fetch_chunk` ref,
     resolved as the task arg, so extraction starts the moment the
     chunk's fetch lands — no Dataset execution, no block accounting, no
     separate projection wave), extracts it in ``batch_size`` slices
-    (the wide-binary-row bound) into the four narrow record tables, and
-    projects them in-place. Returns (record tables, fetched-url table,
-    link table, counts) as FOUR refs — the record tables feed only the
-    write tasks; the driver pulls urls + counts (raw and kept links,
-    documents per extract route); link refs follow the admission
-    path."""
-    parts, routes = [], {"kernel": 0, "per_doc": 0}
+    (the wide-binary-row bound) into the four narrow record tables,
+    writes each non-empty one as hive-partitioned parquet
+    (``record_type=X/part-{chunk:05d}.parquet``, zstd; the partition
+    column in the path only, each file with its own type's columns),
+    and projects them in place. The part names are fixed per chunk, so
+    a retried task overwrites its own files.
+
+    Returns TWO refs: the link table (it follows the admission path)
+    and (fetched-url table, counts) — the driver pulls the second,
+    and a pulled count means the chunk's files are written. Record
+    tables never enter the object store."""
+    parts, counts = [], {"kernel": 0, "per_doc": 0}
     # at least one slice, so an empty chunk still yields typed tables
     for off in range(0, max(pages.num_rows, 1), batch_size):
         tables, docs = stage.extract(pages.slice(off, batch_size))
         parts.append(tables)
         for k, v in docs.items():
-            routes[k] += v
+            counts[k] += v
     tables = {rt: pa.concat_tables([p[rt] for p in parts]) for rt in RECORD_TYPES}
-    got_t, link_t, n_raw, n_kept = _project_tables(prio_lookup, tables)
-    return tables, got_t, link_t, {"links_raw": n_raw, "links_kept": n_kept, **routes}
-
-
-@ray.remote(num_cpus=1)
-def _write_round_blocks(out_dir: str, task_idx: int, *blocks: dict) -> int:
-    """Write a group of chunks' record tables as hive-partitioned
-    parquet (``record_type=X/part-{task_idx}.parquet``, the partition
-    column in the path only — the same layout ``write_parquet(
-    partition_cols=...)`` produces). Each file holds its own record
-    type's columns only. Submitted as plain tasks so the
-    round's write IO runs CONCURRENTLY with link admission and the
-    next round's selection; the deferred manifest commit joins the
-    futures before the round becomes durable.
-
-    ``num_cpus=1``, not fractional: zstd compression burns a full
-    core, and declaring 0.5 let the scheduler co-locate 2× writers
-    per slot — invisible oversubscription that stole real cores from
-    the NEXT round's extract/projection tasks they overlap with
-    (measured as multi-second nondeterministic inflation of those
-    phases at 32 CPUs)."""
-    written = 0
-    for rt in RECORD_TYPES:
-        sub = pa.concat_tables([b[rt] for b in blocks])
-        if not sub.num_rows:
-            continue
-        d = os.path.join(out_dir, f"record_type={rt}")
-        os.makedirs(d, exist_ok=True)
-        pq.write_table(
-            sub, os.path.join(d, f"part-{task_idx:05d}.parquet"),
-            compression="zstd",
-        )
-        written += sub.num_rows
-    return written
+    for rt, sub in tables.items():
+        if sub.num_rows:
+            d = os.path.join(out_dir, f"record_type={rt}")
+            os.makedirs(d, exist_ok=True)
+            pq.write_table(
+                sub, os.path.join(d, f"part-{chunk:05d}.parquet"), compression="zstd"
+            )
+    got_t, link_t, counts["links_raw"], counts["links_kept"] = _project_tables(
+        prio_lookup, tables
+    )
+    return link_t, (got_t, counts)
 
 
 @ray.remote(num_cpus=1, num_returns=2)
@@ -387,17 +401,13 @@ def _preselect_backlog(
     parts = [pq.read_table(f, columns=FRONTIER_COLS) for f in rest_files]
     if losers.num_rows:
         parts.append(losers.select(FRONTIER_COLS))
-    backlog = pa.concat_tables(parts, promote_options="default").to_pandas()
+    backlog = pa.concat_tables(parts, promote_options="default")
     cand, rest = top_budget(backlog, budgets, default_budget)
     os.makedirs(out_dir, exist_ok=True)
-    cand_t = pa.Table.from_pandas(cand[FRONTIER_COLS], preserve_index=False)
-    pq.write_table(cand_t, os.path.join(out_dir, "cand.parquet"))
-    if len(rest):
-        pq.write_table(
-            pa.Table.from_pandas(rest[FRONTIER_COLS], preserve_index=False),
-            os.path.join(out_dir, "rest.parquet"),
-        )
-    return cand_t, len(rest)
+    pq.write_table(cand, os.path.join(out_dir, "cand.parquet"))
+    if rest.num_rows:
+        pq.write_table(rest, os.path.join(out_dir, "rest.parquet"))
+    return cand, rest.num_rows
 
 
 @dataclass
@@ -434,7 +444,7 @@ class _Selection:
     fdir: str  # this round's frontier dir
     n_front: int
     path: str  # the select path taken: driver | distributed
-    winners: pd.DataFrame
+    winners: pa.Table
     deferred_path: str | None  # distributed: deferred partition dir
 
 
@@ -443,7 +453,6 @@ class _Fetched:
     """What the round's fetch → extract step hands to admission and
     commit."""
 
-    write_futs: list = field(default_factory=list)
     link_refs: list = field(default_factory=list)
     n_links_raw: int = 0
     n_links_kept: int = 0
@@ -679,16 +688,13 @@ class CrawlRun:
         )
 
     # ---------------- selection ----------------
-    def _select_driver(self, frontier: pd.DataFrame):
+    def _select_driver(self, frontier: pa.Table):
         """Vectorized single-machine selection (identical semantics to
         the distributed path — see tests/test_crawl.py)."""
         denied = _robots_denied(frontier, self.robots)
-        n_denied = int(denied.sum())
-        frontier = frontier[~denied]
-        if frontier.empty:
-            return frontier, frontier, n_denied
+        frontier = frontier.filter(~denied)
         winners, deferred = top_budget(frontier, self.budgets, self.default_budget)
-        return winners, deferred, n_denied
+        return winners, deferred, int(denied.sum())
 
     def _select_distributed(self, rnd: int, n_front: int):
         """Scale path: salted two-stage per-host top-k over the frontier
@@ -707,25 +713,25 @@ class CrawlRun:
 
         robots = self.robots
 
-        def robots_and_salt(batch: pd.DataFrame) -> pd.DataFrame:
+        def robots_and_salt(batch: pa.Table) -> pa.Table:
             """Drop robots-denied rows, add the skew salt — vectorized,
             one pass, no per-row filter."""
-            batch = batch[~_robots_denied(batch, robots)]
-            return batch.assign(
-                __salt=(batch["key"].to_numpy() % salt_buckets).astype(np.int32)
-            )
+            batch = batch.filter(~_robots_denied(batch, robots))
+            salt = batch["key"].to_numpy() % salt_buckets
+            return batch.append_column("__salt", pa.array(salt.astype(np.int32)))
 
         budgets, default_budget = self.budgets, self.default_budget
 
-        def stage1(group: pd.DataFrame) -> pd.DataFrame:
+        def stage1(group: pa.Table) -> pa.Table:
             # one host per group: its top-budget rows are the candidates
             win, rest = top_budget(group, budgets, default_budget)
-            return pd.concat([win.assign(cand=True), rest.assign(cand=False)])
+            cand = np.arange(group.num_rows) < win.num_rows
+            return pa.concat_tables([win, rest]).append_column("cand", pa.array(cand))
 
         marked = (
-            frontier_ds.map_batches(robots_and_salt, batch_format="pandas")
+            frontier_ds.map_batches(robots_and_salt, batch_format="pyarrow")
             .groupby(["host", "__salt"])
-            .map_groups(stage1, batch_format="pandas")
+            .map_groups(stage1, batch_format="pyarrow")
         )
         sel_dir = self._p("select", f"round={rnd}")
         marked.drop_columns(["__salt"]).write_parquet(
@@ -737,34 +743,33 @@ class CrawlRun:
         # selection paths report identical metrics)
         n_denied = n_front - _count_parquet_rows(sel_dir)
 
-        cand_df = _read_parquet_dir(os.path.join(sel_dir, "cand=true"))
-        if cand_df.empty:
-            return cand_df, os.path.join(sel_dir, "cand=false"), n_denied
-
         # stage 2: exact per-host top-budget over the candidate superset
-        winners, demoted = top_budget(cand_df, self.budgets, self.default_budget)
+        # (the files hold FRONTIER_COLS; ``cand`` is in the path only)
+        cand = _read_parquet_dir(os.path.join(sel_dir, "cand=true"))
+        if not cand.num_rows:
+            return cand, os.path.join(sel_dir, "cand=false"), n_denied
+        winners, demoted = top_budget(cand, self.budgets, self.default_budget)
         # demoted candidates join the deferred partition on disk
-        if len(demoted):
+        if demoted.num_rows:
             dd = os.path.join(sel_dir, "cand=false")
             os.makedirs(dd, exist_ok=True)
-            pq.write_table(
-                pa.Table.from_pandas(
-                    demoted.drop(columns=["cand"], errors="ignore"),
-                    preserve_index=False,
-                ),
-                os.path.join(dd, "demoted.parquet"),
-            )
+            pq.write_table(demoted, os.path.join(dd, "demoted.parquet"))
         return winners, os.path.join(sel_dir, "cand=false"), n_denied
 
     # ---------------- fetch → extract ----------------
     @staticmethod
-    def _fetch_meta(winners: pd.DataFrame, rnd: int) -> pd.DataFrame:
-        meta = winners[["canonical_url", "surrogate", "seq", "priority"]].rename(
-            columns={"canonical_url": "url"}
+    def _fetch_meta(winners: pa.Table, rnd: int) -> pa.Table:
+        return pa.table(
+            {
+                "url": winners["canonical_url"],
+                "surrogate": winners["surrogate"],
+                "seq": winners["seq"],
+                "priority": winners["priority"],
+                "round": pa.array(np.full(winners.num_rows, rnd, dtype=np.int64)),
+            }
         )
-        return meta.assign(round=np.int64(rnd))
 
-    def _fetch_http_refs(self, meta: pd.DataFrame) -> list:
+    def _fetch_http_refs(self, meta: pa.Table) -> list:
         """The real-network tier (stages/fetch.py): one
         :func:`_http_fetch_chunk` task per slice of the fetch meta.
         Politeness holds because the selection already capped each
@@ -786,15 +791,15 @@ class CrawlRun:
                     per_host_delay_s=cc.http_per_host_delay_s,
                 )
             )
-        meta_t = pa.Table.from_pandas(meta, preserve_index=False)
+        n = meta.num_rows
         ncpu = int(ray.cluster_resources().get("CPU", 8))
-        size = -(-len(meta) // max(1, min(4 * ncpu, len(meta) // 64)))
+        size = -(-n // max(1, min(4 * ncpu, n // 64)))
         return [
-            _http_fetch_chunk.remote(self._fetch_put, meta_t.slice(off, size))
-            for off in range(0, len(meta), size)
+            _http_fetch_chunk.remote(self._fetch_put, meta.slice(off, size))
+            for off in range(0, n, size)
         ]
 
-    def _fetch_store_refs(self, meta: pd.DataFrame) -> list:
+    def _fetch_store_refs(self, meta: pa.Table) -> list:
         """Store-mode fetch, simulating the reference's S3 download
         (``src/file_downloader.rs:8-29``): O(K) lookups against the
         sharded in-memory page store (state/page_store.py), loaded ONCE
@@ -810,57 +815,51 @@ class CrawlRun:
         # each chunk call returns pages WITH the fetch meta columns
         # joined in-actor (Arrow take + append — the earlier
         # repartition + per-batch pandas merge moved the whole round's
-        # pages twice and halved big-round throughput). The chunk count
-        # targets ~2 blocks per CPU so the downstream extract uses the
-        # whole cluster. Never call ray.get on the store from inside
-        # map tasks — blocked workers made Ray spawn replacement
-        # processes (observed 56 workers on an 8-CPU cluster: hidden
-        # oversubscription).
+        # pages twice and halved big-round throughput). Never call
+        # ray.get on the store from inside map tasks — blocked workers
+        # made Ray spawn replacement processes (observed 56 workers on
+        # an 8-CPU cluster: hidden oversubscription).
         store = self._page_store
-        urls = meta["url"].to_numpy()
-        shard_ids = store.shard_of(list(urls))
-        meta_t = pa.Table.from_pandas(meta, preserve_index=False)
+        urls = meta["url"].to_pylist()
+        shard_ids = store.shard_of(urls)
         ncpu = int(ray.cluster_resources().get("CPU", 8))
+        batch = self.settings.crawl.batch_size
         # chunk count per shard PROPORTIONAL to its url share (the
         # range-sharded store concentrates mega-host urls in a few
-        # shards; equal per-shard chunking left straggler blocks) —
-        # target ≈ 2 equal blocks per CPU overall
-        total = len(urls)
+        # shards; equal per-shard chunking left straggler blocks),
+        # targeting ≈ 2 equal chunks per CPU overall — but no chunk
+        # below one extract batch unless the whole share is: a chunk
+        # costs a store call and an extract task whatever its size, so
+        # a narrow round is one of each
         refs = []
         for sid in np.unique(shard_ids):
             sel = np.flatnonzero(shard_ids == sid)
-            nchunks = max(1, round(2 * ncpu * len(sel) / max(1, total)))
-            for chunk in np.array_split(sel, min(nchunks, len(sel))):
-                if not len(chunk):
-                    continue
+            share = round(2 * ncpu * len(sel) / len(urls))
+            for chunk in np.array_split(sel, max(1, min(share, len(sel) // batch))):
                 refs.append(
                     store.shards[int(sid)].get_with_meta.remote(
                         [urls[i] for i in chunk],
-                        meta_t.take(pa.array(chunk, pa.int64())),
+                        meta.take(pa.array(chunk, pa.int64())),
                     )
                 )
         return refs
 
-    def _fetch_extract(self, winners: pd.DataFrame, rnd: int) -> _Fetched:
+    def _fetch_extract(self, winners: pa.Table, rnd: int) -> _Fetched:
         """Fetch → extract → project → write for the round's winners:
         one fused :func:`_extract_project_chunk` task per fetch chunk,
         so the round pays no Dataset execution and no separate
-        projection wave. The driver pulls only the fetched-url tables
-        and the link counts; the link refs go to admission."""
+        projection or write wave. The driver pulls only the fetched-url
+        tables and the counts; the link refs go to admission."""
         fx = _Fetched()
-        if winners.empty:
+        if not winners.num_rows:
             return fx
         out_dir = self.extracted_dir(rnd)
         # winner (seq → priority) lookup for child-link priorities,
         # sorted for the projections' searchsorted; put ONCE per round
         # (top-level ObjectRef args auto-deref in the task)
-        worder = np.argsort(winners["seq"].to_numpy(), kind="stable")
-        prio_ref = ray.put(
-            (
-                winners["seq"].to_numpy()[worder],
-                winners["priority"].to_numpy()[worder],
-            )
-        )
+        seqs = winners["seq"].to_numpy()
+        worder = np.argsort(seqs, kind="stable")
+        prio_ref = ray.put((seqs[worder], winners["priority"].to_numpy()[worder]))
         # one ref per fetch chunk, resolving to the chunk's pages with
         # the fetch meta columns attached
         meta = self._fetch_meta(winners, rnd)
@@ -868,56 +867,41 @@ class CrawlRun:
             fetch_refs = self._fetch_http_refs(meta)
         else:
             fetch_refs = self._fetch_store_refs(meta)
+        batch = self.settings.crawl.batch_size
         futs = [
             _extract_project_chunk.remote(
-                self._stage_ref(), prio_ref, self.settings.crawl.batch_size, ref
+                self._stage_ref(), prio_ref, batch, out_dir, i, ref
             )
-            for ref in fetch_refs
+            for i, ref in enumerate(fetch_refs)
         ]
-        blocks = [f[0] for f in futs]
-        # EAGER write submission: each writer becomes runnable the
-        # moment its 8 chunks land, so zstd IO overlaps the extraction
-        # tail instead of starting after the full count pull — measured
-        # commit_wait 7.6 → 3.5 s on a contended disk, extract time
-        # unchanged (the extract tasks were submitted first and stay
-        # ahead in queue). Writes then run through admission and the
-        # next round's selection; the deferred commit joins them before
-        # the round is durable (uncommitted rounds replay on resume, so
-        # a crash mid-write is safe).
-        os.makedirs(out_dir, exist_ok=True)
-        fx.write_futs = [
-            _write_round_blocks.remote(out_dir, wi, *blocks[i : i + 8])
-            for wi, i in enumerate(range(0, len(blocks), 8))
-        ]
-        got_tbls = [g for g in ray.get([f[1] for f in futs]) if g.num_rows]
-        fx.link_refs = [f[2] for f in futs]
-        for counts in ray.get([f[3] for f in futs]):
+        fx.link_refs = [f[0] for f in futs]
+        got_tbls = []
+        for got_t, counts in ray.get([f[1] for f in futs]):
+            if got_t.num_rows:
+                got_tbls.append(got_t)
             fx.n_links_raw += counts["links_raw"]
             fx.n_links_kept += counts["links_kept"]
             for route in fx.extract_docs:
                 fx.extract_docs[route] += counts[route]
 
-        # miss = winners whose url produced no dataset/error record.
-        # Arrow is_in over the fetched-url table — the old Python
-        # ``set(to_pylist())`` + pandas .isin built ~rounds×10^5
-        # PyObjects on the driver's serial path
+        # miss = winners whose url produced no dataset/error record
+        # (Arrow is_in over the fetched-url tables)
         if got_tbls:
             hit = pc.is_in(
-                pa.array(winners["canonical_url"], pa.string()),
+                winners["canonical_url"],
                 value_set=pa.concat_tables(got_tbls)["url"].combine_chunks(),
             )
-            miss_mask = pc.invert(hit).to_numpy(zero_copy_only=False)
+            miss = winners.filter(pc.invert(hit))
         else:
-            miss_mask = np.ones(len(winners), dtype=bool)
-        miss = winners[miss_mask]
-        fx.n_miss = n_miss = len(miss)
-        fx.n_fetched = len(winners) - n_miss
+            miss = winners
+        fx.n_miss = n_miss = miss.num_rows
+        fx.n_fetched = winners.num_rows - n_miss
         if n_miss:
             miss_t = pa.table(
                 {
-                    "url": pa.array(miss["canonical_url"].tolist()),
-                    "surrogate": pa.array(miss["surrogate"].to_numpy()),
-                    "seq": pa.array(miss["seq"].to_numpy()),
+                    "url": miss["canonical_url"],
+                    "surrogate": miss["surrogate"],
+                    "seq": miss["seq"],
                     "round": pa.array(np.full(n_miss, rnd, dtype=np.int64)),
                     "error_kind": pa.array(["FetchMiss"] * n_miss),
                     "error_message": pa.array(["url not in page store"] * n_miss),
@@ -965,8 +949,8 @@ class CrawlRun:
         pre_cand: pa.Table | None = None
         rest_cnt = 0
         if pre is not None:
-            pre_cand = ray.get(pre[0])  # usually instant: ran during
-            rest_cnt = int(ray.get(pre[1]))  # the prior round's extract
+            # usually instant: it ran during the prior round's extract
+            pre_cand, rest_cnt = ray.get(pre)
         have_mem = (pre is not None or links_mem is not None) and not full_read
         if not have_mem and not os.path.isdir(fdir):
             return None
@@ -994,7 +978,7 @@ class CrawlRun:
         if path == "distributed":
             winners, deferred_path, n_denied = self._select_distributed(rnd, n_front)
             self.metrics.robots_denied += n_denied
-            if winners.empty and not os.path.isdir(deferred_path):
+            if not winners.num_rows and not os.path.isdir(deferred_path):
                 return None
             return _Selection(fdir, n_front, path, winners, deferred_path)
 
@@ -1002,12 +986,12 @@ class CrawlRun:
         frontier = None
         if have_mem:
             parts = [
-                t.select(FRONTIER_COLS).to_pandas()
+                t.select(FRONTIER_COLS)
                 for t in (pre_cand, links_mem)
                 if t is not None and t.num_rows
             ]
             if parts:
-                frontier = pd.concat(parts, ignore_index=True)
+                frontier = pa.concat_tables(parts, promote_options="default")
                 used_mem = True
         if frontier is None:
             # no memory hand-off, or the degenerate non-empty backlog
@@ -1015,7 +999,7 @@ class CrawlRun:
             # spin-until-max_rounds semantics match the non-pipelined
             # path exactly
             frontier = _read_parquet_dir(fdir)
-        if frontier.empty:
+        if not frontier.num_rows:
             return None
         winners, deferred, n_denied = self._select_driver(frontier)
         self.metrics.robots_denied += n_denied
@@ -1029,10 +1013,10 @@ class CrawlRun:
             if os.path.isfile(rf):
                 rest_files.append(rf)
         # (the task also writes the losers into the next frontier dir)
-        if len(deferred) + (rest_cnt if used_mem else 0):
+        if deferred.num_rows + (rest_cnt if used_mem else 0):
             self._preselect = _preselect_backlog.remote(
                 rest_files,
-                pa.Table.from_pandas(deferred[FRONTIER_COLS], preserve_index=False),
+                deferred.select(FRONTIER_COLS),
                 self.budgets,
                 self.default_budget,
                 self.frontier_dir(rnd + 1),
@@ -1160,9 +1144,11 @@ class CrawlRun:
         stage took this round). Round N's shard snapshots run in
         the background through all of round N+1 when the shards are
         actors (actor message order makes them a consistent cut); the
-        manifest commit waits for them and the round's writes at the
-        NEXT round's commit point, so the per-round serial path carries
-        neither the write IO nor the commit fsync."""
+        manifest commit waits for them and the pipelined pre-selection
+        at the NEXT round's commit point, so the per-round serial path
+        carries no commit fsync. The record files need no wait: the
+        fetch step pulled every chunk's counts, and a chunk task writes
+        its files before it returns them."""
         cc = self.settings.crawl
         self._flush_pending_commit()  # its wait is recorded as the
         # PREVIOUS round's commit_wait (inside the flush) — timing it
@@ -1170,13 +1156,11 @@ class CrawlRun:
         t0 = _now()
         snap_mode = "full" if rnd % cc.snapshot_full_every == 0 else "delta"
         seen_snap = self.seen.snapshot_async(self.seen_dir(rnd), snap_mode)
-        write_futs = fx.write_futs
-        if self._preselect is not None:
-            # this round's commit must not land before the pipelined
-            # pre-selection's cand/rest frontier files are durable —
-            # a committed round implies its successor's frontier dir
-            # is complete (the resume contract)
-            write_futs = write_futs + list(self._preselect)
+        # this round's commit must not land before the pipelined
+        # pre-selection's cand/rest frontier files are durable — a
+        # committed round implies its successor's frontier dir is
+        # complete (the resume contract)
+        frontier_futs = list(self._preselect or ())
         phase_t["snapshot"] = _now() - t0
         self.metrics.rounds = rnd + 1
         self.metrics.fetched += fx.n_fetched
@@ -1186,7 +1170,7 @@ class CrawlRun:
             {
                 "round": rnd,
                 "frontier": int(sel.n_front),
-                "selected": int(len(sel.winners)),
+                "selected": int(sel.winners.num_rows),
                 "fetched": int(fx.n_fetched),
                 "misses": int(fx.n_miss),
                 "links_admitted": int(admitted),
@@ -1199,7 +1183,7 @@ class CrawlRun:
         )
         self._pending_commit = (
             seen_snap,
-            write_futs,
+            frontier_futs,
             rnd,
             {
                 "frontier_dir": sel.fdir,
@@ -1258,15 +1242,15 @@ class CrawlRun:
     def _flush_pending_commit(self) -> None:
         if self._pending_commit is None:
             return
-        seen_snap, write_futs, rnd, info = self._pending_commit
+        seen_snap, frontier_futs, rnd, info = self._pending_commit
         self._pending_commit = None
         t0 = _now()
-        # snapshot + writes durable before the commit; each shard's
-        # snapshot returns its tier sizes at the cut
+        # snapshot + next frontier durable before the commit; each
+        # shard's snapshot returns its tier sizes at the cut
         info["seen_tiers"] = seen_snap.wait()
-        ray.get(write_futs)
-        # the real write/snapshot wall time, recorded where the futures
-        # are actually joined (the extract phase only submits the writes)
+        ray.get(frontier_futs)
+        # the real snapshot/pre-selection wall time, recorded where the
+        # futures are actually joined
         info["phase_sec"]["commit_wait"] = round(_now() - t0, 3)
         self.manifest.commit_round(rnd, info)
 

@@ -52,6 +52,7 @@ import re
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data
 
@@ -75,23 +76,33 @@ def exact_dedup(
     key_len: int | None = None,
 ) -> "ray.data.Dataset":
     """Keep the min-``id`` row per distinct text (optionally per text
-    prefix of ``key_len`` chars)."""
+    prefix of ``key_len`` chars). A null text is kept and never
+    matched: its row is keyed by a hash of its id, not of its text."""
 
-    def add_key(batch: pd.DataFrame) -> pd.DataFrame:
-        keys = batch[text_col].str[:key_len] if key_len else batch[text_col]
-        return batch.assign(__k=murmur3_64_batch(list(keys)), __ckey=keys)
+    def text_keys(t: pa.Table):
+        text = t[text_col]
+        return pc.utf8_slice_codeunits(text, 0, key_len) if key_len else text
 
-    def first_wins(group: pd.DataFrame) -> pd.DataFrame:
-        return (
-            group.sort_values(id_col, kind="mergesort")
-            .drop_duplicates("__ckey", keep="first")
-            .drop(columns=["__k", "__ckey"])
+    def add_key(batch: pa.Table) -> pa.Table:
+        keys = text_keys(batch)
+        live = pc.is_valid(keys).to_numpy(zero_copy_only=False)
+        ids = batch[id_col].to_pandas()
+        k = pd.util.hash_pandas_object(ids, index=False).to_numpy().view(np.int64)
+        k[live] = murmur3_64_batch(keys.filter(live).to_pylist())
+        return batch.append_column("__k", pa.array(k))
+
+    def first_wins(group: pa.Table) -> pa.Table:
+        g = group.take(pc.sort_indices(group, sort_keys=[(id_col, "ascending")]))
+        keys = text_keys(g)
+        dup = keys.to_pandas().duplicated().to_numpy() & pc.is_valid(keys).to_numpy(
+            zero_copy_only=False
         )
+        return g.filter(~dup).drop_columns(["__k"])
 
     return (
-        ds.map_batches(add_key, batch_format="pandas")
+        ds.map_batches(add_key, batch_format="pyarrow")
         .groupby("__k")
-        .map_groups(first_wins, batch_format="pandas")
+        .map_groups(first_wins, batch_format="pyarrow")
     )
 
 
@@ -626,8 +637,6 @@ def _removed_ids(block, keep_col: str, drop_col: str, id_col: str) -> pa.Table:
     """``drop_col`` of the rows whose ``keep_col`` differs, as ``id_col``:
     the non-root nodes of a (node, label) block, or the dst of an
     exact-copy edge block."""
-    import pyarrow.compute as pc
-
     t = block
     if not isinstance(t, pa.Table):
         t = pa.Table.from_pandas(t, preserve_index=False)
@@ -691,7 +700,10 @@ def minhash_lsh_dedup(
     (rep_id, member_id) pairs and the exact-copy (min_id, id) pairs.
     The removed ids are exactly the nodes of this edge graph that are
     not their connected component's min id (a rep that verifies a
-    member of a smaller rep is removed without being a ``dst``)."""
+    member of a smaller rep is removed without being a ``dst``). Its
+    schema is int64 ``src``/``dst`` on every path, an edge-free one
+    included (Ray's ``to_pandas()`` of a zero-row Dataset still has no
+    columns; ``to_arrow_refs()`` keeps them)."""
     if bands < 1 or num_perm % bands:
         raise ValueError(f"num_perm ({num_perm}) must be a multiple of bands ({bands})")
     if not 0 < threshold <= 1:
@@ -770,6 +782,8 @@ def minhash_lsh_dedup(
             .map_groups(star_verify, batch_format="pandas")
             .materialize()
         )
+        if not edges.count():  # no hot bucket: no group, no schema
+            edges = _edge_dataset([])
         lone = _id_concat(
             ray.get([_lone_owners.remote(r, hot_ref, bands, owners) for r in sig_refs])
             if copy_refs
