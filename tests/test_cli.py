@@ -416,6 +416,52 @@ def test_cli_curate_null_ids_keep_one_id_type(dedup, tmp_path, ray_session):
     assert kept["doc_id"].null_count == 5
 
 
+@pytest.mark.parametrize("ids", ["url", "nullable_int"])
+@pytest.mark.parametrize("method", ["exact", "minhash", "simhash"])
+def test_cli_dedup_ids_of_any_type(method, ids, tmp_path, capsys,
+                                   ray_session):
+    """dedup keys a string or null-holding id column through the int64
+    surrogate that curate uses: every method keeps one row per text,
+    the same row (the smallest surrogate: a null id sorts after any
+    id), and every part file types the id column as the input does."""
+    import pyarrow as pa
+
+    from vat_abcd_crawler_ray.functions.urlkeys import murmur3_64_batch
+
+    distinct = list(_docs_frame(40)["text"].drop_duplicates())[:6]
+    texts = [distinct[i] for i in (0, 1, 2, 0, 3, 1, 4, 0, 5, 2, 3, 5)]
+    if ids == "url":
+        id_arr = pa.array([f"https://h{i % 3}.example/p{i}"
+                           for i in range(len(texts))])
+        sid = murmur3_64_batch(id_arr.to_pylist())
+    else:  # the [None, None, None, 4] case: text 0 keeps the row with id 4
+        id_arr = pa.array([None, None, None, 4, None, 6, None, 8, 9, None,
+                           None, None], pa.int64())
+        sid = np.array([np.iinfo(np.int64).max if v is None else v
+                        for v in id_arr.to_pylist()])
+    path = str(tmp_path / "docs.parquet")
+    pq.write_table(pa.table({"doc_id": id_arr, "text": texts}), path)
+    out = str(tmp_path / "out")
+    assert cli.main(["dedup", "--input", path, "--out", out,
+                     "--method", method]) == 0
+    report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert report["rows_kept"] == len(distinct)
+
+    for part in glob.glob(f"{out}/*.parquet"):
+        assert pq.read_schema(part).field("doc_id").type == id_arr.type
+    kept = pq.ParquetDataset(out).read().to_pandas()
+    assert sorted(kept["text"]) == sorted(distinct)
+    frame = pd.DataFrame({"doc_id": id_arr.to_pandas(), "text": texts,
+                          "sid": sid})
+    winners = frame.sort_values("sid").drop_duplicates("text")
+    want = winners.set_index("text")["doc_id"]
+    got = kept.set_index("text")["doc_id"]
+    assert got.isna().equals(want.isna()[got.index])
+    assert (got.dropna() == want[got.dropna().index]).all()
+    if ids == "nullable_int":
+        assert want[texts[0]] == 4
+
+
 def test_cli_full_story_ingest_analyze_curate(tmp_path, capsys, ray_session):
     """The product story as one flow: WARC shards → ingest → analyze
     (report sanity) → curate with dedup + split + packing."""

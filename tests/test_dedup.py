@@ -61,6 +61,78 @@ class TestExactDedup:
         out = exact_dedup(rd.from_items(rows), key_len=6).to_pandas()
         assert sorted(out["doc_id"]) == [1, 2]  # min doc_id wins per prefix
 
+    @pytest.mark.parametrize("partitions", ["one", "many"])
+    @given(
+        texts=st.lists(
+            st.one_of(st.none(), st.text(alphabet="abé✨", max_size=5)),
+            min_size=1,
+            max_size=40,
+        ),
+        key_len=st.sampled_from([None, 1, 2, 3]),
+        blocks=st.integers(2, 4),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @hyp_settings(max_examples=6, deadline=None,
+                  suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_kept_ids_equal_pandas_reference(
+        self, partitions, texts, key_len, blocks, seed
+    ):
+        # copies spread over several blocks, prefix collisions under
+        # key_len, null texts, and (with "many") several digest
+        # partitions of the copy finder at the session's 4 CPUs
+        from vat_abcd_crawler_ray.ops import hashagg
+
+        ids = np.random.default_rng(seed).permutation(10 * len(texts))[: len(texts)]
+        frame = pd.DataFrame({"doc_id": ids, "text": texts})
+        ds = rd.from_pandas([frame.iloc[i::blocks] for i in range(blocks)])
+        with pytest.MonkeyPatch.context() as mp:
+            if partitions == "many":
+                mp.setattr(hashagg, "_ROWS_PER_PART", 3)
+            kept = sorted(exact_dedup(ds, key_len=key_len).to_pandas()["doc_id"])
+        ref = frame.sort_values("doc_id")
+        key = ref["text"].str.slice(0, key_len) if key_len else ref["text"]
+        dup = key.duplicated() & key.notna()
+        assert kept == sorted(ref.loc[~dup, "doc_id"])
+
+    def test_many_partitions_split_the_copies(self, monkeypatch):
+        # the multi-partition reducer path is taken: every partition
+        # returns its own edge table, and together they hold each copy
+        import vat_abcd_crawler_ray.pipelines.dedup as dd
+        from vat_abcd_crawler_ray.ops import hashagg
+
+        monkeypatch.setattr(hashagg, "_ROWS_PER_PART", 4)
+        ds = rd.from_items(_docs()).materialize()
+        counts, refs = dd._copy_edges(dd.block_refs(ds), "doc_id", "text")
+        assert len(refs) == 4
+        edges = pa.concat_tables(ray.get(refs))
+        assert sum(ray.get(counts)) == edges.num_rows == 2
+        assert set(zip(edges["src"].to_pylist(), edges["dst"].to_pylist())) == {
+            (0, 100),
+            (0, 101),
+        }
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestIdPolicy:
+    """The dedup family keys on non-null integer ids and says so."""
+
+    @pytest.mark.parametrize("ids", ["string", "null"])
+    @pytest.mark.parametrize("method", ["exact", "minhash", "simhash"])
+    def test_non_integer_or_null_ids_raise(self, method, ids):
+        import vat_abcd_crawler_ray.pipelines.dedup as dd
+
+        frame = pd.DataFrame([(r["doc_id"], r["text"]) for r in _docs()],
+                             columns=["doc_id", "text"])
+        if ids == "string":
+            frame["doc_id"] = "u" + frame["doc_id"].astype(str)
+        else:
+            frame["doc_id"] = frame["doc_id"].astype("Int64")
+            frame.loc[3, "doc_id"] = None
+        run = {"exact": dd.exact_dedup, "minhash": dd.minhash_lsh_dedup,
+               "simhash": dd.simhash_dedup}[method]
+        with pytest.raises(ValueError, match="dedup ids must be"):
+            run(rd.from_pandas(frame)).materialize()
+
 
 class TestMinhashMath:
     def test_jaccard_estimate(self):

@@ -108,29 +108,19 @@ def cmd_dedup(args: argparse.Namespace) -> int:
     import ray
     import ray.data
 
-    from .pipelines import dedup as dd
-
     owned = _init_ray(args.num_cpus)
     ncpu = int(ray.cluster_resources().get("CPU", 8))
     ds = ray.data.read_parquet(
         args.input, columns=None, override_num_blocks=ncpu * 2
     )
     n_in = ds.count()
-    if args.method == "exact":
-        kept = dd.exact_dedup(
-            ds, text_col=args.text_col, id_col=args.id_col,
-            key_len=args.key_len or None,
-        )
-    elif args.method == "minhash":
-        kept = dd.minhash_lsh_dedup(
-            ds, text_col=args.text_col, id_col=args.id_col,
-            threshold=args.threshold,
-        )
-    else:  # simhash
-        kept = dd.simhash_dedup(
-            ds, text_col=args.text_col, id_col=args.id_col,
-            hamming_max=args.hamming_max,
-        )
+    opts = {
+        "exact": {"key_len": args.key_len or None},
+        "minhash": {"threshold": args.threshold},
+        "simhash": {"hamming_max": args.hamming_max},
+    }[args.method]
+    ids = _DedupIds(args.input, args.id_col)
+    kept = ids.restore(ids.dedup(ds, args.method, args.text_col, **opts))
     kept.write_parquet(args.out)
     # count from the written footers, not a second pipeline run
     import pyarrow.parquet as pq
@@ -320,63 +310,115 @@ def cmd_lm_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _dedup_sid(ids, int_ids: bool):
-    """int64 dedup surrogate per row of a pandas batch: an integer id
-    as itself, any other id as murmur3 of its string form (collision
-    odds ~n^2/2^64 — nil at any corpus). Null ids get a placeholder
-    that ``_number_null_ids`` replaces."""
-    import numpy as np
-
-    from .functions.urlkeys import murmur3_64_batch
-
-    if int_ids:  # pandas holds an integer column with nulls as float
-        return ids.fillna(0).to_numpy().astype(np.int64)
-    return murmur3_64_batch(ids.astype(str).tolist())
+_SID = "__dedup_sid"
 
 
 def _null_count_digest(block, id_col: str) -> tuple:
-    """(null-id rows, 128-bit digest of the rows) of one pandas block."""
+    """(null-id rows, 128-bit digest of the rows) of one block."""
     import hashlib
 
     import pandas as pd
 
-    rows = pd.util.hash_pandas_object(block, index=False).to_numpy()
+    frame = block if isinstance(block, pd.DataFrame) else block.to_pandas()
+    rows = pd.util.hash_pandas_object(frame, index=False).to_numpy()
     digest = hashlib.blake2b(rows.tobytes(), digest_size=16).digest()
-    return int(block[id_col].isna().sum()), digest
+    return int(frame[id_col].isna().sum()), digest
 
 
-def _set_null_sids(block, id_col: str, did: str, first: int):
-    """One pandas block with the surrogates of its null-id rows set to
+def _sid_block(block, id_col: str, int_ids: bool, first: int):
+    """One block as Arrow with its int64 dedup surrogate column: an
+    integer id as itself, any other id as murmur3 of its string form
+    (collision odds ~n^2/2^64 — nil at any corpus), and the null ids
     INT64_MAX - first, - first - 1, ... in row order."""
     import numpy as np
+    import pyarrow as pa
 
-    null = block[id_col].isna().to_numpy()
-    sid = block[did].to_numpy(np.int64).copy()
+    from .functions.urlkeys import murmur3_64_batch
+
+    t = block if isinstance(block, pa.Table) else pa.Table.from_pandas(
+        block, preserve_index=False
+    )
+    ids = t[id_col]
+    if int_ids:  # pandas holds an integer column with nulls as float
+        sid = ids.cast(pa.int64()).fill_null(0).to_numpy().copy()
+    else:
+        sid = murmur3_64_batch(ids.cast(pa.string()).fill_null("").to_pylist())
+    null = ids.is_null().to_numpy(zero_copy_only=False)
     sid[null] = np.iinfo(np.int64).max - first - np.arange(null.sum())
-    return block.assign(**{did: sid})
+    return t.append_column(_SID, pa.array(sid))
 
 
-def _number_null_ids(ds, id_col: str, did: str):
-    """The materialized curate output ``ds`` with a surrogate of its
-    own for each null-id row: INT64_MAX minus its rank among the null-id
-    rows, counted over the blocks in content-digest order. The ranks
-    depend only on the data (blocks of equal content may swap, which
-    changes no output row), and they sort after the surrogate of
-    (almost) any id, so a row with an id wins over a copy without."""
-    import ray
-    import ray.data
+class _DedupIds:
+    """The one id policy of the ``dedup`` and ``curate`` commands. The
+    dedup family keys on non-null int64 ids. Any other id column (urls,
+    or integers with nulls) is deduplicated on a surrogate column
+    instead (``dedup``), and its ids get the input's type back before
+    the write (``restore``)."""
 
-    from .ops.blocks import block_refs
+    def __init__(self, path: str, id_col: str):
+        import pyarrow.dataset as pds
+        import pyarrow.types as pat
 
-    refs = block_refs(ds)
-    count_digest = ray.remote(_null_count_digest)
-    keys = ray.get([count_digest.remote(r, id_col) for r in refs])
-    set_sids = ray.remote(_set_null_sids)
-    out, first = [None] * len(refs), 0
-    for i in sorted(range(len(refs)), key=lambda i: keys[i][1]):
-        out[i] = set_sids.remote(refs[i], id_col, did, first)
-        first += keys[i][0]
-    return ray.data.from_pandas_refs(out)
+        src = pds.dataset(path, format="parquet")
+        self.id_col = id_col
+        self.id_type = src.schema.field(id_col).type
+        self.int_ids = pat.is_integer(self.id_type)
+        self.null_ids = src.count_rows(filter=pds.field(id_col).is_null())
+        self.plain = self.int_ids and not self.null_ids
+
+    def dedup(self, ds, method: str, text_col: str, **opts):
+        """The kept rows of dedup ``method`` over ``ds``, materialized
+        first: the dedup reads its input more than once, and every read
+        shares the blocks. Off the plain path it keys on the surrogate
+        column: null ids get surrogates of their own that sort after
+        (almost) any id's, so a row with an id wins over a copy
+        without. Their ranks are counted over the blocks in
+        content-digest order, so they depend only on the data (blocks of
+        equal content may swap, which changes no output row)."""
+        import ray
+        import ray.data
+
+        from .ops.blocks import block_refs
+        from .pipelines import dedup as dd
+
+        run = {
+            "exact": dd.exact_dedup,
+            "minhash": dd.minhash_lsh_dedup,
+            "simhash": dd.simhash_dedup,
+        }[method]
+        ds = ds.materialize()
+        if self.plain:
+            return run(ds, text_col=text_col, id_col=self.id_col, **opts)
+        refs = block_refs(ds)
+        firsts = [0] * len(refs)
+        if self.null_ids:
+            count_digest = ray.remote(_null_count_digest)
+            keys = ray.get([count_digest.remote(r, self.id_col) for r in refs])
+            first = 0
+            for i in sorted(range(len(refs)), key=lambda i: keys[i][1]):
+                firsts[i], first = first, first + keys[i][0]
+        sid_block = ray.remote(_sid_block)
+        ds = ray.data.from_arrow_refs(
+            [
+                sid_block.remote(r, self.id_col, self.int_ids, f)
+                for r, f in zip(refs, firsts)
+            ]
+        )
+        return run(ds, text_col=text_col, id_col=_SID, **opts).drop_columns([_SID])
+
+    def restore(self, ds):
+        """``ds`` with the input's id type on every block: pandas blocks
+        type a null or non-integer id column per block (null, double,
+        string); non-null integer ids keep theirs already."""
+        if self.plain:
+            return ds
+        id_col, id_type = self.id_col, self.id_type
+        return ds.map_batches(
+            lambda t: t.set_column(
+                t.schema.get_field_index(id_col), id_col, t[id_col].cast(id_type)
+            ),
+            batch_format="pyarrow",
+        )
 
 
 def cmd_curate(args: argparse.Namespace) -> int:
@@ -400,17 +442,7 @@ def cmd_curate(args: argparse.Namespace) -> int:
     )
     id_col, text_col = args.id_col, args.text_col
     require_terminal = not args.keep_unterminated
-    # the dedup family keys on non-null int64 ids; a non-integer id
-    # column (urls), or one with nulls, rides through a surrogate added
-    # by the curate map and dropped after the dedup (see _dedup_sid)
-    import pyarrow.dataset as pds
-    import pyarrow.types as pat
-
-    src = pds.dataset(args.input, format="parquet")
-    id_type = src.schema.field(id_col).type
-    int_ids = pat.is_integer(id_type)
-    null_ids = src.count_rows(filter=pds.field(id_col).is_null())
-    did = "__dedup_sid" if args.dedup and (not int_ids or null_ids) else id_col
+    ids = _DedupIds(args.input, id_col)
 
     def curate(df: pd.DataFrame) -> pd.DataFrame:
         cl = ts.clean_lines(
@@ -425,8 +457,6 @@ def cmd_curate(args: argparse.Namespace) -> int:
             if c != "text":
                 out[c] = sc[c]
         out["n_tokens"] = ts.token_count(sc["text"])
-        if did != id_col:
-            out[did] = _dedup_sid(out[id_col], int_ids)
         return out
 
     ds = ds.map_batches(curate, batch_format="pandas")
@@ -434,24 +464,8 @@ def cmd_curate(args: argparse.Namespace) -> int:
         # near-dup removal INSIDE the chain (post-clean/scrub text is
         # what should be compared — boilerplate removal first makes
         # the similarity signal about content, not chrome)
-        from .pipelines import dedup as dd
-
-        # the dedup reads its input more than once: clean, scrub and
-        # count tokens once, and let every read share the blocks
-        ds = ds.materialize()
-        if null_ids:
-            ds = _number_null_ids(ds, id_col, did)
-        if args.dedup == "exact":
-            ds = dd.exact_dedup(ds, text_col="text", id_col=did)
-        elif args.dedup == "minhash":
-            ds = dd.minhash_lsh_dedup(
-                ds, text_col="text", id_col=did,
-                threshold=args.dedup_threshold,
-            )
-        else:  # simhash
-            ds = dd.simhash_dedup(ds, text_col="text", id_col=did)
-        if did != id_col:
-            ds = ds.drop_columns([did])
+        opts = {"threshold": args.dedup_threshold} if args.dedup == "minhash" else {}
+        ds = ids.dedup(ds, args.dedup, "text", **opts)
     if args.ppl_model:
         # CCNet-style LM filter: drop docs above the perplexity cap
         # (model trained once via `lm-train`, broadcast to every task)
@@ -478,16 +492,7 @@ def cmd_curate(args: argparse.Namespace) -> int:
         ds = add_split_column(ds, id_col, fractions, salt=args.salt)
     if args.pack_budget:
         ds = pack_sequences(ds, "n_tokens", args.pack_budget, id_col=id_col)
-    if not int_ids or null_ids:
-        # pandas blocks type a null or non-integer id column per block
-        # (null, double, string), so every part file gets the input's
-        # id type back; non-null integer ids keep theirs already
-        ds = ds.map_batches(
-            lambda t: t.set_column(
-                t.schema.get_field_index(id_col), id_col, t[id_col].cast(id_type)
-            ),
-            batch_format="pyarrow",
-        )
+    ds = ids.restore(ds)
     if args.splits:
         # hive-partition by split: consumers read one split without
         # scanning the others, and a re-run can skip finished splits

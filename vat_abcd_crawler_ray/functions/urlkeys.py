@@ -228,9 +228,9 @@ def murmur3_64_batch(items, seed: int = 0, chunk: int = 512) -> np.ndarray:
     data = [s.encode("utf-8") if isinstance(s, str) else s for s in items]
     lens = np.fromiter((len(b) for b in data), dtype=np.int64, count=n)
     order = np.argsort(lens, kind="stable")
-    # chunk by row count AND padded bytes: hashing whole documents
-    # (exact_dedup) must not allocate a rows × max-doc-length pad
-    # buffer — cap each chunk's buffer at ~32 MB
+    # chunk by row count AND padded bytes: hashing long strings must
+    # not allocate a rows × max-length pad buffer — cap each chunk's
+    # buffer at ~32 MB
     max_bytes = 32 << 20
     c0 = 0
     while c0 < n:
@@ -295,7 +295,3 @@ def strip_tracking_params(url: str) -> str:
         kept.append(part)
     base = url[:q]
     return (base + "?" + "&".join(kept) if kept else base) + frag
-
-
-def strip_tracking_batch(urls) -> list[str]:
-    return [strip_tracking_params(u) for u in urls]

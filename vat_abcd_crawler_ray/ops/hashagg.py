@@ -23,9 +23,10 @@ tasks and Arrow kernels:
 - **driver**: pulls per-reducer HOT counts first, so a caller gate
   (``hot_limit``) can bail out before fetching a single result table.
 
-Used by the MinHash dedup's exact-copy and hot-rep combines and the
-hot-bucket combine (``pipelines/dedup.py``), by substring dedup, and by
-the crawl's first-wins (``ops/firstwins.py``).
+Used by the dedup family (``pipelines/dedup.py``: the exact-copy
+finder's digest partitions, MinHash's hot-rep combine and the
+hot-bucket combine), by substring dedup, and by the crawl's first-wins
+(``ops/firstwins.py``).
 """
 
 from __future__ import annotations
@@ -72,10 +73,9 @@ def _as_arrow(block) -> pa.Table:
 
 @ray.remote
 def _split_block(block, key: str, parts: int):
-    """Split one partial block into ``parts`` sub-tables by key hash."""
+    """Split one partial block into ``parts`` (≥ 2) sub-tables by key
+    hash."""
     tbl = _as_arrow(block)
-    if parts == 1:  # num_returns=1 ships the value itself, not a tuple
-        return tbl
     if not tbl.num_rows:
         empty = tbl.slice(0, 0)
         return tuple(empty for _ in range(parts))
@@ -88,6 +88,16 @@ def _split_block(block, key: str, parts: int):
         picked.slice(bounds[p], bounds[p + 1] - bounds[p])
         for p in range(parts)
     )
+
+
+def partition_refs(refs: list, key: str, parts: int) -> list:
+    """``matrix[i][p]``: the rows of block ``refs[i]`` whose ``key``
+    hashes to partition ``p``. One partition takes every block as-is,
+    with no split wave."""
+    if parts == 1:
+        return [[r] for r in refs]
+    split = _split_block.options(num_returns=parts)
+    return [split.remote(r, key, parts) for r in refs]
 
 
 @ray.remote
@@ -177,10 +187,7 @@ def sum_combine_dataset(
                 {c: pa.array([], type=pa.int64()) for c in (key, *sum_cols)}
             )
         )
-    split = _split_block.options(num_returns=parts)
-    matrix = [split.remote(r, key, parts) for r in refs]
-    if parts == 1:
-        matrix = [[m] for m in matrix]
+    matrix = partition_refs(refs, key, parts)
     return rd.from_arrow_refs(
         [
             _multisum_partition.remote(
@@ -235,11 +242,7 @@ def hot_combine(
         keys = np.zeros(0, np.int64)
         return (keys, np.zeros(0, np.int64)) if min_col else (keys, None)
 
-    if parts == 1:  # one reducer takes every block as-is: no split wave
-        matrix = [[r] for r in refs]
-    else:
-        split = _split_block.options(num_returns=parts)
-        matrix = [split.remote(r, key, parts) for r in refs]
+    matrix = partition_refs(refs, key, parts)
     combine = _combine_partition.options(num_returns=2)
     reduces = [
         combine.remote(

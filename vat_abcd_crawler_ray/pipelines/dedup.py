@@ -4,44 +4,50 @@ n-gram Jaccard, embedding-cosine near-dup.
 
 Design:
 
-- **exact**: content key per batch (vectorized) → ``groupby(key)`` →
-  per-group first-wins by min id — the T1 surrogate-dedup semantics
+- **exact copies** (``_copy_edges``): each block task keys its
+  non-null texts (or text prefixes) by a 128-bit BLAKE2b digest; the
+  (digest, id) rows are hash-partitioned by digest
+  (``ops/hashagg.partition_refs``) and each reducer sorts its slice
+  into (min id, id) copy edges — the T1 surrogate-dedup first-wins
   (``/root/reference/src/storage/surrogate_key.rs:16-41``) applied to
-  content instead of URLs. Only (key64, row) shuffles; within-group
-  exact-text check guards hash collisions.
+  content instead of URLs. No text is shuffled and nothing passes
+  through the driver. ``exact_dedup`` removes every edge's ``dst``
+  with ``ops.joins.anti_join_keys``.
 - **minhash-LSH**: plain Ray tasks over the input's materialized
   blocks (one task per block per stage; no Dataset executions below
-  the broadcast gate). A 128-bit content digest per row gives per-block
-  (key, n, min_id) partials, combined by ``ops/hashagg.hot_combine``:
-  a row whose text a smaller id holds is an exact copy and is not
-  signed. It is removed as a copy of that id, unless that id
-  represents none of its band buckets and verifies against none of
-  their reps: then signing every row would keep it too. Each signing
-  task shingles → k-permutation MinHash (numpy) and also emits its
-  (bucket, n, min_id) band partials — bucket = fold of (band ‖
-  band-signature); signatures, never text, leave the task →
-  ``hot_combine`` gives the hot buckets and their min-id
-  representatives → the reps' signatures are broadcast and each block
-  is star-verified (signature-estimated Jaccard against the rep) →
-  connected components (ops/components.py: driver loop for sparse
-  edge sets, iterated Dataset min-label joins at scale) → component
-  non-roots and exact copies removed via ``ops.joins.anti_join_keys``
-  (broadcast below a size gate, bucketed left-anti join above it).
-  Above a broadcast gate every row is signed (more duplicated texts)
-  or the star verify runs as ``groupby(bucket).map_groups`` over an
-  exploded (id, bucket, sig) band table (more hot buckets).
+  the broadcast gate). The exact-copy edges come first: a row whose
+  text a smaller id holds is an exact copy and is not signed. It is
+  removed as a copy of that id, unless that id represents none of its
+  band buckets and verifies against none of their reps: then signing
+  every row would keep it too. Each signing task shingles →
+  k-permutation MinHash (numpy) and also emits its (bucket, n, min_id)
+  band partials — bucket = fold of (band ‖ band-signature);
+  signatures, never text, leave the task → ``ops/hashagg.hot_combine``
+  gives the hot buckets and their min-id representatives → the reps'
+  signatures are broadcast and each block is star-verified
+  (signature-estimated Jaccard against the rep) → connected components
+  (ops/components.py: driver loop for sparse edge sets, iterated
+  Dataset min-label joins at scale) → component non-roots and exact
+  copies removed via ``ops.joins.anti_join_keys`` (broadcast below a
+  size gate, bucketed left-anti join above it). Above a broadcast gate
+  every row is signed (more exact-copy rows) or the star verify runs
+  as ``groupby(bucket).map_groups`` over an exploded (id, bucket, sig)
+  band table (more hot buckets).
 - **ngram-jaccard**: exact word-n-gram Jaccard verification for a
   given candidate pair set (the precise second pass).
-- **simhash**: 64-bit token simhash — fully vectorized (batched
-  murmur3 over the flattened token stream + segment reduction); near-
-  dup = Hamming ≤ r with 4×16-bit band blocking (pigeonhole: distance
-  ≤ 3 ⇒ one band equal); all-pairs ``groupby(bucket)`` verify, then
-  the same components / anti-join spine as minhash.
+- **simhash**: 64-bit token simhash, signed by one task per block —
+  fully vectorized (mod-P polynomial folds over the flattened token
+  stream + segment reduction); near-dup = Hamming ≤ r with 4×16-bit
+  band blocking (pigeonhole: distance ≤ 3 ⇒ one band equal); all-pairs
+  ``groupby(bucket)`` verify, then the same components / anti-join
+  spine as minhash.
 - **embedding near-dup**: block-wise cosine pairs via per-group numpy
   matmul (block = label here; kmeans/LSH cell at scale).
 
-Deterministic: permutation parameters derive from a fixed seed; all
-tiebreaks by min id; no wall-clock anywhere.
+Exact, MinHash and SimHash dedup key on a non-null integer id column
+and raise ``ValueError`` on any other (the CLI dedups string or null ids through
+an int64 surrogate). Deterministic: permutation parameters derive from
+a fixed seed; all tiebreaks by min id; no wall-clock anywhere.
 """
 
 from __future__ import annotations
@@ -56,10 +62,9 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ..functions.urlkeys import murmur3_64_batch
 from ..ops.blocks import block_refs
 from ..ops.components import min_label_components
-from ..ops.hashagg import combine_parts, hot_combine
+from ..ops.hashagg import combine_parts, hot_combine, partition_refs
 from ..ops.joins import anti_join_keys
 
 _TOKEN = re.compile(r"\S+")
@@ -69,6 +74,72 @@ _TOKEN = re.compile(r"\S+")
 # ---------------------------------------------------------------------------
 
 
+def _block_ids(col: "pa.ChunkedArray", id_col: str) -> np.ndarray:
+    """The int64 ids of one block's id column. The dedup family keys on
+    non-null integer ids; any other id column raises."""
+    if not pa.types.is_integer(col.type):
+        raise ValueError(f"dedup ids must be integers: {id_col!r} is {col.type}")
+    if col.null_count:
+        raise ValueError(f"dedup ids must be non-null: {id_col!r} has {col.null_count}")
+    return col.to_numpy().astype(np.int64, copy=False)
+
+
+def _id_text(block, id_col: str, text_col: str):
+    """(ids, texts, live) of one Arrow or pandas block: int64 ids, the
+    texts as a list, and the positions of the non-null texts. An empty
+    block may have no schema (filter and shuffle ops emit such)."""
+    if not len(block):
+        return np.zeros(0, np.int64), [], np.zeros(0, np.int64)
+    if not isinstance(block, pa.Table):
+        block = pa.Table.from_pandas(block[[id_col, text_col]], preserve_index=False)
+    text = block[text_col]
+    live = np.flatnonzero(pc.is_valid(text).to_numpy(zero_copy_only=False))
+    return _block_ids(block[id_col], id_col), text.to_pylist(), live
+
+
+@ray.remote(num_returns=2)
+def _key_block(block, id_col: str, text_col: str, key_len: int | None):
+    """(rows, keyed) for one block: a (k0, k1, id) row per non-null
+    text, k0‖k1 the 128-bit BLAKE2b digest of the text or of its
+    ``key_len``-character prefix."""
+    ids, texts, live = _id_text(block, id_col, text_col)
+    keys = [texts[i][:key_len] if key_len else texts[i] for i in live]
+    digests = np.frombuffer(_content_keys(keys), np.int64).reshape(-1, 2)
+    return len(live), pa.table(
+        {"k0": digests[:, 0], "k1": digests[:, 1], "id": ids[live]}
+    )
+
+
+@ray.remote(num_returns=2)
+def _copy_reduce(*keyed: pa.Table):
+    """(edge count, edge table) of one digest partition: its rows
+    sorted by (digest, id), each row after its digest's first is a copy
+    of that first (min) id."""
+    t = pa.concat_tables(keyed)
+    k0, k1, ids = (t[c].to_numpy() for c in ("k0", "k1", "id"))
+    order = np.lexsort((ids, k1, k0))
+    k0, k1, ids = k0[order], k1[order], ids[order]
+    first = np.ones(len(ids), bool)
+    first[1:] = (k0[1:] != k0[:-1]) | (k1[1:] != k1[:-1])
+    owner = ids[first][np.cumsum(first) - 1]
+    return int(len(ids) - first.sum()), _edge_table(owner[~first], ids[~first])
+
+
+def _copy_edges(refs: list, id_col: str, text_col: str, key_len: int | None = None):
+    """The exact copies among the blocks ``refs``, as (edge-count refs,
+    edge-table refs), one of each per digest partition: an edge
+    (min id, id) for every row whose text — or ``key_len`` prefix — a
+    smaller id holds. Null texts are neither keyed nor matched. The
+    keyed rows are hash-partitioned by digest (one partition per
+    ``ops/hashagg.combine_parts`` share of them), so no text is
+    shuffled and no edge passes through the driver."""
+    rows, keyed = zip(*(_key_block.remote(r, id_col, text_col, key_len) for r in refs))
+    parts = combine_parts(sum(ray.get(list(rows))))
+    matrix = partition_refs(list(keyed), "k0", parts)
+    out = [_copy_reduce.remote(*[row[p] for row in matrix]) for p in range(parts)]
+    return [o[0] for o in out], [o[1] for o in out]
+
+
 def exact_dedup(
     ds: "ray.data.Dataset",
     text_col: str = "text",
@@ -76,34 +147,16 @@ def exact_dedup(
     key_len: int | None = None,
 ) -> "ray.data.Dataset":
     """Keep the min-``id`` row per distinct text (optionally per text
-    prefix of ``key_len`` chars). A null text is kept and never
-    matched: its row is keyed by a hash of its id, not of its text."""
-
-    def text_keys(t: pa.Table):
-        text = t[text_col]
-        return pc.utf8_slice_codeunits(text, 0, key_len) if key_len else text
-
-    def add_key(batch: pa.Table) -> pa.Table:
-        keys = text_keys(batch)
-        live = pc.is_valid(keys).to_numpy(zero_copy_only=False)
-        ids = batch[id_col].to_pandas()
-        k = pd.util.hash_pandas_object(ids, index=False).to_numpy().view(np.int64)
-        k[live] = murmur3_64_batch(keys.filter(live).to_pylist())
-        return batch.append_column("__k", pa.array(k))
-
-    def first_wins(group: pa.Table) -> pa.Table:
-        g = group.take(pc.sort_indices(group, sort_keys=[(id_col, "ascending")]))
-        keys = text_keys(g)
-        dup = keys.to_pandas().duplicated().to_numpy() & pc.is_valid(keys).to_numpy(
-            zero_copy_only=False
-        )
-        return g.filter(~dup).drop_columns(["__k"])
-
-    return (
-        ds.map_batches(add_key, batch_format="pyarrow")
-        .groupby("__k")
-        .map_groups(first_wins, batch_format="pyarrow")
-    )
+    prefix of ``key_len`` characters). A null text is kept and never
+    matched. ``ds`` is materialized once (a no-op for a
+    ``MaterializedDataset``); its copy edges' ``dst`` ids are removed
+    by an anti-join over the same blocks."""
+    ds = ds.materialize()
+    refs = block_refs(ds)
+    if not refs:
+        return ds
+    _, copy_refs = _copy_edges(refs, id_col, text_col, key_len)
+    return _drop_duplicate_ids(ds, None, id_col, copy_refs)
 
 
 # ---------------------------------------------------------------------------
@@ -312,37 +365,16 @@ def ngram_jaccard(text_a: str, text_b: str, n: int = 3) -> float:
 
 _EMPTY_EDGES = {"src": pd.Series(dtype=np.int64), "dst": pd.Series(dtype=np.int64)}
 
-# Max group counts for the two broadcast tables: the exact-copy table
-# (24 B per text held by ≥2 rows) and the rep table (~(16 + 8·num_perm)
-# B per hot bucket, so 1M buckets ≈ 0.5 GiB in the object store). Above
-# the first the signing skips the exact-copy collapse; above the second
-# the star verify falls back to the grouped shuffle.
+# Max sizes of the two broadcast tables: the exact-copy ids (copy rows:
+# 8 B per copy and per owner) and the rep table (~(16 + 8·num_perm) B
+# per hot bucket, so 1M buckets ≈ 0.5 GiB in the object store). Above
+# the first every row is signed; above the second the star verify falls
+# back to the grouped shuffle.
 _COPY_BROADCAST_LIMIT = 1_000_000
 _REP_BROADCAST_LIMIT = 1_000_000
 
 # texts per signing-kernel call: bounds the kernel's working set
 _SIGN_BATCH = 512
-
-
-def _hot_buckets(signed: "ray.data.Dataset") -> np.ndarray:
-    """Sorted bucket ids with ≥2 band-table rows, via per-batch PARTIAL
-    counts (≤ one row per distinct bucket per batch) combined by the
-    hash-partitioned task combine of ``ops/hashagg.py`` (Ray's
-    sort-based groupby-count measured 37 s on 80k mostly-singleton
-    rows). The HOT set itself is duplicate-bounded, so it returns
-    driver-side (it is broadcast next)."""
-    partials = signed.map_batches(
-        lambda df: df.groupby("bucket", sort=False).size().reset_index(name="n"),
-        batch_format="pandas",
-    ).materialize()
-    keys, _ = hot_combine(
-        partials,
-        key="bucket",
-        sum_col="n",
-        min_count=2,
-        parts=combine_parts(partials.count()),
-    )
-    return keys
 
 
 def _verify_fanout(n_groups: int, groups_per_task: int = 256) -> int:
@@ -352,29 +384,6 @@ def _verify_fanout(n_groups: int, groups_per_task: int = 256) -> int:
     cluster-proportional fan-out, and by 2× cluster CPUs."""
     cpus = int(ray.cluster_resources().get("CPU", 8))
     return max(1, min((n_groups + groups_per_task - 1) // groups_per_task, cpus * 2))
-
-
-def _sig_matrix(col: pd.Series) -> np.ndarray:
-    """(D, num_perm) int64 view of a bytes signature column."""
-    if not len(col):
-        return np.zeros((0, 1), np.int64)
-    return np.frombuffer(b"".join(col), np.int64).reshape(len(col), -1)
-
-
-def _id_text(block, id_col: str, text_col: str):
-    """(ids, texts, live) of one Arrow or pandas block: int64 ids, the
-    texts as a list, and the positions of the non-null texts. An empty
-    block may have no schema (filter and shuffle ops emit such)."""
-    if not len(block):
-        return np.zeros(0, np.int64), [], np.zeros(0, np.int64)
-    if isinstance(block, pa.Table):
-        ids = block[id_col].to_numpy(zero_copy_only=False)
-        texts = block[text_col].to_pylist()
-    else:
-        ids = block[id_col].to_numpy()
-        texts = block[text_col].tolist()
-    is_text = np.fromiter((isinstance(t, str) for t in texts), bool, len(texts))
-    return ids.astype(np.int64, copy=False), texts, np.flatnonzero(is_text)
 
 
 def _content_keys(texts: list) -> bytes:
@@ -403,6 +412,12 @@ def _table_sigs(t: pa.Table) -> np.ndarray:
     ).reshape(len(col), width // 8)
 
 
+def _in_sorted(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per value: is it in the sorted, non-empty ``keys``."""
+    pos = np.minimum(np.searchsorted(keys, values), len(keys) - 1)
+    return keys[pos] == values
+
+
 def _id_concat(arrays: list) -> np.ndarray:
     """One int64 id array of the ``arrays`` (empty when none)."""
     return np.concatenate([np.zeros(0, np.int64), *arrays])
@@ -422,43 +437,6 @@ def _edge_dataset(refs: list) -> "ray.data.Dataset":
     return ray.data.from_arrow_refs(refs)
 
 
-@ray.remote(num_returns=2)
-def _copy_partial(block, id_col: str, text_col: str):
-    """(rows, partial) for one block: one (key, n, min_id) row per
-    distinct non-null text, keyed by its content digest."""
-    ids, texts, live = _id_text(block, id_col, text_col)
-    keyed = pa.table(
-        {
-            "key": _fixed_binary(
-                _content_keys([texts[i] for i in live]), len(live), 16
-            ),
-            "id": ids[live],
-        }
-    )
-    g = keyed.group_by("key").aggregate([("id", "count"), ("id", "min")])
-    partial = pa.table({"key": g["key"], "n": g["id_count"], "min_id": g["id_min"]})
-    return partial.num_rows, partial
-
-
-def _exact_groups(refs: list, id_col: str, text_col: str):
-    """(keys, min_ids) of the texts held by ≥2 rows — content digests
-    as a sorted ``S16`` array and each text's min id — or None when
-    there are none or more than ``_COPY_BROADCAST_LIMIT``."""
-    metas, partials = zip(*(_copy_partial.remote(r, id_col, text_col) for r in refs))
-    res = hot_combine(
-        list(partials),
-        key="key",
-        sum_col="n",
-        min_col="min_id",
-        min_count=2,
-        hot_limit=_COPY_BROADCAST_LIMIT,
-        parts=combine_parts(sum(ray.get(list(metas)))),
-    )
-    if res is None or not len(res[0]):
-        return None
-    return res[0].astype("S16"), res[1]
-
-
 def _band_partial(ids: np.ndarray, sigs: np.ndarray, bands: int) -> pa.Table:
     """One (bucket, n, min_id) row per distinct band bucket of these
     docs — the bucket keys are recomputed from the signatures, so the
@@ -476,23 +454,14 @@ def _band_partial(ids: np.ndarray, sigs: np.ndarray, bands: int) -> pa.Table:
     return pa.table({"bucket": flat[first], "n": counts, "min_id": mids[first]})
 
 
-@ray.remote(num_returns=4)
+@ray.remote(num_returns=3)
 def _sign_block(block, id_col, text_col, a, b, k, bands, copies):
     """Sign one block → (partial_rows, sig table (id, sig), band
-    partial, exact-copy edges). With ``copies`` (sorted digests, min
-    ids of the texts held by ≥2 rows), a row whose text a smaller id
-    holds is not signed: it becomes an exact-copy edge (min_id, id).
-    Null texts are neither signed nor matched."""
+    partial). The ids in ``copies`` (sorted exact-copy ids) and null
+    texts are not signed."""
     ids, texts, live = _id_text(block, id_col, text_col)
-    src = dst = np.zeros(0, np.int64)
     if copies is not None:
-        keys, mins = copies
-        mine = np.frombuffer(_content_keys([texts[i] for i in live]), "S16")
-        pos = np.minimum(np.searchsorted(keys, mine), len(keys) - 1)
-        owner = np.where(keys[pos] == mine, mins[pos], ids[live])
-        copy = owner != ids[live]
-        src, dst = owner[copy], ids[live[copy]]
-        live = live[~copy]
+        live = live[~_in_sorted(copies, ids[live])]
     sigs = np.empty((len(live), len(a)), np.int64)
     for s in range(0, len(live), _SIGN_BATCH):
         chunk = live[s : s + _SIGN_BATCH]
@@ -504,7 +473,7 @@ def _sign_block(block, id_col, text_col, a, b, k, bands, copies):
     sig_table = pa.table(
         {"id": ids, "sig": _fixed_binary(sigs, len(ids), 8 * len(a))}
     )
-    return partial.num_rows, sig_table, partial, _edge_table(src, dst)
+    return partial.num_rows, sig_table, partial
 
 
 def _hot_reps(partials: list, partial_rows: int):
@@ -559,9 +528,7 @@ def _without_src(edges: pa.Table, srcs: np.ndarray) -> pa.Table:
 @ray.remote
 def _rep_rows(sig_table: pa.Table, rep_ids: np.ndarray) -> pa.Table:
     """The rows of one signature block whose id is a representative."""
-    ids = sig_table["id"].to_numpy()
-    pos = np.minimum(np.searchsorted(rep_ids, ids), len(rep_ids) - 1)
-    return sig_table.filter(rep_ids[pos] == ids)
+    return sig_table.filter(_in_sorted(rep_ids, sig_table["id"].to_numpy()))
 
 
 @ray.remote(num_returns=2)
@@ -646,18 +613,23 @@ def _removed_ids(block, keep_col: str, drop_col: str, id_col: str) -> pa.Table:
 
 def _drop_duplicate_ids(
     ds: "ray.data.Dataset",
-    edges: "ray.data.Dataset",
+    edges: "ray.data.Dataset | None",
     id_col: str,
     copy_refs: list = (),
 ) -> "ray.data.Dataset":
-    """Cluster verified edges, keep min id per cluster, remove the rest
-    — and the dst of every exact-copy edge block in ``copy_refs`` —
-    from ``ds`` (components and the anti join auto-switch to their
-    distributed forms past their size gates)."""
-    labels = min_label_components(edges).materialize()
-    removed = [
-        _removed_ids.remote(r, "label", "node", id_col) for r in block_refs(labels)
-    ] + [_removed_ids.remote(r, "src", "dst", id_col) for r in copy_refs]
+    """Remove from ``ds`` the dst of every exact-copy edge block in
+    ``copy_refs`` and, with an ``edges`` Dataset of verified edges,
+    every id but the min of its edge cluster (components and the anti
+    join auto-switch to their distributed forms past their size
+    gates)."""
+    removed = [_removed_ids.remote(r, "src", "dst", id_col) for r in copy_refs]
+    if edges is not None:
+        labels = min_label_components(edges).materialize()
+        removed += [
+            _removed_ids.remote(r, "label", "node", id_col) for r in block_refs(labels)
+        ]
+    if not removed:
+        return ds
     return anti_join_keys(ds, ray.data.from_arrow_refs(removed), on=id_col)
 
 
@@ -714,19 +686,21 @@ def minhash_lsh_dedup(
     if not refs:
         return (ds, _edge_dataset([])) if return_edges else ds
 
-    # exact copies first: only texts held by ≥2 rows come back, and a
+    # exact copies first: below the gate their ids are broadcast, and a
     # copy of a smaller id's text skips the signing
-    copies = _exact_groups(refs, id_col, text_col)
-    copies_ref = owners = None
-    if copies is not None:
-        copies_ref = ray.put(copies)
-        owners = ray.put(np.unique(copies[1]))
+    counts, copy_refs = _copy_edges(refs, id_col, text_col)
+    copies = owners = None
+    if 0 < sum(ray.get(counts)) <= _COPY_BROADCAST_LIMIT:
+        copy_edges = pa.concat_tables(ray.get(copy_refs))
+        copies = ray.put(np.sort(copy_edges["dst"].to_numpy()))
+        owners = ray.put(np.unique(copy_edges["src"].to_numpy()))
+    else:
+        copy_refs = []
     signed = [
-        _sign_block.remote(r, id_col, text_col, a, b, shingle_k, bands, copies_ref)
+        _sign_block.remote(r, id_col, text_col, a, b, shingle_k, bands, copies)
         for r in refs
     ]
     sig_refs = [s[1] for s in signed]
-    copy_refs = [s[3] for s in signed] if copies is not None else []
 
     # STAR verification: estimate Jaccard only against the min-id
     # representative of each hot (≥2-member) bucket — O(|bucket|), not
@@ -747,18 +721,19 @@ def minhash_lsh_dedup(
         sigs_ds = ray.data.from_arrow_refs(sig_refs)
         hot_ref = ray.put(hot)
 
-        def to_bands(df: pd.DataFrame) -> pd.DataFrame:
-            sigs = _sig_matrix(df["sig"])
-            return pd.DataFrame(
+        def to_bands(t: pa.Table) -> pa.Table:
+            rows = pa.array(np.repeat(np.arange(t.num_rows), bands))
+            return pa.table(
                 {
-                    "id": np.repeat(df["id"].to_numpy(np.int64), bands),
-                    "bucket": band_buckets_batch(sigs, bands).ravel(),
-                    "sig": np.repeat(df["sig"].to_numpy(), bands),
+                    "id": t["id"].take(rows),
+                    "bucket": band_buckets_batch(_table_sigs(t), bands).ravel(),
+                    "sig": t["sig"].take(rows),
                 }
             )
 
-        def in_hot(df: pd.DataFrame) -> pd.DataFrame:
-            return df[df["bucket"].isin(ray.get(hot_ref)[0])]
+        def in_hot(t: pa.Table) -> pa.Table:
+            hot_buckets = ray.get(hot_ref)[0]
+            return t.filter(pa.array(np.isin(t["bucket"].to_numpy(), hot_buckets)))
 
         def star_verify(group: pd.DataFrame) -> pd.DataFrame:
             g = group.drop_duplicates("id").sort_values("id")
@@ -775,8 +750,8 @@ def minhash_lsh_dedup(
             )
 
         edges = (
-            sigs_ds.map_batches(to_bands, batch_format="pandas")
-            .map_batches(in_hot, batch_format="pandas")
+            sigs_ds.map_batches(to_bands, batch_format="pyarrow")
+            .map_batches(in_hot, batch_format="pyarrow")
             .repartition(_verify_fanout(len(hot[0])))
             .groupby("bucket")
             .map_groups(star_verify, batch_format="pandas")
@@ -884,6 +859,28 @@ def _popcount64(x: np.ndarray) -> np.ndarray:
     return np.unpackbits(x.view(np.uint8)).reshape(len(x), 64).sum(axis=1)
 
 
+@ray.remote(num_returns=3)
+def _simhash_block(block, id_col: str, text_col: str):
+    """Sign one block → (partial_rows, band table, band partial): the
+    band table has four (id, simhash, bucket) rows per non-null text,
+    bucket = 16-bit band value·4 + band (one exact int64 key), and the
+    partial one (bucket, n) row per distinct bucket."""
+    ids, texts, live = _id_text(block, id_col, text_col)
+    hs = np.zeros(len(live), np.int64)
+    for s in range(0, len(live), _SIGN_BATCH):  # bounds the bit matrix
+        hs[s : s + _SIGN_BATCH] = simhash64_batch(
+            [texts[i] for i in live[s : s + _SIGN_BATCH]]
+        )
+    shifts = np.arange(0, 64, 16, dtype=np.uint64)[:, None]
+    band_val = (hs.view(np.uint64) >> shifts) & np.uint64(0xFFFF)
+    bucket = (band_val.astype(np.int64) * 4 + np.arange(4)[:, None]).ravel()
+    table = pa.table(
+        {"id": np.tile(ids[live], 4), "simhash": np.tile(hs, 4), "bucket": bucket}
+    )
+    keys, n = np.unique(bucket, return_counts=True)
+    return len(keys), table, pa.table({"bucket": keys, "n": n})
+
+
 def simhash_dedup(
     ds: "ray.data.Dataset",
     text_col: str = "text",
@@ -891,39 +888,21 @@ def simhash_dedup(
     hamming_max: int = 3,
 ) -> "ray.data.Dataset":
     """Near-dup removal by simhash Hamming ≤ r with 16-bit band blocking.
-    Null texts are kept and never matched.
-
-    ``ds`` is read twice, to sign and in the final anti-join: a caller
-    whose ``ds`` has an expensive upstream materializes it first."""
-
-    def sign(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.loc[
-            np.fromiter((isinstance(t, str) for t in batch[text_col]), bool, len(batch))
-        ]
-        hs = simhash64_batch(list(batch[text_col]))
-        ids = batch[id_col].to_numpy(dtype=np.int64)
-        u = hs.view(np.uint64)
-        parts = []
-        for bi in range(4):
-            band_val = ((u >> np.uint64(16 * bi)) & np.uint64(0xFFFF)).astype(np.int64)
-            parts.append(
-                pd.DataFrame(
-                    {
-                        "id": ids,
-                        "simhash": hs,
-                        # bucket = band_val*4 + band: one exact int64 key
-                        "bucket": band_val * 4 + bi,
-                    }
-                )
-            )
-        return pd.concat(parts, ignore_index=True)
-
-    signed = ds.select_columns([id_col, text_col]).map_batches(
-        sign, batch_format="pandas", batch_size=512  # bound bit-matrix RAM
+    Null texts are kept and never matched. ``ds`` is materialized once
+    (a no-op for a ``MaterializedDataset``) and signed by one task per
+    block; the kept rows are an anti-join over the same blocks."""
+    ds = ds.materialize()
+    refs = block_refs(ds)
+    if not refs:
+        return ds
+    signed = [_simhash_block.remote(r, id_col, text_col) for r in refs]
+    hot_arr, _ = hot_combine(
+        [s[2] for s in signed],
+        key="bucket",
+        sum_col="n",
+        min_count=2,
+        parts=combine_parts(sum(ray.get([s[0] for s in signed]))),
     )
-    signed = signed.materialize()
-
-    hot_arr = _hot_buckets(signed)
     hot_ref = ray.put(hot_arr)
 
     def in_hot(df: pd.DataFrame) -> pd.DataFrame:
@@ -958,7 +937,8 @@ def simhash_dedup(
         )
 
     edges = (
-        signed.map_batches(in_hot, batch_format="pandas")
+        ray.data.from_arrow_refs([s[1] for s in signed])
+        .map_batches(in_hot, batch_format="pandas")
         .repartition(verify_blocks)
         .groupby("bucket")
         .map_groups(pair_verify, batch_format="pandas")

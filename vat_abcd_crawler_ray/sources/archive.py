@@ -1,19 +1,13 @@
 """ZIP archive source (S5, ``/root/reference/src/abcd/archive_reader.rs``).
 
 The reference iterates ZIP members as byte blobs in member-index order
-(``archive_reader.rs:45-58``). Same contract here via stdlib ``zipfile``;
-also a Ray reader that turns a directory/list of archives into a
-Dataset of ``(archive, member, xml)`` rows (one flat_map-style explode
-per archive, each archive read inside the task that owns it)."""
+(``archive_reader.rs:45-58``). Same contract here via stdlib
+``zipfile``."""
 
 from __future__ import annotations
 
-import os
 import zipfile
 from typing import Iterator
-
-import pyarrow as pa
-import ray.data
 
 
 def iter_archive_bytes(path: str) -> Iterator[tuple[str, bytes]]:
@@ -29,29 +23,3 @@ def archive_len(path: str) -> int:
     with zipfile.ZipFile(path) as zf:
         return sum(1 for i in zf.infolist() if not i.is_dir())
 
-
-def read_archives(paths: list[str]) -> "ray.data.Dataset":
-    """Dataset of (archive, member, member_idx, xml:binary): one input
-    row per archive path, exploded inside the task — large members never
-    pass through the driver."""
-
-    def explode(batch: pa.Table) -> pa.Table:
-        archives, members, idxs, blobs = [], [], [], []
-        for p in batch["path"].to_pylist():
-            for i, (name, data) in enumerate(iter_archive_bytes(p)):
-                archives.append(os.path.basename(p))
-                members.append(name)
-                idxs.append(i)
-                blobs.append(data)
-        return pa.table(
-            {
-                "archive": pa.array(archives, pa.string()),
-                "member": pa.array(members, pa.string()),
-                "member_idx": pa.array(idxs, pa.int64()),
-                "xml": pa.array(blobs, pa.binary()),
-            }
-        )
-
-    return ray.data.from_items([{"path": p} for p in paths]).map_batches(
-        explode, batch_format="pyarrow", batch_size=1
-    )
