@@ -237,10 +237,11 @@ class TestCrawl:
         )
 
     def test_seen_tiers_in_manifest(self, corpus, tmp_path):
-        """Each round's info in MANIFEST.json names the shard count and
-        every shard's tier sizes at the snapshot cut; a small RAM cap
-        puts rows on disk, and the last cut's tiers add up to the
-        final seen set."""
+        """Each group-closing round's info in MANIFEST.json names the
+        shard count and every shard's tier sizes at the snapshot cut
+        (a mid-group round has no snapshot); a small RAM cap puts rows
+        on disk, and the last cut's tiers add up to the final seen
+        set."""
         s = Settings()
         s.crawl.seen_ram_cap_per_shard = 32
         run = _mk_run(corpus, tmp_path / "run", settings=s)
@@ -248,8 +249,13 @@ class TestCrawl:
         with open(os.path.join(str(tmp_path / "run"), "MANIFEST.json")) as fh:
             rounds = json.load(fh)["rounds"]
         n = run.seen.num_shards
+        closing = [r for r in rounds if r["round"] == r["commit_group"][1]]
+        assert 2 <= len(closing) < len(rounds)
         for r in rounds:
             assert r["seen_shards"] == n
+            if r not in closing:
+                assert r["seen_snapshot"] is None and "seen_tiers" not in r
+                continue
             assert len(r["seen_tiers"]) == n
             for tiers in r["seen_tiers"]:
                 assert {"tail", "ram_rows", "disk_rows", "disk_runs"} <= set(tiers)
@@ -267,10 +273,15 @@ class TestCrawl:
         assert pub["status"] == "published"
         assert pub["metrics"]["fetched"] == run.metrics.fetched
         assert len(pub["rounds"]) == run.metrics.rounds
-        # every committed round lists an existing seen snapshot and the
-        # path each gated stage took (all driver-sized here)
+        # every group-closing entry names an existing snapshot of its
+        # last round; every round entry keeps the path each gated stage
+        # took (all driver-sized here), its stats and extract routes
         for r in pub["rounds"]:
-            assert os.path.isdir(r["seen_snapshot"])
+            first, last = r["commit_group"]
+            if r["round"] == last:
+                assert r["seen_snapshot"] == run.seen_dir(last)
+                assert os.path.isdir(r["seen_snapshot"])
+                assert len(r["seen_tiers"]) == run.seen.num_shards
             want = {"select": "driver", "admission": "driver"}
             if r["stats"]["round"] == 0:
                 want["bootstrap"] = "driver"
@@ -285,6 +296,30 @@ class TestCrawl:
         # its "not xml" pages the per-document one
         assert sum(r["extract_docs"]["kernel"] for r in pub["rounds"]) > 0
         assert sum(r["extract_docs"]["per_doc"] for r in pub["rounds"]) > 0
+
+    def test_manifest_names_commit_groups_and_written_files(self, full_run):
+        """Each round entry names its commit group [first, last]; the
+        groups tile the run, round 0 alone; each closing entry's files
+        and bytes per record type are the parts on disk."""
+        run, d = full_run
+        rounds = run.manifest.published()["rounds"]
+        groups = sorted({tuple(r["commit_group"]) for r in rounds})
+        assert groups[0] == (0, 0) and len(groups) < len(rounds)
+        assert [r for g in groups for r in range(g[0], g[1] + 1)] == list(
+            range(len(rounds))
+        )
+        for first, last in groups:
+            assert all(rounds[r]["commit_group"] == [first, last] for r in range(first, last + 1))
+            rdir = os.path.join(str(d), "staging", "extracted", f"round={first}")
+            on_disk = {}
+            for part in os.listdir(rdir):
+                files = [os.path.join(rdir, part, f) for f in os.listdir(os.path.join(rdir, part))]
+                on_disk[part.split("=", 1)[1]] = {
+                    "files": len(files),
+                    "bytes": sum(os.path.getsize(f) for f in files),
+                }
+            assert rounds[last]["written"] == on_disk
+            assert all("written" not in rounds[r] for r in range(first, last))
 
     def test_part_files_hold_only_their_record_type(self, full_run):
         """Each ``record_type=X`` part file's schema is exactly record
@@ -305,22 +340,25 @@ class TestCrawl:
                     seen.add(kind)
         assert seen == set(RECORD_TYPES)
 
-    def test_narrow_round_is_one_chunk_with_one_part_per_type(self, full_run):
-        """A round below one extract batch (``batch_size`` pages) is one
-        fetch chunk, so each non-empty record type holds one part file
-        (fetch misses go to their own ``misses.parquet``)."""
+    def test_group_writes_one_part_per_record_type(self, full_run):
+        """A commit group's one writer puts each non-empty record type
+        in one part file under ``round=<first round of the group>``
+        (fetch misses included, in the error part); no other round has
+        an extracted dir. Ratchet: at most 4 parts per closed group."""
         run, d = full_run
         base = os.path.join(str(d), "staging", "extracted")
-        for r in range(run.manifest.last_complete_round() + 1):
-            stats = run.manifest.round_info(r)["stats"]
-            assert 0 < stats["selected"] < run.settings.crawl.batch_size
+        firsts = {
+            run.manifest.round_info(r)["commit_group"][0]
+            for r in range(run.manifest.last_complete_round() + 1)
+        }
+        assert sorted(os.listdir(base)) == sorted(f"round={r}" for r in firsts)
+        n_parts = 0
+        for r in firsts:
             rdir = os.path.join(base, f"round={r}")
             for part in os.listdir(rdir):
-                files = sorted(os.listdir(os.path.join(rdir, part)))
-                parts = [f for f in files if f != "misses.parquet"]
-                assert parts == ["part-00000.parquet"] or files == [
-                    "misses.parquet"
-                ], (r, part, files)
+                assert os.listdir(os.path.join(rdir, part)) == ["part-00000.parquet"]
+                n_parts += 1
+        assert n_parts <= 4 * len(os.listdir(run.manifest.rounds_dir))
 
     def test_wide_round_splits_into_at_most_two_chunks_per_cpu(self, corpus, tmp_path):
         """Every chunk holds at least one extract batch, and a round
@@ -342,12 +380,15 @@ class TestCrawl:
         run.settings.crawl.batch_size = n
         assert len(run._fetch_store_refs(meta)) == 1
 
-    def test_rerun_chunk_task_overwrites_its_own_parts(self, corpus, tmp_path):
-        """A chunk task writes fixed part names, so running it again (a
-        task retry) replaces its files instead of adding rows."""
+    def test_rerun_group_writer_overwrites_its_own_parts(self, corpus, tmp_path):
+        """A group writer writes fixed part names, so running it again
+        (a task retry) replaces its files instead of adding rows."""
         import ray
 
-        from vat_abcd_crawler_ray.pipelines.crawl import _extract_project_chunk
+        from vat_abcd_crawler_ray.pipelines.crawl import (
+            _extract_project_chunk,
+            _write_group,
+        )
 
         run = _mk_run(corpus, tmp_path / "run")
         urls = pq.read_table(f"{corpus}/pages.parquet", columns=["url"])["url"]
@@ -359,25 +400,30 @@ class TestCrawl:
             0,
         )
         (chunk,) = run._fetch_store_refs(meta)
+        refs = _extract_project_chunk.remote(run._stage_ref(), (seqs, prio), 64, chunk)
+        records = ray.get(refs[1])[2]
         out = str(tmp_path / "out")
 
-        def run_chunk() -> dict:
-            refs = _extract_project_chunk.remote(
-                run._stage_ref(), (seqs, prio), 64, out, 3, chunk
+        def run_writer() -> tuple:
+            # the same chunk twice: a group of two chunks
+            written = ray.get(
+                _write_group.remote(out, str(tmp_path / "front"), [], None, None, None,
+                                    records, records)
             )
-            ray.get(refs[1])  # a pulled count: the files are written
-            return {
+            rows = {
                 part: {
                     f: pq.ParquetFile(os.path.join(out, part, f)).metadata.num_rows
                     for f in os.listdir(os.path.join(out, part))
                 }
                 for part in os.listdir(out)
             }
+            return written, rows
 
-        first = run_chunk()
-        assert set(first) == {f"record_type={rt}" for rt in RECORD_TYPES}
-        assert all(list(files) == ["part-00003.parquet"] for files in first.values())
-        assert run_chunk() == first
+        first = run_writer()
+        assert set(first[0]) == set(RECORD_TYPES)
+        assert set(first[1]) == {f"record_type={rt}" for rt in RECORD_TYPES}
+        assert all(list(files) == ["part-00000.parquet"] for files in first[1].values())
+        assert run_writer() == first
 
     def test_extracted_text_matches_pages_oracle(self, corpus, tmp_path):
         """Byte-identical extracted text per url (input_hint invariant):

@@ -112,6 +112,22 @@ class TestJpegCodec:
         with pytest.raises(ValueError):
             decode_jpeg(truncated)
 
+    @pytest.mark.parametrize("category,pred,bits", [(12, 0, b"\x00"), (200, 0, b"\x00"),
+                                                    (11, 2047, b"\x7f\xf0")])
+    def test_dc_beyond_baseline_rejected(self, category, pred, bits):
+        """A DC difference category above 11 (a corrupt DHT) or a DC sum
+        outside the 8-bit range is a ValueError, never an int32 wrap."""
+        from vat_abcd_crawler_ray.functions.codecs import (
+            _BitReader,
+            _decode_block,
+            _huff_decode_table,
+        )
+
+        one_code = [1] + [0] * 15  # the 1-bit code "0"
+        dc, ac = _huff_decode_table(one_code, [category]), _huff_decode_table(one_code, [0])
+        with pytest.raises(ValueError, match="category|range"):
+            _decode_block(_BitReader(bits + bytes(8)), pred, dc, ac)
+
     def test_noise_image_survives(self):
         rng = np.random.default_rng(9)
         img = rng.integers(0, 256, (24, 24, 3), dtype=np.uint8)

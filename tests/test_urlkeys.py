@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
 import pytest
 from hypothesis import given, strategies as st
 
 from vat_abcd_crawler_ray.functions.urlkeys import (
     canonicalize_url,
     host_of,
+    key_urls,
     murmur3_64,
     murmur3_64_batch,
     murmur3_x64_128,
@@ -25,6 +27,9 @@ def test_murmur3_batch_matches_scalar(items, seed):
     got = murmur3_64_batch(items, seed, chunk=7)  # small chunk: cover splits
     want = np.array([murmur3_64(b, seed) for b in items], dtype=np.int64)
     assert got.tolist() == want.tolist()
+    # an Arrow array is hashed from its offsets and data buffers
+    for typ in (pa.binary(), pa.large_binary()):
+        assert murmur3_64_batch(pa.array(items, typ), seed).tolist() == want.tolist()
 
 
 def test_murmur3_batch_boundary_lengths():
@@ -96,3 +101,34 @@ def test_sanitize_id():
     # main.rs:171-180: keep ascii alpha and '-', else '_'
     assert sanitize_id("abc/DEF:123-x") == "abc_DEF____-x"
     assert sanitize_id("a b") == "a_b"
+
+
+# url fragments that hit every branch of canonicalize_url: schemes in
+# any case (and none), default and other ports, trailing slashes, a
+# query, a fragment, newlines and non-ASCII hosts and paths
+_URL_PIECES = st.sampled_from([
+    "http", "HTTPS", "Ftp", "x+y", "1a", "://", ":/", "/", "//", "?", "#",
+    ":80", ":443", ":8080", "H.org", "é", "ÄB", "İ", "q=1&r", "\n", "",
+])
+
+
+@given(
+    st.lists(
+        st.one_of(st.lists(_URL_PIECES, max_size=10).map("".join), st.text(max_size=30)),
+        max_size=30,
+    )
+)
+def test_key_urls_matches_scalar_functions(urls):
+    """The Arrow keying is byte-equal to canonicalize_url, host_of and
+    murmur3_64, also over a sliced array (a non-zero offset) and a
+    large_string one."""
+    want = [canonicalize_url(u) for u in urls]
+    for arr in (
+        pa.array(urls, pa.string()),
+        pa.array(["pad"] + urls).slice(1),
+        pa.array(urls, pa.large_string()),
+    ):
+        canon, keys, hosts = key_urls(arr)
+        assert canon.to_pylist() == want
+        assert hosts.to_pylist() == [host_of(w) for w in want]
+        assert keys.tolist() == [murmur3_64(w) for w in want]

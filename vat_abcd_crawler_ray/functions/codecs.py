@@ -784,9 +784,23 @@ class _BitReader:
         return int(chunk @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64)))
 
 
-def _extend(v: int, t: int) -> int:
-    """T.81 F.12: map a t-bit magnitude to its signed value."""
+def _receive_extend(reader: "_BitReader", t: int, limit: int = 10) -> int:
+    """T.81 F.12: read a t-bit magnitude and map it to its signed value.
+    A category above the 8-bit baseline ``limit`` (10 for AC
+    coefficients, 11 for DC differences) is a corrupt stream."""
+    if t > limit:
+        raise ValueError(f"JPEG magnitude category {t} > {limit}")
+    v = reader.receive(t)
     return v - (1 << t) + 1 if t and v < (1 << (t - 1)) else v
+
+
+def _decode_dc(reader: "_BitReader", tab: tuple, pred: int) -> int:
+    """The predictor plus one decoded DC difference; a sum outside the
+    8-bit baseline range (T.81 F.1.2) is a corrupt stream."""
+    dc = pred + _receive_extend(reader, _huff_decode(reader, tab), 11)
+    if abs(dc) > 2047:
+        raise ValueError(f"JPEG DC coefficient {dc} out of the 8-bit range")
+    return dc
 
 
 def _csize(v: int) -> int:
@@ -1219,8 +1233,7 @@ def _decode_block(
 ) -> tuple:
     """One block's zigzag coefficients; returns (zz int32[64], new_pred)."""
     zz = np.zeros(64, np.int32)
-    t = _huff_decode(reader, dc_tab)
-    dc = pred + _extend(reader.receive(t), t)
+    dc = _decode_dc(reader, dc_tab, pred)
     zz[0] = dc
     k = 1
     while k < 64:
@@ -1234,7 +1247,7 @@ def _decode_block(
         k += run
         if k > 63:
             raise ValueError("AC coefficient index overflow")
-        zz[k] = _extend(reader.receive(size), size)
+        zz[k] = _receive_extend(reader, size)
         k += 1
     return zz, dc
 
@@ -1327,10 +1340,7 @@ def _decode_scan_progressive(
             zz = coef[ci][bi]
             if ss == 0:  # DC scan (Se must be 0)
                 if ah == 0:
-                    t = _huff_decode(reader, dec_tabs[ci][0])
-                    preds[ci] = preds.get(ci, 0) + _extend(
-                        reader.receive(t), t
-                    )
+                    preds[ci] = _decode_dc(reader, dec_tabs[ci][0], preds.get(ci, 0))
                     zz[0] = preds[ci] << al
                 elif reader.read_bit():
                     zz[0] |= p1
@@ -1354,7 +1364,7 @@ def _decode_scan_progressive(
                     k += r
                     if k > se:
                         raise ValueError("AC index overflow in scan")
-                    zz[k] = _extend(reader.receive(s), s) << al
+                    zz[k] = _receive_extend(reader, s) << al
                     k += 1
                 continue
             # AC refinement scan

@@ -18,6 +18,8 @@ from __future__ import annotations
 import re
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 _MASK64 = (1 << 64) - 1
 
@@ -100,6 +102,8 @@ def murmur3_64(data: bytes | str, seed: int = 0) -> int:
 
 
 _SCHEME_HOST = re.compile(r"^([a-zA-Z][a-zA-Z0-9+.-]*)://([^/?#]*)(.*)$", re.DOTALL)
+# the same match for Arrow's RE2 kernels, with named groups
+_SCHEME_HOST_RE2 = r"(?s)^(?P<s>[a-zA-Z][a-zA-Z0-9+.-]*)://(?P<h>[^/?#]*)(?P<r>.*)$"
 _DEFAULT_PORTS = {"http": ":80", "https": ":443"}
 
 
@@ -162,17 +166,19 @@ def _fmix64_vec(k: np.ndarray) -> np.ndarray:
     return k ^ (k >> np.uint64(33))
 
 
-def _m3_chunk(blobs: list[bytes], lens: np.ndarray, seed: int) -> np.ndarray:
-    """Vectorized murmur3_x64_128 h1 for one padded chunk (uint64)."""
-    m = len(blobs)
+def _m3_chunk(
+    flat: np.ndarray, starts: np.ndarray, lens: np.ndarray, seed: int
+) -> np.ndarray:
+    """Vectorized murmur3_x64_128 h1 for one padded chunk (uint64) of
+    the byte strings ``flat[starts[i] : starts[i] + lens[i]]``."""
+    m = len(lens)
     maxlen = int(lens.max()) if m else 0
     # pad to a 16-byte multiple PLUS one spare zero block so the tail
     # words can always be read as zero-padded uint64s
     padlen = ((maxlen + 15) // 16) * 16 + 16
     buf = np.zeros((m, padlen), dtype=np.uint8)
-    flat = np.frombuffer(b"".join(blobs), dtype=np.uint8)
-    starts = np.cumsum(lens) - lens
-    buf[np.repeat(np.arange(m), lens), np.arange(len(flat)) - np.repeat(starts, lens)] = flat
+    col = np.arange(int(lens.sum())) - np.repeat(np.cumsum(lens) - lens, lens)
+    buf[np.repeat(np.arange(m), lens), col] = flat[np.repeat(starts, lens) + col]
     words = buf.view(np.uint64)  # (m, padlen//8), little-endian reads
 
     h1 = np.full(m, seed, dtype=np.uint64)
@@ -216,17 +222,28 @@ def _m3_chunk(blobs: list[bytes], lens: np.ndarray, seed: int) -> np.ndarray:
 
 
 def murmur3_64_batch(items, seed: int = 0, chunk: int = 512) -> np.ndarray:
-    """Vectorized :func:`murmur3_64` over a sequence of str/bytes —
-    identical output, numpy block arithmetic instead of per-key Python
-    bytecode (the round-1 frontier-keying hot spot). Items are
-    length-sorted and processed in chunks so padding waste stays
-    bounded when lengths vary wildly (URL lists vs whole documents)."""
+    """Vectorized :func:`murmur3_64` over a sequence of str/bytes or an
+    Arrow string/binary array (read straight from its offsets and data
+    buffers, no per-string encode) — identical output, numpy block
+    arithmetic instead of per-key Python bytecode (the round-1
+    frontier-keying hot spot). Items are length-sorted and processed in
+    chunks so padding waste stays bounded when lengths vary wildly (URL
+    lists vs whole documents)."""
     n = len(items)
     out = np.empty(n, dtype=np.int64)
     if n == 0:
         return out
-    data = [s.encode("utf-8") if isinstance(s, str) else s for s in items]
-    lens = np.fromiter((len(b) for b in data), dtype=np.int64, count=n)
+    if isinstance(items, pa.Array):
+        _, offs, data = items.buffers()
+        w = 8 if pa.types.is_large_binary(items.type) or pa.types.is_large_string(items.type) else 4
+        offs = np.frombuffer(offs, f"<i{w}", n + 1, w * items.offset).astype(np.int64)
+        flat = np.frombuffer(data, np.uint8) if data else np.zeros(0, np.uint8)
+        starts, lens = offs[:-1], np.diff(offs)
+    else:
+        data = [s.encode("utf-8") if isinstance(s, str) else s for s in items]
+        lens = np.fromiter((len(b) for b in data), dtype=np.int64, count=n)
+        flat = np.frombuffer(b"".join(data), np.uint8)
+        starts = np.cumsum(lens) - lens
     order = np.argsort(lens, kind="stable")
     # chunk by row count AND padded bytes: hashing long strings must
     # not allocate a rows × max-length pad buffer — cap each chunk's
@@ -240,7 +257,7 @@ def murmur3_64_batch(items, seed: int = 0, chunk: int = 512) -> np.ndarray:
         if row_pad * (c1 - c0) > max_bytes:
             c1 = c0 + max(1, max_bytes // row_pad)
         idx = order[c0:c1]
-        out[idx] = _m3_chunk([data[i] for i in idx], lens[idx], seed)
+        out[idx] = _m3_chunk(flat, starts[idx], lens[idx], seed)
         c0 = c1
     return out
 
@@ -250,8 +267,40 @@ def url_keys_batch(urls, seed: int = 0) -> np.ndarray:
     return murmur3_64_batch(list(urls), seed)
 
 
-def hosts_batch(urls) -> list[str]:
-    return [host_of(u) for u in urls]
+def key_urls(urls: pa.Array | pa.ChunkedArray) -> tuple[pa.Array, np.ndarray, pa.Array]:
+    """(canonical url, murmur3 key, host) of every url in a string
+    array: :func:`canonicalize_url`, :func:`murmur3_64` and
+    :func:`host_of` as Arrow string kernels, byte-equal to them. A row
+    whose host is not ASCII (Python's Unicode lowercasing is the
+    contract there) takes the scalar functions."""
+    urls = urls.cast(pa.string())
+    if isinstance(urls, pa.ChunkedArray):
+        urls = urls.combine_chunks()
+    u = pc.replace_substring_regex(urls, r"(?s)#.*", "")
+    m = pc.extract_regex(u, _SCHEME_HOST_RE2)
+    # lowercased scheme://host, less the scheme's default port
+    sh = pc.replace_substring_regex(
+        pc.binary_join_element_wise(*(pc.ascii_lower(pc.struct_field(m, g)) for g in "sh"), "://"),
+        r"(?s)^(http://.*):80$|^(https://.*):443$",
+        r"\1\2",
+    )
+    # a single trailing slash off a path without a query
+    rest = pc.replace_substring_regex(pc.struct_field(m, "r"), r"(?s)^([^?]*)/$", r"\1")
+    bare = pc.utf8_rtrim(u, characters="/")
+    canon = pc.if_else(
+        m.is_valid(),
+        pc.binary_join_element_wise(sh, rest, ""),
+        pc.if_else(pc.equal(pc.binary_length(bare), 0), u, bare),
+    )
+    host = pc.if_else(m.is_valid(), pc.replace_substring_regex(sh, "^[^:]*://", ""), "")
+    odd = np.flatnonzero(~pc.string_is_ascii(host).to_numpy(zero_copy_only=False))
+    if len(odd):
+        canon, host = canon.to_pylist(), host.to_pylist()
+        for i, url in zip(odd, urls.take(pa.array(odd)).to_pylist()):
+            canon[i] = canonicalize_url(url)
+            host[i] = host_of(canon[i])
+        canon, host = pa.array(canon, pa.string()), pa.array(host, pa.string())
+    return canon, murmur3_64_batch(canon), host
 
 
 def sanitize_id(dataset_id: str) -> str:

@@ -13,7 +13,7 @@ Maps the reference's sequential harvest loop
 | FileDownloader + cache recovery    | fetch = url lookup in the pages     |
 |                                    | table; misses → dead-letter rows    |
 | AbcdParser per XML                 | ExtractStage actor pool             |
-| COPY into temp schema              | staged parquet per round            |
+| COPY into temp schema              | staged parquet per commit group     |
 | schema swap                        | MANIFEST.json atomic rename         |
 
 Determinism: every ordering decision keys on explicit ``(priority desc,
@@ -29,12 +29,12 @@ records the path taken (``paths``, outside ``stats``):
 
 - **driver** — vectorized Arrow on the driver; fastest below ~2M
   rows (no shuffle). Selection rounds are PIPELINED: the next round's
-  backlog read + per-host ordering runs as a remote pre-selection
-  task during this round's extract/project (``_preselect_backlog`` —
-  exact by the winner-superset lemma), and the admitted links stay in
-  memory, so the per-round serial path sorts only (politeness-bounded
-  candidates ∪ new links) instead of re-reading and re-sorting the
-  whole accumulated frontier.
+  per-host backlog ordering runs as a remote pre-selection task during
+  this round's extract/project (``_preselect_backlog`` — exact by the
+  winner-superset lemma; its remainder stays in the object store), and
+  the admitted links stay in memory, so the per-round serial path
+  sorts only (politeness-bounded candidates ∪ new links) instead of
+  re-reading and re-sorting the whole accumulated frontier.
 - **distributed** — the scale path: per-``(host, salt)`` budget-cap
   inside ``groupby.map_groups`` (salt = ``key % salt_buckets`` splits
   mega-host groups), ONE streaming write partitioned by outcome, then a
@@ -44,20 +44,23 @@ records the path taken (``paths``, outside ``stats``):
   skeleton (``_first_wins_frontier``).
 
 Every round is four steps (``CrawlRun._round``): **select** the
-politeness-bounded winners, **fetch → extract → write → project** them
-in ONE fused task per fetch chunk (``_extract_project_chunk``; the
-chunk is a page-store ``get_with_meta`` ref in ``fetch_mode="store"``
-or an ``HttpFetchStage`` task ref in ``fetch_mode="http"``; a chunk is
-at least one extract batch unless the round is smaller, so a narrow
-round is one store call and one task), **admit** the discovered links
-first-wins against the seen set, and **commit** the round (seen-set
-snapshot + next-frontier pre-selection joined at the next round's
-commit point). A round's remote calls are thus the pre-selection task
-plus one store call and one extract task per chunk.
+politeness-bounded winners, **fetch → extract → project** them in ONE
+fused task per fetch chunk (``_extract_project_chunk``; the chunk is a
+page-store ``get_with_meta`` ref in ``fetch_mode="store"`` or an
+``HttpFetchStage`` task ref in ``fetch_mode="http"``; a chunk is at
+least one extract batch unless the round is smaller, so a narrow round
+is one store call and one task), **admit** the discovered links
+first-wins against the seen set, and add the round to the open
+**commit group** (``CrawlRun._commit`` says when it closes). A round's
+remote calls are thus the pre-selection task plus one store call and
+one extract task per chunk. A round inside a group writes no file
+(seen-set spill runs aside); the group's close writes its records, the
+next frontier, one seen snapshot and one manifest entry.
 
-Resume: every round commit records outputs, a seen-set snapshot and
-the cumulative metric counters; a restarted run restores them and
-replays from the first uncommitted round.
+Resume: the last committed group's entry records the outputs, the
+seen-set snapshot chain and the cumulative metric counters; a restarted
+run restores them and replays the rounds after that group, so a crash
+loses at most one group.
 
 Driver-memory bound: the per-round WINNER set (and the fetch meta
 built from it) is POLITENESS-BOUNDED — at most Σ(per-host budget) rows
@@ -67,8 +70,8 @@ unbounded collections (frontier, links, extracted rows, seen set)
 never materialize on the driver: frontier stays on disk / in Datasets,
 links arrive pre-deduplicated per fused task and above the size
 gate never leave the object store (``_admit_distributed``),
-extracted records are written by the task that extracts them and
-never enter the object store, and the seen set's shards are
+extracted records wait in the object store (never pulled by the
+driver) for their group's writer task, and the seen set's shards are
 actors once there is more than one (one shard is held in the driver,
 ``seen_set.seen_placement``; its block methods take one block at a
 time).
@@ -86,6 +89,7 @@ bulk-load the shards from shared blocks instead).
 
 from __future__ import annotations
 
+import glob
 import os
 import shutil
 from dataclasses import dataclass, field
@@ -99,7 +103,7 @@ import ray
 import ray.data
 
 from ..config import Settings
-from ..functions.urlkeys import canonicalize_batch, hosts_batch, url_keys_batch
+from ..functions.urlkeys import key_urls
 from ..ops.blocks import block_refs
 from ..stages.extract import (
     RECORD_DATASET,
@@ -113,41 +117,27 @@ from ..state.seen_set import ShardedSeenSet, seen_shard_count
 
 from time import perf_counter as _now
 
-FRONTIER_COLS = [
-    "url",
-    "canonical_url",
-    "key",
-    "host",
-    "priority",
-    "seq",
-    "surrogate",
-]
+_FRONTIER_SCHEMA = pa.schema([
+    ("url", pa.string()), ("canonical_url", pa.string()), ("key", pa.int64()),
+    ("host", pa.string()), ("priority", pa.float64()), ("seq", pa.int64()),
+    ("surrogate", pa.int64()),
+])
+FRONTIER_COLS = _FRONTIER_SCHEMA.names
 
 # typed empty frontier block — the fused admission/bootstrap finalize
 # emits it for schemaless empty inputs (sort/shuffle ops produce
 # them), so every output block carries the same schema and Ray never
 # logs a block-schema-mismatch warning
-_EMPTY_FRONTIER = pa.table(
-    {
-        "url": pa.array([], pa.string()),
-        "canonical_url": pa.array([], pa.string()),
-        "key": pa.array([], pa.int64()),
-        "host": pa.array([], pa.string()),
-        "priority": pa.array([], pa.float64()),
-        "seq": pa.array([], pa.int64()),
-        "surrogate": pa.array([], pa.int64()),
-    }
-)
+_EMPTY_FRONTIER = _FRONTIER_SCHEMA.empty_table()
 
 
 def keyed_frontier_batch(batch: pa.Table) -> pa.Table:
     """url → (canonical_url, key, host)."""
-    urls = batch["url"].to_pylist()
-    canon = canonicalize_batch(urls)
+    canon, keys, hosts = key_urls(batch["url"])
     return (
-        batch.append_column("canonical_url", pa.array(canon, pa.string()))
-        .append_column("key", pa.array(url_keys_batch(canon)))
-        .append_column("host", pa.array(hosts_batch(canon), pa.string()))
+        batch.append_column("canonical_url", canon)
+        .append_column("key", pa.array(keys))
+        .append_column("host", hosts)
     )
 
 
@@ -220,6 +210,11 @@ def _robots_denied(t: pa.Table, robots: dict) -> np.ndarray:
 # shuffle from sizes seen at run time, not from user hints ("Adaptive
 # and Robust Query Execution for Lakehouses At Scale", VLDB 2024).
 DRIVER_ROWS_MAX = 2_000_000
+
+
+# A commit group closes once its buffered record bytes reach this (a
+# size seen at run time, like the gate above)
+GROUP_BYTES_MAX = 64 << 20
 
 
 def stage_path(stage: str, rows: int) -> str:
@@ -325,25 +320,22 @@ def _http_fetch_chunk(fetch_stage, meta: pa.Table) -> pa.Table:
 
 
 @ray.remote(num_cpus=1, num_returns=2)
-def _extract_project_chunk(
-    stage, prio_lookup, batch_size: int, out_dir: str, chunk: int, pages: pa.Table
-):
+def _extract_project_chunk(stage, prio_lookup, batch_size: int, pages: pa.Table):
     """FUSED fetch-chunk worker: one plain task takes a fetched chunk
     (a page-store ``get_with_meta`` or :func:`_http_fetch_chunk` ref,
     resolved as the task arg, so extraction starts the moment the
     chunk's fetch lands — no Dataset execution, no block accounting, no
     separate projection wave), extracts it in ``batch_size`` slices
-    (the wide-binary-row bound) into the four narrow record tables,
-    writes each non-empty one as hive-partitioned parquet
-    (``record_type=X/part-{chunk:05d}.parquet``, zstd; the partition
-    column in the path only, each file with its own type's columns),
-    and projects them in place. The part names are fixed per chunk, so
-    a retried task overwrites its own files.
+    (the wide-binary-row bound) into the four narrow record tables and
+    projects them in place. It writes no file.
 
     Returns TWO refs: the link table (it follows the admission path)
-    and (fetched-url table, counts) — the driver pulls the second,
-    and a pulled count means the chunk's files are written. Record
-    tables never enter the object store."""
+    and (fetched-url table, counts, records ref), which the driver
+    pulls. The records are ONE Arrow IPC buffer (a stream per type in
+    ``RECORD_TYPES`` order: one buffer, not hundreds of column buffers)
+    for the commit group's :func:`_write_group`, put by this task so no
+    buffer under Ray's inline limit lands in the driver's heap (Ray
+    never reaps an owner of live objects as idle)."""
     parts, counts = [], {"kernel": 0, "per_doc": 0}
     # at least one slice, so an empty chunk still yields typed tables
     for off in range(0, max(pages.num_rows, 1), batch_size):
@@ -352,34 +344,63 @@ def _extract_project_chunk(
         for k, v in docs.items():
             counts[k] += v
     tables = {rt: pa.concat_tables([p[rt] for p in parts]) for rt in RECORD_TYPES}
-    for rt, sub in tables.items():
-        if sub.num_rows:
-            d = os.path.join(out_dir, f"record_type={rt}")
-            os.makedirs(d, exist_ok=True)
-            pq.write_table(
-                sub, os.path.join(d, f"part-{chunk:05d}.parquet"), compression="zstd"
-            )
+    sink = pa.BufferOutputStream()
+    for rt in RECORD_TYPES:
+        with pa.ipc.new_stream(sink, tables[rt].schema) as w:
+            w.write_table(tables[rt])
+    records = sink.getvalue()
+    counts["record_bytes"] = records.size
     got_t, link_t, counts["links_raw"], counts["links_kept"] = _project_tables(
         prio_lookup, tables
     )
-    return link_t, (got_t, counts)
+    return link_t, (got_t, counts, ray.put(records))
 
 
-@ray.remote(num_cpus=1, num_returns=2)
+@ray.remote(num_cpus=1)
+def _write_group(
+    out_dir: str, front_dir: str, misses: list, links, cand, rest, *records
+) -> dict:
+    """A commit group's one writer: its chunks' record buffers (plus
+    the fetch-miss rows, error schema) become ONE zstd part per
+    non-empty record type, ``out_dir/record_type=X/part-00000.parquet``,
+    and the next frontier's cand, rest and links go into ``front_dir``.
+    Fixed names, so a re-run overwrites its own files. Returns the
+    files and bytes written per record type."""
+    tables = {rt: [] for rt in RECORD_TYPES}
+    for buf in records:
+        reader = pa.BufferReader(buf)
+        for rt in RECORD_TYPES:
+            tables[rt].append(pa.ipc.open_stream(reader).read_all())
+    tables[RECORD_ERROR] += misses
+    written = {}
+    for rt, parts in tables.items():
+        if sum(t.num_rows for t in parts):
+            t = pa.concat_tables(parts)
+            path = os.path.join(out_dir, f"record_type={rt}", "part-00000.parquet")
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            pq.write_table(t, path, compression="zstd")
+            written[rt] = {"files": 1, "bytes": os.path.getsize(path)}
+    for tag, t in (("cand", cand), ("rest", rest), ("links", links)):
+        if t is not None and t.num_rows:
+            os.makedirs(front_dir, exist_ok=True)
+            pq.write_table(
+                t.select(FRONTIER_COLS), os.path.join(front_dir, f"{tag}.parquet")
+            )
+    return written
+
+
+@ray.remote(num_cpus=1, num_returns=3)
 def _preselect_backlog(
-    rest_files: list[str],
-    losers: pa.Table,
-    budgets: dict,
-    default_budget: int,
-    out_dir: str,
+    rest: pa.Table | None, losers: pa.Table, budgets: dict, default_budget: int
 ):
     """NEXT-round frontier pre-selection, run remotely DURING the
     current round's extract/project (the round-pipelining that removes
-    the per-round frontier read + sort from the driver's serial path).
+    the per-round frontier sort from the driver's serial path).
 
-    backlog = on-disk ``rest`` files (prior pre-selections' remainders)
-    ∪ ``losers`` (the current round's selection losers). Split it per
-    host by the same (priority desc, seq) ordering the selection uses:
+    backlog = ``rest`` (the previous pre-selection's remainder, passed
+    by ref) ∪ ``losers`` (the current round's selection losers). Split
+    it per host by the same (priority desc, seq) ordering the selection
+    uses:
 
     - ``cand``  = per-host top-budget — returned to the driver.
       Exactness lemma: winners(backlog ∪ links) = winners(cand ∪
@@ -388,26 +409,19 @@ def _preselect_backlog(
       so it cannot win the next round whatever links are added.
       cand is politeness-bounded (≤ Σ per-host budgets), so shipping
       it to the driver is a config-bounded cost.
-    - ``rest``  = the remainder, written to ``out_dir``.
+    - ``rest``  = the remainder, returned by ref with its row count.
 
-    Both halves are ALSO written into the next round's frontier dir,
-    so the on-disk frontier stays the complete, authoritative replay /
-    resume source — the pre-selection is a cached computation, never
-    the only copy. Robots rules are NOT re-applied: every backlog row
-    already passed the selection robots gate in the round that
-    deferred it (links are checked before they can become losers), so
-    the backlog is robots-clean by invariant.
+    A group's close writes both into the next frontier dir. Robots
+    rules are NOT re-applied: every backlog row already passed the
+    selection robots gate in the round that deferred it (links are
+    checked before they can become losers), so the backlog is
+    robots-clean by invariant.
     """
-    parts = [pq.read_table(f, columns=FRONTIER_COLS) for f in rest_files]
-    if losers.num_rows:
-        parts.append(losers.select(FRONTIER_COLS))
-    backlog = pa.concat_tables(parts, promote_options="default")
+    backlog = pa.concat_tables(
+        [t for t in (rest, losers) if t is not None], promote_options="default"
+    )
     cand, rest = top_budget(backlog, budgets, default_budget)
-    os.makedirs(out_dir, exist_ok=True)
-    pq.write_table(cand, os.path.join(out_dir, "cand.parquet"))
-    if rest.num_rows:
-        pq.write_table(rest, os.path.join(out_dir, "rest.parquet"))
-    return cand, rest.num_rows
+    return cand, rest.num_rows, rest
 
 
 @dataclass
@@ -461,6 +475,17 @@ class _Fetched:
     # documents each extract route handled: the batch kernel, and the
     # per-document parser for pages outside its certified subset
     extract_docs: dict = field(default_factory=lambda: {"kernel": 0, "per_doc": 0})
+
+
+@dataclass
+class _Group:
+    """The open commit group: the rounds since the last close."""
+
+    first: int
+    infos: list = field(default_factory=list)  # per-round manifest infos
+    records: list = field(default_factory=list)  # record buffer refs
+    misses: list = field(default_factory=list)  # fetch-miss tables
+    nbytes: int = 0  # the record buffers' bytes
 
 
 _FETCH_MODES = frozenset({"store", "http"})
@@ -517,14 +542,15 @@ class CrawlRun:
         self.default_budget = cc.default_host_budget
         self._stage_put = None  # ray.put(ExtractStage), once per run
         self._fetch_put = None  # ray.put(HttpFetchStage), once per run
-        self._pending_commit: tuple | None = None
+        self._group: _Group | None = None  # the open commit group
+        self._pending_commit: tuple | None = None  # the closed one's entry
         self.phase_times: list[dict] = []
         self._bootstrap_path: str | None = None  # recorded in round 0's info
         # round-pipelining state: the in-flight backlog pre-selection
-        # ([cand_ref, rest_count_ref], submitted before extract so it
-        # overlaps it), the previous round's admitted links kept in
-        # memory, and the force-full-read flag set when a distributed
-        # stage wrote next-frontier rows the driver never saw
+        # ([cand_ref, rest_count_ref, rest_ref], submitted before
+        # extract so it overlaps it), the previous round's admitted
+        # links kept in memory, and the force-full-read flag set when a
+        # distributed stage wrote next-frontier rows the driver never saw
         self._preselect: list | None = None
         self._next_links: pa.Table | None = None
         self._full_read_next = False
@@ -608,7 +634,8 @@ class CrawlRun:
             ],
             preserve_index=False,
         )
-        self._write_frontier(frontier, 0, "seeds")
+        os.makedirs(self.frontier_dir(0), exist_ok=True)
+        pq.write_table(frontier, os.path.join(self.frontier_dir(0), "seeds.parquet"))
         # hand round 0 its frontier in memory (the disk copy above
         # stays the replay source) — the round-pipelined selection
         # then never re-reads the directory the driver just wrote;
@@ -677,15 +704,6 @@ class CrawlRun:
             frontier.write_parquet(self.frontier_dir(rnd))
             self.seen.load_assigned_blocks(block_refs(frontier))
         return n, stats
-
-    def _write_frontier(self, t: pa.Table, rnd: int, tag: str) -> None:
-        if t.num_rows == 0:
-            return
-        os.makedirs(self.frontier_dir(rnd), exist_ok=True)
-        pq.write_table(
-            t.select(FRONTIER_COLS),
-            os.path.join(self.frontier_dir(rnd), f"{tag}.parquet"),
-        )
 
     # ---------------- selection ----------------
     def _select_driver(self, frontier: pa.Table):
@@ -845,15 +863,15 @@ class CrawlRun:
         return refs
 
     def _fetch_extract(self, winners: pa.Table, rnd: int) -> _Fetched:
-        """Fetch → extract → project → write for the round's winners:
-        one fused :func:`_extract_project_chunk` task per fetch chunk,
-        so the round pays no Dataset execution and no separate
-        projection or write wave. The driver pulls only the fetched-url
-        tables and the counts; the link refs go to admission."""
+        """Fetch → extract → project for the round's winners: one fused
+        :func:`_extract_project_chunk` task per fetch chunk, so the
+        round pays no Dataset execution and no separate projection
+        wave. The driver pulls only the fetched-url tables and the
+        counts; the link refs go to admission, the record refs to the
+        commit group."""
         fx = _Fetched()
         if not winners.num_rows:
             return fx
-        out_dir = self.extracted_dir(rnd)
         # winner (seq → priority) lookup for child-link priorities,
         # sorted for the projections' searchsorted; put ONCE per round
         # (top-level ObjectRef args auto-deref in the task)
@@ -869,16 +887,17 @@ class CrawlRun:
             fetch_refs = self._fetch_store_refs(meta)
         batch = self.settings.crawl.batch_size
         futs = [
-            _extract_project_chunk.remote(
-                self._stage_ref(), prio_ref, batch, out_dir, i, ref
-            )
-            for i, ref in enumerate(fetch_refs)
+            _extract_project_chunk.remote(self._stage_ref(), prio_ref, batch, ref)
+            for ref in fetch_refs
         ]
         fx.link_refs = [f[0] for f in futs]
+        g = self._group
         got_tbls = []
-        for got_t, counts in ray.get([f[1] for f in futs]):
+        for got_t, counts, records in ray.get([f[1] for f in futs]):
+            g.records.append(records)
             if got_t.num_rows:
                 got_tbls.append(got_t)
+            g.nbytes += counts["record_bytes"]
             fx.n_links_raw += counts["links_raw"]
             fx.n_links_kept += counts["links_kept"]
             for route in fx.extract_docs:
@@ -897,7 +916,7 @@ class CrawlRun:
         fx.n_miss = n_miss = miss.num_rows
         fx.n_fetched = winners.num_rows - n_miss
         if n_miss:
-            miss_t = pa.table(
+            g.misses.append(pa.table(
                 {
                     "url": miss["canonical_url"],
                     "surrogate": miss["surrogate"],
@@ -906,10 +925,7 @@ class CrawlRun:
                     "error_kind": pa.array(["FetchMiss"] * n_miss),
                     "error_message": pa.array(["url not in page store"] * n_miss),
                 }
-            )
-            miss_dir = os.path.join(out_dir, "record_type=error")
-            os.makedirs(miss_dir, exist_ok=True)
-            pq.write_table(miss_t, os.path.join(miss_dir, "misses.parquet"))
+            ))
         return fx
 
     # ---------------- one round ----------------
@@ -918,6 +934,8 @@ class CrawlRun:
         sel = self._select(rnd)
         if sel is None:
             return False
+        if self._group is None:
+            self._group = _Group(rnd)
         phase_t = {"select": _now() - t0}
         t0 = _now()
         fx = self._fetch_extract(sel.winners, rnd)
@@ -928,7 +946,8 @@ class CrawlRun:
         paths = {"select": sel.path, "admission": admission_path}
         if rnd == 0 and self._bootstrap_path:
             paths["bootstrap"] = self._bootstrap_path
-        self._commit(rnd, sel, fx, admitted, paths, phase_t)
+        last = not has_next or rnd == self.settings.crawl.max_rounds - 1
+        self._commit(rnd, sel, fx, admitted, paths, phase_t, last)
         return has_next
 
     def _select(self, rnd: int) -> _Selection | None:
@@ -938,25 +957,24 @@ class CrawlRun:
         fetch/extract."""
         fdir = self.frontier_dir(rnd)
         # round-pipelining hand-off from the previous round: the
-        # overlapped backlog pre-selection (its cand/rest files are
-        # durable once the get returns) and the in-memory link frontier
+        # overlapped backlog pre-selection and the in-memory links
         pre = self._preselect
         links_mem = self._next_links
         full_read = self._full_read_next
         self._preselect = None
         self._next_links = None
         self._full_read_next = False
-        pre_cand: pa.Table | None = None
-        rest_cnt = 0
-        if pre is not None:
-            # usually instant: it ran during the prior round's extract
-            pre_cand, rest_cnt = ray.get(pre)
+        # usually instant: it ran during the prior round's extract
+        pre_cand, rest_cnt = ray.get(pre[:2]) if pre is not None else (None, 0)
+        mem = [t for t in (pre_cand, links_mem) if t is not None and t.num_rows]
         have_mem = (pre is not None or links_mem is not None) and not full_read
-        if not have_mem and not os.path.isdir(fdir):
-            return None
+        if not have_mem:
+            self._durable(pre, links_mem)  # the frontier dir is read below
+            if not os.path.isdir(fdir):
+                return None
 
         # a replayed (crashed, uncommitted) round must not APPEND to its
-        # half-written outputs — the round commit is all-or-nothing (C3)
+        # half-written outputs — the group commit is all-or-nothing (C3)
         shutil.rmtree(self.extracted_dir(rnd), ignore_errors=True)
         shutil.rmtree(self._p("select", f"round={rnd}"), ignore_errors=True)
         shutil.rmtree(self.frontier_dir(rnd + 1), ignore_errors=True)
@@ -964,11 +982,7 @@ class CrawlRun:
         if have_mem:
             # counts known without touching the frontier dir (the dir
             # holds exactly cand + rest + links — the same rows)
-            n_front = (
-                (pre_cand.num_rows if pre_cand is not None else 0)
-                + rest_cnt
-                + (links_mem.num_rows if links_mem is not None else 0)
-            )
+            n_front = rest_cnt + sum(t.num_rows for t in mem)
             if n_front == 0:
                 return None
         else:
@@ -976,50 +990,35 @@ class CrawlRun:
         path = stage_path("select", n_front)
 
         if path == "distributed":
+            # it reads frontier_dir(rnd): close the open group into it
+            self._durable(pre, links_mem)
             winners, deferred_path, n_denied = self._select_distributed(rnd, n_front)
             self.metrics.robots_denied += n_denied
             if not winners.num_rows and not os.path.isdir(deferred_path):
                 return None
             return _Selection(fdir, n_front, path, winners, deferred_path)
 
-        used_mem = False
-        frontier = None
         if have_mem:
-            parts = [
-                t.select(FRONTIER_COLS)
-                for t in (pre_cand, links_mem)
-                if t is not None and t.num_rows
-            ]
-            if parts:
-                frontier = pa.concat_tables(parts, promote_options="default")
-                used_mem = True
-        if frontier is None:
-            # no memory hand-off, or the degenerate non-empty backlog
-            # with an empty cand (zero-budget hosts): full read, so the
-            # spin-until-max_rounds semantics match the non-pipelined
-            # path exactly
+            # nothing in memory: a non-empty backlog with an empty cand
+            # (only zero-budget hosts) selects nothing and rolls over
+            frontier = pa.concat_tables(
+                [t.select(FRONTIER_COLS) for t in mem] or [_EMPTY_FRONTIER],
+                promote_options="default",
+            )
+        else:
             frontier = _read_parquet_dir(fdir)
-        if not frontier.num_rows:
-            return None
+            if not frontier.num_rows:
+                return None
         winners, deferred, n_denied = self._select_driver(frontier)
         self.metrics.robots_denied += n_denied
 
         # submit the NEXT round's backlog pre-selection NOW, before
-        # fetch/extract start, so its frontier read + per-host sort
-        # runs concurrently with them
-        rest_files = []
-        if used_mem and pre is not None:
-            rf = os.path.join(fdir, "rest.parquet")
-            if os.path.isfile(rf):
-                rest_files.append(rf)
-        # (the task also writes the losers into the next frontier dir)
-        if deferred.num_rows + (rest_cnt if used_mem else 0):
+        # fetch/extract start, so its per-host sort runs concurrently
+        # with them
+        rest = pre[2] if have_mem and rest_cnt else None
+        if deferred.num_rows or rest is not None:
             self._preselect = _preselect_backlog.remote(
-                rest_files,
-                deferred.select(FRONTIER_COLS),
-                self.budgets,
-                self.default_budget,
-                self.frontier_dir(rnd + 1),
+                rest, deferred.select(FRONTIER_COLS), self.budgets, self.default_budget
             )
         return _Selection(fdir, n_front, path, winners, None)
 
@@ -1061,19 +1060,14 @@ class CrawlRun:
                     )
                     has_next = True
         if new_frontier is not None and new_frontier.num_rows:
-            self._write_frontier(new_frontier, rnd + 1, "links")
+            # the next round's pipelined selection reads the admitted
+            # links from memory; the group's close writes them to disk
+            self._next_links = new_frontier
             has_next = True
-            if sel.path == "driver":
-                # keep the admitted links in memory for the next
-                # round's pipelined selection (the disk copy above
-                # stays the replay/resume source of truth); under
-                # distributed SELECT the deferred rename above put
-                # rows on disk the driver never saw, so memory-mode
-                # selection must not engage next round
-                self._next_links = new_frontier
-        if links_written:
-            # distributed admission wrote next-frontier links straight
-            # from Datasets — the next round must read the dir in full
+        if links_written or sel.path == "distributed":
+            # a distributed stage put next-frontier rows on disk the
+            # driver never saw (the Dataset-written links, the renamed
+            # deferred files) — the next round must read the dir in full
             self._full_read_next = True
         has_next = has_next or links_written or self._preselect is not None
         return admitted, has_next, path
@@ -1131,37 +1125,18 @@ class CrawlRun:
             }
         )
 
-    def _commit(
-        self,
-        rnd: int,
-        sel: _Selection,
-        fx: _Fetched,
-        admitted: int,
-        paths: dict,
-        phase_t: dict,
-    ) -> None:
-        """Queue the round's commit (``paths``: the path each gated
-        stage took this round). Round N's shard snapshots run in
-        the background through all of round N+1 when the shards are
-        actors (actor message order makes them a consistent cut); the
-        manifest commit waits for them and the pipelined pre-selection
-        at the NEXT round's commit point, so the per-round serial path
-        carries no commit fsync. The record files need no wait: the
-        fetch step pulled every chunk's counts, and a chunk task writes
-        its files before it returns them."""
-        cc = self.settings.crawl
-        self._flush_pending_commit()  # its wait is recorded as the
-        # PREVIOUS round's commit_wait (inside the flush) — timing it
-        # here too would double-count it under "snapshot"
+    def _commit(self, rnd: int, sel: _Selection, fx: _Fetched, admitted: int,
+                paths: dict, phase_t: dict, last: bool) -> None:
+        """Add the round to the open commit group (``paths``: the path
+        each gated stage took) and close the group after round 0 (alone,
+        so the first commit comes early), at the ``last`` round, once
+        its record bytes reach :data:`GROUP_BYTES_MAX`, or when a stage
+        ran distributed (it wrote frontier files the next round reads).
+        The previous close is flushed first; its wait is recorded as
+        that group's ``commit_wait`` (inside the flush)."""
+        self._flush_pending_commit()
         t0 = _now()
-        snap_mode = "full" if rnd % cc.snapshot_full_every == 0 else "delta"
-        seen_snap = self.seen.snapshot_async(self.seen_dir(rnd), snap_mode)
-        # this round's commit must not land before the pipelined
-        # pre-selection's cand/rest frontier files are durable — a
-        # committed round implies its successor's frontier dir is
-        # complete (the resume contract)
-        frontier_futs = list(self._preselect or ())
-        phase_t["snapshot"] = _now() - t0
+        g = self._group
         self.metrics.rounds = rnd + 1
         self.metrics.fetched += fx.n_fetched
         self.metrics.fetch_misses += fx.n_miss
@@ -1178,18 +1153,15 @@ class CrawlRun:
         )
         # wall times live OUTSIDE metrics (metrics must be bit-equal
         # across identical runs — the determinism contract)
-        self.phase_times.append(
-            {"round": rnd, **{k: round(v, 3) for k, v in phase_t.items()}}
-        )
-        self._pending_commit = (
-            seen_snap,
-            frontier_futs,
-            rnd,
+        phase_rec = {"round": rnd}
+        self.phase_times.append(phase_rec)
+        g.infos.append(
             {
                 "frontier_dir": sel.fdir,
-                "extracted_dir": self.extracted_dir(rnd),
-                "seen_snapshot": self.seen_dir(rnd),
-                "seen_snapshot_mode": snap_mode,
+                "extracted_dir": self.extracted_dir(g.first),
+                # the close sets both on the group's last round
+                "seen_snapshot": None,
+                "seen_snapshot_mode": None,
                 # the pool layout the snapshot needs on resume and
                 # where the shards ran; outside "stats", which stay
                 # equal across shard counts and placements
@@ -1201,9 +1173,46 @@ class CrawlRun:
                 "counters": {k: getattr(self.metrics, k) for k in _COUNTERS},
                 "paths": paths,
                 "extract_docs": dict(fx.extract_docs),
-                "phase_sec": self.phase_times[-1],
-            },
+                "phase_sec": phase_rec,
+            }
         )
+        if rnd == 0 or last or g.nbytes >= GROUP_BYTES_MAX or (
+            "distributed" in paths.values()
+        ):
+            self._close_group(self._preselect, self._next_links)
+        phase_t["snapshot"] = _now() - t0
+        phase_rec.update({k: round(v, 3) for k, v in phase_t.items()})
+
+    def _close_group(self, pre: list | None, links: pa.Table | None) -> None:
+        """Close the open group, rounds first..L: ONE
+        :func:`_write_group` task writes its records under
+        ``extracted/round=<first>`` and the next frontier (``pre``'s
+        cand and rest, ``links``) into ``frontier_dir(L + 1)``; ONE seen
+        snapshot at L is full when the group holds a multiple of
+        ``snapshot_full_every``, else the group's delta. The manifest
+        entry is queued for the next commit point."""
+        g, self._group = self._group, None
+        last = g.first + len(g.infos) - 1
+        cand, rest = (pre[0], pre[2]) if pre is not None else (None, None)
+        writer = _write_group.remote(
+            self.extracted_dir(g.first), self.frontier_dir(last + 1),
+            g.misses, links, cand, rest, *g.records,
+        )
+        every = self.settings.crawl.snapshot_full_every
+        mode = "full" if any(r % every == 0 for r in range(g.first, last + 1)) else "delta"
+        info = g.infos[-1]
+        info.update(seen_snapshot=self.seen_dir(last), seen_snapshot_mode=mode)
+        seen_snap = self.seen.snapshot_async(self.seen_dir(last), mode)
+        for i in g.infos:
+            i["commit_group"] = [g.first, last]
+        self._pending_commit = (seen_snap, writer, last, info, g.infos[:-1])
+
+    def _durable(self, pre: list | None = None, links: pa.Table | None = None) -> None:
+        """Close the open group (next frontier: ``pre``, ``links``) and
+        commit it now, for a frontier-dir read and at the run's end."""
+        if self._group is not None:
+            self._close_group(pre, links)
+        self._flush_pending_commit()
 
     # ---------------- distributed link admission ----------------
     def _admit_distributed(self, link_refs: list, rnd: int) -> int:
@@ -1242,17 +1251,17 @@ class CrawlRun:
     def _flush_pending_commit(self) -> None:
         if self._pending_commit is None:
             return
-        seen_snap, frontier_futs, rnd, info = self._pending_commit
+        seen_snap, writer, rnd, info, earlier = self._pending_commit
         self._pending_commit = None
         t0 = _now()
-        # snapshot + next frontier durable before the commit; each
-        # shard's snapshot returns its tier sizes at the cut
+        # snapshot, record parts and next frontier durable before the
+        # commit; each shard's snapshot returns its tier sizes at the cut
         info["seen_tiers"] = seen_snap.wait()
-        ray.get(frontier_futs)
-        # the real snapshot/pre-selection wall time, recorded where the
+        info["written"] = ray.get(writer)
+        # the real snapshot/writer wall time, recorded where the
         # futures are actually joined
         info["phase_sec"]["commit_wait"] = round(_now() - t0, 3)
-        self.manifest.commit_round(rnd, info)
+        self.manifest.commit_round(rnd, info, earlier)
 
     # ---------------- top-level ----------------
     def run(self, resume: bool = False) -> CrawlMetrics:
@@ -1262,8 +1271,8 @@ class CrawlRun:
         # of a 3-round sandbox run's wall)
         t_setup = _now()
         cc = self.settings.crawl
-        last = self.manifest.last_complete_round() if resume else -1
-        info = self.manifest.round_info(last) if last >= 0 else None
+        infos = self.manifest.round_infos() if resume else []
+        info = infos[-1] if infos else None
         # the shard pool is built first, so an actor pool's worker
         # start-up overlaps the page-store open and the seed keying. A
         # resume rebuilds the pool its snapshots were written with
@@ -1293,29 +1302,23 @@ class CrawlRun:
             # reload — a different cost than seed bootstrap; keep the
             # phase telemetry BASELINE.md analyzes honest about which
             # one a run paid
-            # seen-set restore chain: walk back to the newest FULL
-            # snapshot, then replay the deltas committed after it
+            # seen-set restore chain: the newest FULL snapshot, then
+            # the deltas committed after it; mid-group rounds have none
             # (old manifests without the mode field are all-full)
-            base = last
-            while base > 0 and (
-                self.manifest.round_info(base).get("seen_snapshot_mode", "full")
-                != "full"
-            ):
-                base -= 1
-            chain = [
-                self.manifest.round_info(r)["seen_snapshot"]
-                for r in range(base, last + 1)
-            ]
-            self.seen.restore_chain(chain)
+            base = max(
+                r for r, i in enumerate(infos)
+                if i.get("seen_snapshot_mode", "full") == "full"
+            )
+            self.seen.restore_chain(
+                [i["seen_snapshot"] for i in infos[base:] if i["seen_snapshot"]]
+            )
             self.next_seq = info["next_seq"]
             # the published metrics cover the WHOLE run, not only the
             # rounds after the resume
             for k, v in info.get("counters", {}).items():
                 setattr(self.metrics, k, v)
-            self.metrics.per_round = [
-                self.manifest.round_info(r)["stats"] for r in range(last + 1)
-            ]
-            start_round = last + 1
+            self.metrics.per_round = [i["stats"] for i in infos]
+            start_round = len(infos)
         else:
             self._bootstrap()
         self.phase_times.append(
@@ -1325,8 +1328,10 @@ class CrawlRun:
         for rnd in range(start_round, cc.max_rounds):
             if not self._round(rnd):
                 break
-        self._flush_pending_commit()  # wait lands in the last round's
-        # commit_wait (recorded inside the flush), keeping Σ additive
+        # a group still open (the next selection found nothing) closes
+        # here; the wait lands in the last group's commit_wait
+        # (recorded inside the flush), keeping Σ additive
+        self._durable(self._preselect, self._next_links)
         # a caller that keeps the finished run (for its seen set or
         # metrics) must not pin its object-store objects: Ray frees
         # released objects in batches, so holding them until the run
@@ -1349,41 +1354,20 @@ class CrawlRun:
         return self.metrics
 
     def _count_outputs(self) -> None:
-        base = self._p("extracted")
-        if not os.path.isdir(base):
-            return
-        counts: dict[str, int] = {}
-        for rnd_dir in os.listdir(base):
-            for part in os.listdir(os.path.join(base, rnd_dir)):
-                if not part.startswith("record_type="):
-                    continue
-                kind = part.split("=", 1)[1]
-                d = os.path.join(base, rnd_dir, part)
-                n = sum(
-                    pq.ParquetFile(os.path.join(d, f)).metadata.num_rows
-                    for f in os.listdir(d)
-                    if f.endswith(".parquet")
-                )
-                counts[kind] = counts.get(kind, 0) + n
-        self.metrics.datasets = counts.get("dataset", 0)
-        self.metrics.units = counts.get("unit", 0)
-        self.metrics.errors = counts.get("error", 0)
+        for kind, attr in (("dataset", "datasets"), ("unit", "units"), ("error", "errors")):
+            n = sum(map(_count_parquet_rows, _record_files(self.run_dir, kind)))
+            setattr(self.metrics, attr, n)
+
+
+def _record_files(run_dir: str, record_type: str) -> list[str]:
+    return sorted(glob.glob(os.path.join(
+        run_dir, "staging", "extracted", "round=*", f"record_type={record_type}", "*.parquet"
+    )))
 
 
 def extracted_dataset(run_dir: str, record_type: str) -> "ray.data.Dataset":
     """Read one logical output table of a (published) run."""
-    base = os.path.join(run_dir, "staging", "extracted")
-    dirs = [
-        os.path.join(base, rnd, f"record_type={record_type}")
-        for rnd in sorted(os.listdir(base))
-    ]
-    files = [
-        os.path.join(d, f)
-        for d in dirs
-        if os.path.isdir(d)
-        for f in sorted(os.listdir(d))
-        if f.endswith(".parquet")
-    ]
+    files = _record_files(run_dir, record_type)
     if not files:
-        raise FileNotFoundError(f"no {record_type} output under {base}")
+        raise FileNotFoundError(f"no {record_type} output under {run_dir}/staging/extracted")
     return ray.data.read_parquet(files)

@@ -54,7 +54,7 @@ from ..functions.extract import (
     propose_landing_page,
 )
 from ..functions.fields import LATITUDE_PATH, LONGITUDE_PATH, FieldRegistry
-from ..functions.urlkeys import canonicalize_batch, host_of, url_keys_batch
+from ..functions.urlkeys import host_of, key_urls
 
 RECORD_DATASET = "dataset"
 RECORD_UNIT = "unit"
@@ -447,14 +447,14 @@ class ExtractStage:
         rank = _runs_from(unit_doc[has])
         has, rank = has[rank < self.link_cap], rank[rank < self.link_cap]
         link_url = link.take(pa.array(has, pa.int64()))
-        canon = canonicalize_batch(link_url.to_pylist())
+        canon, keys, hosts = key_urls(link_url)
         tables[RECORD_LINK] = pa.Table.from_arrays(
             page_cols(unit_doc[has]) + [
                 link_url,
                 pa.array(rank, pa.int64()),
-                pa.array(canon, pa.string()),
-                pa.array(url_keys_batch(canon), pa.int64()),
-                pa.array([host_of(c) for c in canon], pa.string()),
+                canon,
+                pa.array(keys, pa.int64()),
+                hosts,
             ],
             schema=self.schemas[RECORD_LINK],
         )

@@ -180,7 +180,7 @@ class HttpFetchStage:
         return self._pool
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..functions.urlkeys import hosts_batch
+        from ..functions.urlkeys import host_of
 
         urls = batch["url"].to_pylist()
         results: list = [None] * len(urls)
@@ -188,7 +188,7 @@ class HttpFetchStage:
         # group row indices by host (same host key the politeness
         # budgets use); each group fetches in INPUT order
         by_host: dict[str, list[int]] = {}
-        for i, h in enumerate(hosts_batch(urls)):
+        for i, h in enumerate(map(host_of, urls)):
             by_host.setdefault(h, []).append(i)
 
         def fetch_host(idxs: list[int]) -> None:

@@ -5,16 +5,17 @@ serializable transaction (``/root/reference/src/storage/database_sink.rs:258-284
 and keeps a ZIP cache for per-item recovery (``src/main.rs:262-266``).
 The Parquet equivalent:
 
-- every round writes under ``<run_dir>/staging/...`` and then records a
-  round entry (inputs, outputs, counts, seen-set snapshot path) via an
-  atomic ``os.replace`` of ``rounds/round_<r>.json`` — the C3
-  all-or-nothing per-partition commit flag;
+- the crawl commits a GROUP of rounds: once its outputs are under
+  ``<run_dir>/staging/...``, ONE entry ``rounds/round_<L>.json`` (L =
+  the group's last round, carrying the earlier rounds' infos) appears
+  by an atomic, fsynced ``os.replace`` — the C3 all-or-nothing commit
+  flag;
 - ``finalize()`` writes ``MANIFEST.json`` with one atomic rename — the
   single publish point readers trust (a crashed run leaves the previous
   manifest untouched, like prod tables during a crashed harvest);
-- ``last_complete_round()`` drives resume: a restarted run replays from
-  the first uncommitted round, restoring the seen-set from the last
-  snapshot instead of rebuilding from scratch.
+- ``last_complete_round()`` drives resume: a restarted run replays
+  from the round after the last committed group, restoring the seen-set
+  from the snapshot chain instead of rebuilding from scratch.
 """
 
 from __future__ import annotations
@@ -24,6 +25,15 @@ import os
 from typing import Any
 
 
+def _write_atomic(path: str, payload: dict) -> None:
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        json.dump(payload, fh, indent=1)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+
+
 class RunManifest:
     def __init__(self, run_dir: str):
         self.run_dir = run_dir
@@ -31,36 +41,46 @@ class RunManifest:
         self.rounds_dir = os.path.join(self.staging, "rounds")
         os.makedirs(self.rounds_dir, exist_ok=True)
 
-    # -- per-round lineage ------------------------------------------------
+    # -- per-group lineage ------------------------------------------------
     def round_path(self, rnd: int) -> str:
         return os.path.join(self.rounds_dir, f"round_{rnd:05d}.json")
 
-    def commit_round(self, rnd: int, info: dict[str, Any]) -> None:
-        """All-or-nothing round commit: the entry appears only after every
-        output in ``info`` is fully written."""
-        payload = {"round": rnd, "status": "complete", **info}
-        tmp = self.round_path(rnd) + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.round_path(rnd))
+    def commit_round(self, rnd: int, info: dict[str, Any], earlier: list = ()) -> None:
+        """All-or-nothing commit of the group ending at round ``rnd``
+        (``earlier``: the infos of its rounds before ``rnd``): the entry
+        appears only after every output in ``info`` is fully written."""
+        first = rnd - len(earlier)
+        group = [
+            {"round": first + i, "status": "complete", **e} for i, e in enumerate(earlier)
+        ]
+        _write_atomic(
+            self.round_path(rnd),
+            {"round": rnd, "status": "complete", **info, "group_rounds": group},
+        )
+
+    def _group_ends(self) -> list[int]:
+        return sorted(
+            int(name[6:11])
+            for name in os.listdir(self.rounds_dir)
+            if name.startswith("round_") and name.endswith(".json")
+        )
+
+    def round_infos(self) -> list[dict[str, Any]]:
+        """Every committed round's info, in round order."""
+        infos = []
+        for end in self._group_ends():
+            with open(self.round_path(end)) as fh:
+                entry = json.load(fh)
+            infos += entry.pop("group_rounds", []) + [entry]
+        return infos
 
     def round_info(self, rnd: int) -> dict[str, Any] | None:
-        p = self.round_path(rnd)
-        if not os.path.exists(p):
-            return None
-        with open(p) as fh:
-            return json.load(fh)
+        return next((i for i in self.round_infos() if i["round"] == rnd), None)
 
     def last_complete_round(self) -> int:
-        """Highest round with a committed entry, or -1."""
-        best = -1
-        if os.path.isdir(self.rounds_dir):
-            for name in os.listdir(self.rounds_dir):
-                if name.startswith("round_") and name.endswith(".json"):
-                    best = max(best, int(name[6:11]))
-        return best
+        """Last round of the last committed group, or -1."""
+        ends = self._group_ends()
+        return ends[-1] if ends else -1
 
     # -- atomic publish ----------------------------------------------------
     @property
@@ -68,21 +88,15 @@ class RunManifest:
         return os.path.join(self.run_dir, "MANIFEST.json")
 
     def finalize(self, tables: dict[str, str], metrics: dict[str, Any]) -> None:
-        rounds = [
-            self.round_info(r) for r in range(self.last_complete_round() + 1)
-        ]
-        payload = {
-            "status": "published",
-            "tables": tables,
-            "metrics": metrics,
-            "rounds": rounds,
-        }
-        tmp = self.manifest_path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.manifest_path)
+        _write_atomic(
+            self.manifest_path,
+            {
+                "status": "published",
+                "tables": tables,
+                "metrics": metrics,
+                "rounds": self.round_infos(),
+            },
+        )
 
     def published(self) -> dict[str, Any] | None:
         if not os.path.exists(self.manifest_path):
