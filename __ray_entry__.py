@@ -754,35 +754,37 @@ def _q_landing_pages(sf_dir: str):
 def _q_seen_first_wins(sf_dir: str):
     import ray.data
 
+    from vat_abcd_crawler_ray.ops.blocks import block_refs
+    from vat_abcd_crawler_ray.ops.firstwins import rank_in, winner_vals
     from vat_abcd_crawler_ray.pipelines.crawl import keyed_frontier_batch
-    from vat_abcd_crawler_ray.state.seen_set import first_wins_dataset
 
     d = _corpus(sf_dir)
-    seeds = ray.data.read_parquet(os.path.join(d, "seeds.parquet")).map_batches(
-        keyed_frontier_batch, batch_format="pyarrow"
+    seeds = (
+        ray.data.read_parquet(os.path.join(d, "seeds.parquet"))
+        .map_batches(keyed_frontier_batch, batch_format="pyarrow")
+        .materialize()
     )
-    # join the first-wins winners back to their representative seed row
-    # on (key, seq == first_seq) — exactly one row per key, no driver
-    # materialization of the seed set (the distributed-bootstrap shape)
-    fw = first_wins_dataset(seeds, "key", "seq")
-    joined = seeds.join(
-        fw,
-        join_type="inner",
-        num_partitions=8,
-        on=("key", "seq"),
-        right_on=("key", "first_seq"),
-    )
+    # the crawl's distributed-bootstrap first-wins: the sorted winning
+    # seqs, broadcast once, keep each key's first seed row, and a
+    # winner's rank among them is its dense surrogate - 1
+    refs = block_refs(seeds)
+    win, _stats = winner_vals(refs, key="key", val="seq")
+    win_ref = ray.put(win)
 
-    def proj(t: pa.Table) -> pa.Table:
+    def finalize(t: pa.Table) -> pa.Table:
+        keep, rank = rank_in(ray.get(win_ref), t["seq"].to_numpy(zero_copy_only=False))
+        t = t.take(pa.array(keep, pa.int64()))
         return pa.table(
             {
                 "canonical_url": t["canonical_url"],
                 "first_seq": t["seq"],
-                "surrogate": t["surrogate"],
+                "surrogate": pa.array(1 + rank, pa.int64()),
             }
         )
 
-    return joined.map_batches(proj, batch_format="pyarrow")
+    return ray.data.from_arrow_refs(refs).map_batches(
+        finalize, batch_format="pyarrow", batch_size=None
+    )
 
 
 def _q_token_stats(sf_dir: str):

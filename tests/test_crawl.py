@@ -73,6 +73,28 @@ def _fetch_log(run_dir) -> pd.DataFrame:
     )
 
 
+def _split_snapshot(seen_dir: str, n: int) -> None:
+    """Rewrite a one-file seen snapshot directory in the layout of a set
+    split over ``n`` shards by ``key % n``: ``shard_0..n-1.npz`` in the
+    ``np.savez`` format, a full snapshot's shards each with its own
+    filter table; ``_meta`` is unchanged."""
+    from vat_abcd_crawler_ray.state.cuckoo import CuckooFilter
+
+    path = os.path.join(seen_dir, "shard_0.npz")
+    st = dict(np.load(path))
+    os.remove(path)
+    full = "keys" in st
+    keys = st["keys" if full else "delta_keys"]
+    for i in range(n):
+        sel = keys % n == i
+        part = {name: arr[sel] for name, arr in st.items() if arr.ndim == 1}
+        if full:
+            f = CuckooFilter(1 << 12)
+            f.add(part["keys"])
+            part.update(filter_table=f.table, filter_count=f.count, filter_slots=f.slots)
+        np.savez(os.path.join(seen_dir, f"shard_{i}.npz"), **part)
+
+
 @pytest.mark.usefixtures("ray_session")
 class TestCrawl:
     def test_end_to_end_and_determinism(self, corpus, tmp_path_factory):
@@ -181,53 +203,25 @@ class TestCrawl:
             == rfull.manifest.published()["metrics"]
         )
 
-    def test_resume_keeps_recorded_shard_count(self, corpus, tmp_path, full_run):
-        """A run stopped after 2 rounds at 2 pinned shards resumes under
-        the auto setting (4 shards on conftest's 4-CPU cluster) with the 2
-        shards its snapshots were written with, and equals the
-        uninterrupted 4-shard run."""
-        rfull, full_dir = full_run
-        assert rfull.seen.num_shards == 4
-        part_dir = tmp_path / "part"
-        s = Settings()
-        s.crawl.num_seen_shards = 2
-        s.crawl.max_rounds = 2
-        _mk_run(corpus, part_dir, settings=s).run()
-
-        rres = _mk_run(corpus, part_dir)  # num_seen_shards=0: auto
-        rres.run(resume=True)
-        assert rres.seen.num_shards == 2
-        assert [r["seen_shards"] for r in rres.manifest.published()["rounds"]] == [
-            2
-        ] * rfull.metrics.rounds
-        pd.testing.assert_frame_equal(_seen_table(rfull), _seen_table(rres))
-        pd.testing.assert_frame_equal(_fetch_log(full_dir), _fetch_log(part_dir))
-        assert rres.metrics.as_dict() == rfull.metrics.as_dict()
-
-    @pytest.mark.parametrize("stop,resume", [("driver", "actors"), ("actors", "driver")])
-    def test_resume_switches_seen_placement(
-        self, corpus, tmp_path, full_run, monkeypatch, stop, resume
-    ):
-        """A one-shard run stopped after 2 rounds with its shard in one
-        placement resumes with it in the other (the snapshot files are
-        the same), and equals the uninterrupted run."""
-        from vat_abcd_crawler_ray.state import seen_set
-
+    def test_resume_from_multi_shard_snapshots(self, corpus, tmp_path, full_run):
+        """A run directory whose seen snapshots are in the layout of a
+        set split over 4 shards (``shard_0..3.npz`` by ``key % 4``, each
+        with its own filter table) resumes to the uninterrupted run: the
+        restore merges the shard files of the full snapshot and of the
+        delta after it."""
         rfull, full_dir = full_run
         part_dir = tmp_path / "part"
         s = Settings()
-        s.crawl.num_seen_shards = 1
         s.crawl.max_rounds = 2
-        monkeypatch.setattr(seen_set, "seen_placement", lambda n: stop)
-        _mk_run(corpus, part_dir, settings=s).run()
+        rpart = _mk_run(corpus, part_dir, settings=s)
+        rpart.run()
+        infos = rpart.manifest.round_infos()
+        assert [i["seen_snapshot_mode"] for i in infos] == ["full", "delta"]
+        for i in infos:
+            _split_snapshot(i["seen_snapshot"], 4)
 
-        monkeypatch.setattr(seen_set, "seen_placement", lambda n: resume)
         rres = _mk_run(corpus, part_dir)
         rres.run(resume=True)
-        assert rres.seen.placement == resume and rres.seen.num_shards == 1
-        assert [r["seen_placement"] for r in rres.manifest.published()["rounds"]] == (
-            [stop] * 2 + [resume] * (rfull.metrics.rounds - 2)
-        )
         pd.testing.assert_frame_equal(_seen_table(rfull), _seen_table(rres))
         pd.testing.assert_frame_equal(_fetch_log(full_dir), _fetch_log(part_dir))
         assert rres.metrics.as_dict() == rfull.metrics.as_dict()
@@ -238,30 +232,25 @@ class TestCrawl:
 
     def test_seen_tiers_in_manifest(self, corpus, tmp_path):
         """Each group-closing round's info in MANIFEST.json names the
-        shard count and every shard's tier sizes at the snapshot cut
-        (a mid-group round has no snapshot); a small RAM cap puts rows
-        on disk, and the last cut's tiers add up to the final seen
-        set."""
+        seen set's tier sizes at the snapshot cut (a mid-group round has
+        no snapshot); a small RAM cap puts rows on disk, and the last
+        cut's tiers add up to the final seen set."""
         s = Settings()
         s.crawl.seen_ram_cap_per_shard = 32
         run = _mk_run(corpus, tmp_path / "run", settings=s)
         run.run()
         with open(os.path.join(str(tmp_path / "run"), "MANIFEST.json")) as fh:
             rounds = json.load(fh)["rounds"]
-        n = run.seen.num_shards
         closing = [r for r in rounds if r["round"] == r["commit_group"][1]]
         assert 2 <= len(closing) < len(rounds)
         for r in rounds:
-            assert r["seen_shards"] == n
             if r not in closing:
                 assert r["seen_snapshot"] is None and "seen_tiers" not in r
                 continue
-            assert len(r["seen_tiers"]) == n
-            for tiers in r["seen_tiers"]:
-                assert {"tail", "ram_rows", "disk_rows", "disk_runs"} <= set(tiers)
+            assert {"tail", "ram_rows", "disk_rows", "disk_runs"} <= set(r["seen_tiers"])
         last = rounds[-1]["seen_tiers"]
-        assert sum(t["disk_runs"] for t in last) > 0
-        assert sum(t["tail"] + t["ram_rows"] + t["disk_rows"] for t in last) == len(
+        assert last["disk_runs"] > 0
+        assert last["tail"] + last["ram_rows"] + last["disk_rows"] == len(
             _seen_table(run)
         )
         assert "seen_tiers" not in rounds[-1]["stats"]
@@ -281,13 +270,11 @@ class TestCrawl:
             if r["round"] == last:
                 assert r["seen_snapshot"] == run.seen_dir(last)
                 assert os.path.isdir(r["seen_snapshot"])
-                assert len(r["seen_tiers"]) == run.seen.num_shards
+                assert "filter_buckets" in r["seen_tiers"]
             want = {"select": "driver", "admission": "driver"}
             if r["stats"]["round"] == 0:
                 want["bootstrap"] = "driver"
             assert r["paths"] == want
-            assert r["seen_shards"] == run.seen.num_shards
-            assert r["seen_placement"] == run.seen.placement == "actors"
             # every fetched page went through exactly one extract route
             docs = r["extract_docs"]
             assert set(docs) == {"kernel", "per_doc"}
@@ -549,12 +536,14 @@ def test_unknown_mode_rejected(tmp_path, mode_kw):
     "key,value", [("num_seen_shards", -1), ("seen_capacity_per_shard", 0)]
 )
 def test_bad_seen_setting_rejected(tmp_path, key, value):
-    """A negative shard count or an empty prefilter is a typo: it
-    fails construction, before any input is read."""
-    s = Settings()
-    setattr(s.crawl, key, value)
-    with pytest.raises(ValueError, match=key):
-        _mk_run(str(tmp_path), tmp_path / "run", settings=s)
+    """The seen set's removed shard settings are unknown: a settings
+    file that still names one fails to load instead of being ignored."""
+    from vat_abcd_crawler_ray.config import load_settings
+
+    path = tmp_path / "settings.toml"
+    path.write_text(f"[crawl]\n{key} = {value}\n")
+    with pytest.raises(ValueError, match=f"unknown setting 'crawl.{key}'"):
+        load_settings(str(path))
 
 
 def test_robots_denied_vectorized_matches_rowwise():

@@ -51,10 +51,10 @@ crawl.GROUP_BYTES_MAX = int(sys.argv[5])
 def kill_when(owner, name, hit):
     orig = getattr(owner, name)
 
-    def patched(self, *args):
+    def patched(self, *args, **kwargs):
         if hit(self, *args):
             os.kill(os.getpid(), signal.SIGKILL)
-        return orig(self, *args)
+        return orig(self, *args, **kwargs)
 
     setattr(owner, name, patched)
 
@@ -69,6 +69,8 @@ elif point == "next_group":  # the next group has run one round
         lambda self, rnd: self._group is not None and len(self._group.infos) == 1
         and self.manifest.last_complete_round() > 1,
     )
+elif point == "in_finalize":  # every group committed, nothing published
+    kill_when(RunManifest, "finalize", lambda self: True)
 s = Settings()
 s.crawl.snapshot_full_every = int(sys.argv[6])
 run = crawl.CrawlRun(f"{corpus}/pages.parquet", f"{corpus}/seeds.parquet",
@@ -151,7 +153,8 @@ def _fetch_log(run_dir: str) -> pd.DataFrame:
 
 @pytest.mark.parametrize(
     "point,committed",
-    [("before_writer", 1), ("before_entry", 1), ("next_group", 5)],
+    # in_finalize: all 17 rounds committed
+    [("before_writer", 1), ("before_entry", 1), ("next_group", 5), ("in_finalize", 16)],
 )
 def test_killed_driver_resumes_to_the_uninterrupted_run(
     narrow_corpus, references, tmp_path, point, committed

@@ -12,10 +12,10 @@ import os
 import pandas as pd
 import pytest
 
-from vat_abcd_crawler_ray.config import Settings
 from vat_abcd_crawler_ray.oracle.seqcrawl import sequential_crawl
 from vat_abcd_crawler_ray.pipelines.crawl import CrawlRun, _read_parquet_dir
 from vat_abcd_crawler_ray.sources.synthetic import corpus_dir
+from vat_abcd_crawler_ray.state import seen_set
 
 GATED = ("bootstrap", "select", "admission")
 
@@ -26,20 +26,20 @@ FORCED = {
     "bootstrap": ("bootstrap",),
     "select": ("select",),
     "admission": ("admission",),
+    # the seen set's prefilter starts at 64 slots and must grow
+    # mid-crawl (457 keys); with every stage distributed the set's block
+    # methods run too. (The names are kept from the sharded seen set:
+    # one driver-held set is now its only layout.)
     "one_shard": (),
     "one_shard_distributed": GATED,
 }
-# crawl settings a configuration pins: one seen-set shard (held in the
-# driver) whose 64-slot prefilter must grow mid-crawl (457 keys); with
-# every stage distributed, the driver-held shard takes the block methods
-ONE_SHARD = {"num_seen_shards": 1, "seen_capacity_per_shard": 64}
-SETTINGS = {"one_shard": ONE_SHARD, "one_shard_distributed": ONE_SHARD}
+SMALL_FILTER = ("one_shard", "one_shard_distributed")
 
 
 @pytest.mark.usefixtures("ray_session")
 @pytest.mark.parametrize("modes", list(FORCED))
 def test_distributed_crawl_matches_sequential_reference(
-    tmp_path, force_paths, auto_run, modes
+    tmp_path, force_paths, auto_run, monkeypatch, modes
 ):
     """Each configuration forces its stages down the distributed path
     through the size rule (``modes="distributed"``: EVERY gated stage
@@ -53,20 +53,15 @@ def test_distributed_crawl_matches_sequential_reference(
         run = auto_run(corpus)
     else:
         force_paths(**{stage: "distributed" for stage in FORCED[modes]})
-        settings = Settings()
-        for k, v in SETTINGS.get(modes, {}).items():
-            setattr(settings.crawl, k, v)
-        run = _crawl(corpus, str(tmp_path / "run"), settings)
+        if modes in SMALL_FILTER:
+            monkeypatch.setattr(seen_set, "FILTER_CAPACITY", 64)
+        run = _crawl(corpus, str(tmp_path / "run"))
         assert run.metrics.as_dict() == auto_run(corpus).metrics.as_dict()
-    placement = "driver" if modes in SETTINGS else "actors"
-    assert run.seen.placement == placement
-    if modes in SETTINGS:
-        assert run.seen.num_shards == 1
+    if modes in SMALL_FILTER:
         tiers = run.manifest.round_info(run.manifest.last_complete_round())["seen_tiers"]
-        assert tiers[0]["filter_buckets"] > 32  # grew from 64 slots
+        assert tiers["filter_buckets"] > 32  # grew from 64 slots (32 buckets)
     # every committed round records the path each gated stage took
     for r in range(run.manifest.last_complete_round() + 1):
-        assert run.manifest.round_info(r)["seen_placement"] == placement
         paths = run.manifest.round_info(r)["paths"]
         for stage in GATED:
             if stage in paths:
@@ -120,13 +115,12 @@ def test_distributed_crawl_matches_sequential_reference(
     )
 
 
-def _crawl(corpus: str, run_dir: str, settings: Settings | None = None) -> CrawlRun:
+def _crawl(corpus: str, run_dir: str) -> CrawlRun:
     run = CrawlRun(
         f"{corpus}/pages.parquet",
         f"{corpus}/seeds.parquet",
         f"{corpus}/politeness.parquet",
         run_dir,
-        settings=settings,
     )
     run.run()
     return run

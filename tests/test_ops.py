@@ -1,5 +1,5 @@
-"""Distributed operator tests: zip_with_index, joins, top-k,
-connected components."""
+"""Distributed operator tests: joins, top-k, connected components,
+sketches."""
 
 from __future__ import annotations
 
@@ -26,7 +26,6 @@ from vat_abcd_crawler_ray.ops.sketches import (
     hll_register_batch,
 )
 from vat_abcd_crawler_ray.ops.topk import topk_per_key
-from vat_abcd_crawler_ray.ops.zip_with_index import zip_with_index
 
 
 def test_hll_math_accuracy_and_merge():
@@ -44,12 +43,6 @@ def test_hll_math_accuracy_and_merge():
 
 @pytest.mark.usefixtures("ray_session")
 class TestOps:
-    def test_zip_with_index(self):
-        ds = rd.from_items([{"v": i} for i in [5, 3, 9, 1, 7]]).repartition(3)
-        out = zip_with_index(ds.sort("v"), "idx", start=1).to_pandas()
-        assert out.sort_values("idx")["v"].tolist() == [1, 3, 5, 7, 9]
-        assert sorted(out["idx"]) == [1, 2, 3, 4, 5]
-
     def test_broadcast_join(self):
         big = rd.from_items([{"k": i % 3, "v": i} for i in range(30)])
         small = pd.DataFrame({"k": [0, 1, 2], "name": ["a", "b", "c"]})

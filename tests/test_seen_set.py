@@ -1,5 +1,5 @@
-"""Seen-set semantics: cuckoo filter, first-wins dedup, the sharded
-set under both shard placements (driver-held and actors).
+"""Seen-set semantics: cuckoo filter, snapshot files, the driver-held
+seen set and its spill tier.
 
 Reference oracle: surrogate_key.rs:47-66 — dense keys from 1, first
 sight New(k), later Existing(k)."""
@@ -16,18 +16,12 @@ import ray.data as rd
 from vat_abcd_crawler_ray.ops.blocks import block_refs
 from vat_abcd_crawler_ray.state import seen_set
 from vat_abcd_crawler_ray.state.cuckoo import CuckooFilter
-from vat_abcd_crawler_ray.state.seen_set import (
-    SeenSetShard,
-    ShardedSeenSet,
-    first_wins_dataset,
-    seen_placement,
-    seen_shard_count,
-)
+from vat_abcd_crawler_ray.state.seen_set import SeenSet
 
 
-def _unseen_keys(ss: ShardedSeenSet, ds: "rd.Dataset") -> list:
+def _unseen_keys(ss: SeenSet, ds: "rd.Dataset") -> list:
     """Sorted keys of ``ds``'s rows the seen set has not committed,
-    through the shard-parallel anti-filter over its block refs."""
+    through the block-at-a-time anti-filter over its block refs."""
     refs = ss.filter_unseen_refs(block_refs(ds.materialize()))
     return sorted(pa.concat_tables(ray.get(refs))["key"].to_pylist())
 
@@ -67,45 +61,31 @@ class TestCuckoo:
         assert (f1.table == f2.table).all()
 
 
-@pytest.mark.parametrize("cpus,want", [(1, 1), (4, 4), (8, 8), (32, 8)])
-def test_auto_shard_count_follows_cluster(cpus, want):
-    """0 = one shard per CPU up to 8; a positive setting pins it."""
-    assert seen_shard_count(0, cpus) == want
-    assert seen_shard_count(3, cpus) == 3
-
-
-@pytest.mark.parametrize("shards,want", [(1, "driver"), (2, "actors"), (8, "actors")])
-def test_placement_follows_shard_count(shards, want):
-    """One shard is held in the driver; a pool of several is actors."""
-    assert seen_placement(shards) == want
-
-
-def _filled_shard(capacity: int = 1 << 12, n: int = 500) -> SeenSetShard:
-    shard = SeenSetShard(0, capacity)
+def _filled_set(capacity: int = 1 << 12, n: int = 500) -> SeenSet:
+    ss = SeenSet(capacity)
     keys = np.arange(n, dtype=np.int64) * 7919
-    shard.offer(keys, np.arange(n, dtype=np.int64))
-    k, q = shard.commit_round()
-    shard.assign(k, np.arange(1, len(k) + 1, dtype=np.int64), q)
-    return shard
+    ss.offer_batch(keys, np.arange(n, dtype=np.int64))
+    ss.commit_round()
+    return ss
 
 
 class TestSnapshotFiles:
-    """The shard's snapshot writer keeps ``np.savez``'s file format."""
+    """The snapshot writer keeps ``np.savez``'s file format."""
 
     def test_full_snapshot_reads_like_savez(self, tmp_path):
-        shard = _filled_shard()
-        path = str(tmp_path / "shard_0.npz")
-        shard.snapshot(path, "full")
-        keys, sur, seq = shard._all_committed()
+        ss = _filled_set()
+        ss.snapshot_async(str(tmp_path / "seen"), "full")
+        path = str(tmp_path / "seen" / "shard_0.npz")
+        keys, sur, seq = ss._all_committed()
         ref = str(tmp_path / "ref.npz")
         np.savez(
             ref,
             keys=keys,
             surrogates=sur,
             first_seqs=seq,
-            filter_table=shard.filter.table,
-            filter_count=shard.filter.count,
-            filter_slots=shard.filter.slots,
+            filter_table=ss.filter.table,
+            filter_count=ss.filter.count,
+            filter_slots=ss.filter.slots,
         )
         got, want = np.load(path), np.load(ref)
         assert sorted(got.files) == sorted(want.files)
@@ -116,48 +96,65 @@ class TestSnapshotFiles:
     def test_savez_snapshot_restores(self, tmp_path):
         """A snapshot written by ``np.savez`` (the earlier writer)
         restores into the same state."""
-        shard = _filled_shard()
-        keys, sur, seq = shard._all_committed()
-        ref = str(tmp_path / "ref.npz")
+        ss = _filled_set()
+        keys, sur, seq = ss._all_committed()
+        (tmp_path / "ref").mkdir()
+        (tmp_path / "ref" / "_meta").write_text(f"{ss.next_surrogate}\nfull")
+        ref = str(tmp_path / "ref" / "shard_0.npz")
         with open(ref, "wb") as fh:
             np.savez(
                 fh,
                 keys=keys,
                 surrogates=sur,
                 first_seqs=seq,
-                filter_table=shard.filter.table,
-                filter_count=shard.filter.count,
-                filter_slots=shard.filter.slots,
+                filter_table=ss.filter.table,
+                filter_count=ss.filter.count,
+                filter_slots=ss.filter.slots,
             )
-        back = SeenSetShard(0, 64)
-        back.restore(ref)
-        assert back.dump().equals(shard.dump())
-        np.testing.assert_array_equal(back.filter.table, shard.filter.table)
+        back = SeenSet(64)
+        back.restore_chain([str(tmp_path / "ref")])
+        assert back.to_table().equals(ss.to_table())
+        np.testing.assert_array_equal(back.filter.table, ss.filter.table)
 
     def test_delta_snapshot_holds_entries_in_store_order(self, tmp_path):
-        shard = _filled_shard(n=50)
-        shard.snapshot(str(tmp_path / "full.npz"), "full")
-        shard.assign(np.array([5, 3], np.int64), np.array([51, 52]), np.array([60, 61]))
-        shard.assign(np.array([9], np.int64), np.array([53]), np.array([62]))
-        shard.snapshot(str(tmp_path / "delta.npz"), "delta")
-        d = np.load(str(tmp_path / "delta.npz"))
+        ss = _filled_set(n=50)
+        ss.snapshot_async(str(tmp_path / "full"), "full")
+        ss.offer_batch(np.array([5, 3], np.int64), np.array([60, 61]))
+        ss.commit_round()
+        ss.offer_batch(np.array([9], np.int64), np.array([62]))
+        ss.commit_round()
+        ss.snapshot_async(str(tmp_path / "delta"), "delta")
+        d = np.load(str(tmp_path / "delta" / "shard_0.npz"))
         assert d["delta_keys"].tolist() == [5, 3, 9]
         assert d["delta_surrogates"].tolist() == [51, 52, 53]
         assert d["delta_first_seqs"].tolist() == [60, 61, 62]
         assert d["delta_keys"].dtype == np.int64
-        shard.snapshot(str(tmp_path / "empty.npz"), "delta")
-        assert len(np.load(str(tmp_path / "empty.npz"))["delta_keys"]) == 0
+        ss.snapshot_async(str(tmp_path / "empty"), "delta")
+        assert len(np.load(str(tmp_path / "empty" / "shard_0.npz"))["delta_keys"]) == 0
+
+    def test_snapshot_drops_an_earlier_shard_layout(self, tmp_path):
+        """A directory that still holds an uncommitted group's shard
+        files from an N-shard layout keeps only the new snapshot's file,
+        so a restore does not merge the leftovers in."""
+        ss = _filled_set(n=50)
+        d = tmp_path / "seen"
+        d.mkdir()
+        for i in range(4):
+            np.savez(d / f"shard_{i}.npz", delta_keys=np.array([i], np.int64))
+        ss.snapshot_async(str(d), "delta")
+        assert sorted(p.name for p in d.iterdir()) == ["_meta", "shard_0.npz"]
+        assert len(np.load(d / "shard_0.npz")["delta_keys"]) == 50
 
     def test_full_snapshot_does_not_copy_the_filter(self, tmp_path):
         """The prefilter table goes to disk from its own buffer: the
         write's traced peak stays far below the table's size."""
         import tracemalloc
 
-        shard = _filled_shard(capacity=1 << 20)
-        table_bytes = shard.filter.table.nbytes
+        ss = _filled_set(capacity=1 << 20)
+        table_bytes = ss.filter.table.nbytes
         tracemalloc.start()
         try:
-            shard.snapshot(str(tmp_path / "shard_0.npz"), "full")
+            ss.snapshot_async(str(tmp_path / "seen"), "full")
             _cur, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -165,42 +162,12 @@ class TestSnapshotFiles:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestFirstWins:
-    def test_dataset_first_wins(self):
-        # keys seen at seqs; first sight wins, dense keys in first-seen order
-        rows = [
-            {"key": 100, "seq": 0},
-            {"key": 200, "seq": 1},
-            {"key": 100, "seq": 2},
-            {"key": 300, "seq": 3},
-            {"key": 200, "seq": 4},
-        ]
-        out = (
-            first_wins_dataset(rd.from_items(rows).repartition(3), "key", "seq")
-            .to_pandas()
-            .sort_values("surrogate")
-        )
-        assert out["key"].tolist() == [100, 200, 300]
-        assert out["surrogate"].tolist() == [1, 2, 3]
-        assert out["first_seq"].tolist() == [0, 1, 3]
+class TestShardedSeenSet:
+    """The seen set (``ShardedSeenSet`` is its older name, kept as an
+    alias)."""
 
-
-class _Placed:
-    """Forces the shard placement of every ShardedSeenSet a test builds
-    to ``PLACEMENT`` through the one placement rule."""
-
-    PLACEMENT = "actors"
-
-    @pytest.fixture(autouse=True)
-    def _placement(self, monkeypatch):
-        monkeypatch.setattr(seen_set, "seen_placement", lambda n: self.PLACEMENT)
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestShardedSeenSet(_Placed):
     def test_round_commit_matches_sequential(self):
-        ss = ShardedSeenSet(num_shards=4, capacity_per_shard=4096)
-        assert ss.placement == self.PLACEMENT
+        ss = SeenSet(4096)
         # round 1: keys with dup offers, out-of-order seqs
         keys = np.array([11, 22, 11, 33, 22, 44], dtype=np.int64)
         seqs = np.array([5, 1, 0, 3, 9, 2], dtype=np.int64)
@@ -223,14 +190,14 @@ class TestShardedSeenSet(_Placed):
         assert ss.lookup(np.array([22, 55, 999])).tolist() == [2, 5, -1]
 
     def test_snapshot_restore(self, tmp_path):
-        ss = ShardedSeenSet(num_shards=2, capacity_per_shard=1024)
+        ss = SeenSet(1024)
         ss.offer_batch(np.array([1, 2, 3]), np.array([0, 1, 2]))
         ss.commit_round()
         snap = str(tmp_path / "seen")
-        ss.snapshot(snap)
+        ss.snapshot_async(snap)
 
-        ss2 = ShardedSeenSet(num_shards=2, capacity_per_shard=1024)
-        ss2.restore(snap)
+        ss2 = SeenSet(1024)
+        ss2.restore_chain([snap])
         assert ss2.lookup(np.array([1, 2, 3])).tolist() == [1, 2, 3]
         assert ss2.next_surrogate == 4
         # restored set keeps filtering
@@ -240,7 +207,7 @@ class TestShardedSeenSet(_Placed):
     def test_filter_unseen_dataset(self):
         import pandas as pd
 
-        ss = ShardedSeenSet(num_shards=3, capacity_per_shard=1024)
+        ss = SeenSet(1024)
         ss.offer_batch(np.array([10, 20, 30]), np.array([0, 1, 2]))
         ss.commit_round()
         cand = rd.from_pandas(
@@ -259,7 +226,7 @@ class TestShardedSeenSet(_Placed):
         seen_keys = np.unique(
             rng.randint(0, 1 << 40, size=20_000).astype(np.int64)
         )
-        ss = ShardedSeenSet(num_shards=4, capacity_per_shard=1 << 15)
+        ss = SeenSet(1 << 15)
         ss.offer_batch(seen_keys, np.arange(len(seen_keys), dtype=np.int64))
         ss.commit_round()
         # candidates: half committed keys, half fresh (some duplicated)
@@ -281,7 +248,7 @@ class TestShardedSeenSet(_Placed):
         """full@r0 + delta@r1 + delta@r2 must restore to exactly the
         state a full snapshot would give — same table, same
         next_surrogate, same filtering behavior."""
-        ss = ShardedSeenSet(num_shards=3, capacity_per_shard=2048)
+        ss = SeenSet(2048)
         dirs = []
         rng = np.random.RandomState(7)
         seq = 0
@@ -292,10 +259,10 @@ class TestShardedSeenSet(_Placed):
             ss.offer_batch(keys, seqs)
             ss.commit_round()
             d = str(tmp_path / f"seen_{rnd}")
-            ss.snapshot(d, mode="full" if rnd == 0 else "delta")
+            ss.snapshot_async(d, mode="full" if rnd == 0 else "delta")
             dirs.append(d)
 
-        restored = ShardedSeenSet(num_shards=3, capacity_per_shard=2048)
+        restored = SeenSet(2048)
         restored.restore_chain(dirs)
         pd_orig = ss.to_table().to_pandas()
         pd_rest = restored.to_table().to_pandas()
@@ -310,15 +277,15 @@ class TestShardedSeenSet(_Placed):
         )
 
     def test_tiny_filter_grows_instead_of_failing(self, tmp_path):
-        """One shard whose prefilter starts at 64 slots takes ~6k keys:
+        """A set whose prefilter starts at 64 slots takes ~6k keys:
         the filter doubles on overflow (the capacity is not a key
         limit) and the set equals a large-capacity one, directly and
         after a full + delta snapshot chain restore (the deltas grow
         the restored filter again)."""
         import pandas as pd
 
-        small = ShardedSeenSet(num_shards=1, capacity_per_shard=64)
-        big = ShardedSeenSet(num_shards=1, capacity_per_shard=1 << 15)
+        small = SeenSet(64)
+        big = SeenSet(1 << 15)
         rng = np.random.RandomState(5)
         dirs, seq = [], 0
         for rnd in range(5):
@@ -329,7 +296,7 @@ class TestShardedSeenSet(_Placed):
                 s.offer_batch(keys, seqs)
                 s.commit_round()
             d = str(tmp_path / f"seen_{rnd}")
-            small.snapshot(d, mode="full" if rnd == 0 else "delta")
+            small.snapshot_async(d, mode="full" if rnd == 0 else "delta")
             dirs.append(d)
         want = big.to_table().to_pandas()
         assert len(want) > 5000
@@ -337,7 +304,7 @@ class TestShardedSeenSet(_Placed):
             [want["key"].to_numpy()[::3],
              rng.randint(1 << 41, 1 << 42, size=300).astype(np.int64)]
         )
-        restored = ShardedSeenSet(num_shards=1, capacity_per_shard=64)
+        restored = SeenSet(64)
         restored.restore_chain(dirs)
         for got in (small, restored):
             pd.testing.assert_frame_equal(got.to_table().to_pandas(), want)
@@ -347,7 +314,7 @@ class TestShardedSeenSet(_Placed):
             np.testing.assert_array_equal(fresh, big.lookup(probe) < 0)
 
     def test_to_table(self):
-        ss = ShardedSeenSet(num_shards=3)
+        ss = SeenSet()
         ss.offer_batch(np.array([7, 8, 9]), np.array([2, 0, 1]))
         ss.commit_round()
         t = ss.to_table()
@@ -355,25 +322,32 @@ class TestShardedSeenSet(_Placed):
         assert t["key"].to_pylist() == [8, 9, 7]
 
 
-class TestShardedSeenSetInDriver(TestShardedSeenSet):
-    """Every contract above with the shards held in the driver."""
+class _RunTiers:
+    """Mixin: a tail bound of 2 entries and at most one RAM run, so
+    nearly every commit moves the tail into a sorted run and merges
+    the RAM runs — probes, dumps and snapshots go through the run
+    tiers instead of the tail."""
 
-    PLACEMENT = "driver"
+    @pytest.fixture(autouse=True)
+    def _tiny_tiers(self, monkeypatch):
+        monkeypatch.setattr(seen_set, "_TAIL_MAX", 2)
+        monkeypatch.setattr(seen_set, "_RAM_RUN_MAX", 1)
+
+
+class TestShardedSeenSetInDriver(_RunTiers, TestShardedSeenSet):
+    """Every contract above through the run tiers. (The name is kept
+    from when the set could also be held by actors; it is always held
+    in the driver now.)"""
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestSpillTier(_Placed):
+class TestSpillTier:
     """The 10^10-key seam: a tiny ram_cap forces the tail → RAM-run →
     disk-run path on every commit, and every seen-set contract must
     hold unchanged (VERDICT r4 #3)."""
 
-    def _spilled(self, tmp_path, num_shards=4, ram_cap=64):
-        return ShardedSeenSet(
-            num_shards=num_shards,
-            capacity_per_shard=1 << 15,
-            ram_cap_per_shard=ram_cap,
-            spill_dir=str(tmp_path / "spill"),
-        )
+    def _spilled(self, tmp_path, ram_cap=64):
+        return SeenSet(1 << 15, ram_cap=ram_cap, spill_dir=str(tmp_path / "spill"))
 
     def test_commit_lookup_filter_with_spill(self, tmp_path):
         import os
@@ -382,7 +356,7 @@ class TestSpillTier(_Placed):
 
         rng = np.random.RandomState(99)
         ss = self._spilled(tmp_path)
-        ref = ShardedSeenSet(num_shards=4, capacity_per_shard=1 << 15)
+        ref = SeenSet(1 << 15)
         seq = 0
         all_keys = []
         for _ in range(4):
@@ -419,17 +393,17 @@ class TestSpillTier(_Placed):
         )
 
     def test_snapshot_restore_with_spill(self, tmp_path):
-        ss = self._spilled(tmp_path, num_shards=2, ram_cap=32)
+        ss = self._spilled(tmp_path, ram_cap=32)
         rng = np.random.RandomState(3)
         keys = np.unique(rng.randint(0, 1 << 30, size=500).astype(np.int64))
         ss.offer_batch(keys, np.arange(len(keys), dtype=np.int64))
         ss.commit_round()
         snap = str(tmp_path / "snap")
-        ss.snapshot(snap)
+        ss.snapshot_async(snap)
         # restore into ANOTHER capped set: state comes back as runs and
         # immediately re-spills past the cap
-        ss2 = self._spilled(tmp_path / "r2", num_shards=2, ram_cap=32)
-        ss2.restore(snap)
+        ss2 = self._spilled(tmp_path / "r2", ram_cap=32)
+        ss2.restore_chain([snap])
         np.testing.assert_array_equal(ss2.lookup(keys), ss.lookup(keys))
         assert ss2.next_surrogate == ss.next_surrogate
         fresh = ss2.offer_batch(
@@ -438,8 +412,8 @@ class TestSpillTier(_Placed):
         assert fresh.tolist() == [False, True]
 
     def test_delta_chain_with_spill(self, tmp_path):
-        ss = self._spilled(tmp_path, num_shards=3, ram_cap=48)
-        ref = ShardedSeenSet(num_shards=3, capacity_per_shard=2048)
+        ss = self._spilled(tmp_path, ram_cap=48)
+        ref = SeenSet(2048)
         dirs = []
         rng = np.random.RandomState(11)
         seq = 0
@@ -451,9 +425,9 @@ class TestSpillTier(_Placed):
                 s.offer_batch(keys, seqs)
                 s.commit_round()
             d = str(tmp_path / f"seen_{rnd}")
-            ss.snapshot(d, mode="full" if rnd == 0 else "delta")
+            ss.snapshot_async(d, mode="full" if rnd == 0 else "delta")
             dirs.append(d)
-        restored = self._spilled(tmp_path / "rest", num_shards=3, ram_cap=48)
+        restored = self._spilled(tmp_path / "rest", ram_cap=48)
         restored.restore_chain(dirs)
         import pandas as pd
 
@@ -463,7 +437,7 @@ class TestSpillTier(_Placed):
         assert restored.next_surrogate == ref.next_surrogate
 
 
-class TestSpillTierInDriver(TestSpillTier):
-    """The spill tier with the shards held in the driver."""
-
-    PLACEMENT = "driver"
+class TestSpillTierInDriver(_RunTiers, TestSpillTier):
+    """The spill tier with every commit consolidating the tail and
+    merging the RAM runs before they spill. (The name is kept from when
+    the set could also be held by actors.)"""

@@ -8,10 +8,11 @@ Layout
 - ``functions/`` pure scalar / per-batch functions (extract, url keys,
   hashing, text analysis) — stateless ``map_batches`` bodies.
 - ``sources/``  readers + deterministic synthetic corpora generators.
-- ``state/``    stateful components (seen-set shards, cuckoo filter,
-  frontier queues, lineage manifest) — actor pools + driver state.
+- ``state/``    stateful components (driver-held seen set, cuckoo
+  filter, page-store actors, lineage manifest).
 - ``ops/``      reusable distributed operators Ray Data lacks
-  (zip_with_index, bucketed hash join, per-key top-k, semi join).
+  (first-wins winners, hash combine, bucketed hash join, per-key
+  top-k, semi join).
 - ``stages/``   map_batches stage classes (fetch, extract, score).
 - ``pipelines/``end-to-end pipelines (crawl, extract-only, listing,
   dedup, similarity).

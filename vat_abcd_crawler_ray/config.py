@@ -24,19 +24,12 @@ class AbcdConfig:
 
 @dataclass
 class CrawlConfig:
-    # seen-set shards; 0 = auto (one per cluster CPU, at most 8). One
-    # shard is held in the driver; above one, each is an actor the crawl
-    # waits for at start-up. A resume uses the count its snapshots were
-    # written with, whatever this says.
-    num_seen_shards: int = 0
-    # starting size of each shard's cuckoo prefilter; a full filter
-    # doubles, so this is not a key limit
-    seen_capacity_per_shard: int = 1 << 20
-    # max exact (key → surrogate, first_seq) entries a seen-set shard
-    # keeps in RAM before spilling sorted runs to disk under the
-    # run dir (0 = unlimited). At 10^10 URLs even sharded dicts blow
-    # shard memory; the cuckoo filter answers most probes and only
-    # filter positives binary-search the memmapped runs.
+    # max exact (key → surrogate, first_seq) entries the driver-held
+    # seen set keeps in RAM before spilling sorted runs to disk under
+    # the run dir (0 = unlimited). At 10^10 URLs an in-memory map does
+    # not fit; the cuckoo filter answers most probes and only filter
+    # positives binary-search the memmapped runs. (The name predates
+    # the single set.)
     seen_ram_cap_per_shard: int = 0
     # simulated-network page store shards; 0 = auto (scale with cluster
     # CPUs — a real fetch tier (S3/HTTP) adds bandwidth with cluster

@@ -9,7 +9,7 @@ at link admission. Because vals are unique, the winner SET is exactly
 identified by its val values, and each winner's dense rank in
 ascending-val order equals its position after a global
 ``sort(val)`` — so downstream seq/surrogate assignment needs no
-Dataset sort and no zip_with_index, only a broadcast
+Dataset sort and no global row numbering, only a broadcast
 ``np.searchsorted`` against the sorted winner vals.
 
 One path, two task waves:
@@ -35,13 +35,8 @@ import numpy as np
 import pyarrow as pa
 import ray
 
+from .blocks import as_arrow
 from .hashagg import combine_parts, hot_combine
-
-
-def _as_arrow(block) -> pa.Table:
-    if isinstance(block, pa.Table):
-        return block
-    return pa.Table.from_pandas(block, preserve_index=False)
 
 
 @ray.remote(num_cpus=0.5, num_returns=2)
@@ -52,7 +47,7 @@ def _partial_min(block, key: str, val: str):
     shuffle ops emit them) yield a typed empty partial."""
     import pyarrow.compute as pc
 
-    t = _as_arrow(block)
+    t = as_arrow(block)
     if t.num_rows == 0 or key not in t.column_names:
         return (0, 0, -1), pa.table(
             {c: pa.array([], pa.int64()) for c in (key, "n", val)}

@@ -35,6 +35,8 @@ import numpy as np
 import pyarrow as pa
 import ray
 
+from .blocks import as_arrow
+
 # SplitMix64-style multiplicative mix: decorrelates the partition id
 # from any arithmetic structure in the key (band buckets are already
 # hashes, but callers may pass raw ids).
@@ -65,17 +67,11 @@ def _column_partition_ids(col: "pa.ChunkedArray", parts: int) -> np.ndarray:
     return (h % np.uint64(parts)).astype(np.int64)
 
 
-def _as_arrow(block) -> pa.Table:
-    if isinstance(block, pa.Table):
-        return block
-    return pa.Table.from_pandas(block, preserve_index=False)
-
-
 @ray.remote
 def _split_block(block, key: str, parts: int):
     """Split one partial block into ``parts`` (≥ 2) sub-tables by key
     hash."""
-    tbl = _as_arrow(block)
+    tbl = as_arrow(block)
     if not tbl.num_rows:
         empty = tbl.slice(0, 0)
         return tuple(empty for _ in range(parts))

@@ -8,7 +8,7 @@ Maps the reference's sequential harvest loop
 | reference                          | here                                |
 |------------------------------------|-------------------------------------|
 | catalog scroll → Vec<Entry>        | seed parquet → frontier round 0     |
-| surrogate-key dedup (T1)           | sharded seen set, min-seq           |
+| surrogate-key dedup (T1)           | driver-held seen set, min-seq       |
 | sequential per-dataset loop        | per-host budgeted rounds            |
 | FileDownloader + cache recovery    | fetch = url lookup in the pages     |
 |                                    | table; misses → dead-letter rows    |
@@ -71,10 +71,9 @@ never materialize on the driver: frontier stays on disk / in Datasets,
 links arrive pre-deduplicated per fused task and above the size
 gate never leave the object store (``_admit_distributed``),
 extracted records wait in the object store (never pulled by the
-driver) for their group's writer task, and the seen set's shards are
-actors once there is more than one (one shard is held in the driver,
-``seen_set.seen_placement``; its block methods take one block at a
-time).
+driver) for their group's writer task, and the seen set, held in the
+driver, keeps its committed runs as arrays that spill to memmapped
+disk runs (its block methods take one block at a time).
 
 First-wins in the distributed bootstrap and admission has ONE
 implementation, :func:`ops.firstwins.winner_vals`: per-block partial
@@ -84,7 +83,7 @@ per winning key: at admission at most Σ(host budget) ×
 ``link_cap_per_page`` keys per round, at distributed bootstrap one per
 distinct seed. The seen-set round commit itself is driver-side: every
 caller offers it at most the gate's row count (the distributed stages
-bulk-load the shards from shared blocks instead).
+bulk-load the set from the frontier blocks instead).
 """
 
 from __future__ import annotations
@@ -113,7 +112,7 @@ from ..stages.extract import (
     ExtractStage,
 )
 from ..state.manifest import RunManifest
-from ..state.seen_set import ShardedSeenSet, seen_shard_count
+from ..state.seen_set import SeenSet
 
 from time import perf_counter as _now
 
@@ -512,14 +511,6 @@ class CrawlRun:
             )
         self.settings = settings or Settings()
         cc = self.settings.crawl
-        if cc.num_seen_shards < 0:
-            raise ValueError(
-                f"num_seen_shards={cc.num_seen_shards}: expected 0 (auto) or a count"
-            )
-        if cc.seen_capacity_per_shard < 1:
-            raise ValueError(
-                f"seen_capacity_per_shard={cc.seen_capacity_per_shard}: expected >= 1"
-            )
         self.pages_path = pages_path
         self.seeds_path = seeds_path
         self.run_dir = run_dir
@@ -532,7 +523,7 @@ class CrawlRun:
                 f"link_cap_per_page={cc.link_cap_per_page} > {LINK_ORD_SCALE}"
                 " (ordv packs link_idx below it)"
             )
-        self.seen: ShardedSeenSet | None = None  # the shard pool, built by run()
+        self.seen: SeenSet | None = None  # built by run()
         self.metrics = CrawlMetrics()
         self.next_seq = 0
 
@@ -674,10 +665,10 @@ class CrawlRun:
            winning-val array broadcast once (8 B per winning key);
         2. one ``map_batches`` pass keeps each block's winners and
            ``project(rows, dense rank)``s them to frontier rows — no
-           shuffle, no sort, no zip_with_index;
+           shuffle, no sort, no global row numbering;
         3. Dataset ``write_parquet`` into frontier ``rnd``;
-        4. every seen shard loads its own keys from the shared frontier
-           blocks (``load_assigned_blocks``, O(num_blocks) driver refs).
+        4. the seen set loads the frontier blocks one at a time
+           (``load_assigned_blocks``, O(num_blocks) driver refs).
 
         Returns (frontier rows written, ``winner_vals`` stats)."""
         from ..ops.firstwins import rank_in, winner_vals
@@ -1162,11 +1153,6 @@ class CrawlRun:
                 # the close sets both on the group's last round
                 "seen_snapshot": None,
                 "seen_snapshot_mode": None,
-                # the pool layout the snapshot needs on resume and
-                # where the shards ran; outside "stats", which stay
-                # equal across shard counts and placements
-                "seen_shards": self.seen.num_shards,
-                "seen_placement": self.seen.placement,
                 "next_seq": self.next_seq,
                 "next_surrogate": self.seen.next_surrogate,
                 "stats": self.metrics.per_round[-1],
@@ -1201,11 +1187,15 @@ class CrawlRun:
         every = self.settings.crawl.snapshot_full_every
         mode = "full" if any(r % every == 0 for r in range(g.first, last + 1)) else "delta"
         info = g.infos[-1]
-        info.update(seen_snapshot=self.seen_dir(last), seen_snapshot_mode=mode)
-        seen_snap = self.seen.snapshot_async(self.seen_dir(last), mode)
+        info.update(
+            seen_snapshot=self.seen_dir(last),
+            seen_snapshot_mode=mode,
+            # the tier sizes at the cut
+            seen_tiers=self.seen.snapshot_async(self.seen_dir(last), mode),
+        )
         for i in g.infos:
             i["commit_group"] = [g.first, last]
-        self._pending_commit = (seen_snap, writer, last, info, g.infos[:-1])
+        self._pending_commit = (writer, last, info, g.infos[:-1])
 
     def _durable(self, pre: list | None = None, links: pa.Table | None = None) -> None:
         """Close the open group (next frontier: ``pre``, ``links``) and
@@ -1219,8 +1209,8 @@ class CrawlRun:
         """Scale-path link admission — the distributed mirror of
         :meth:`_admit_driver`. The fused tasks already attached ``ordv``
         (packed (parent_seq, link_idx) discovery order) and the child
-        ``priority``. The seen anti-filter runs FIRST, as shard-parallel
-        tasks over the link refs (seen-ness is a per-key property, so
+        ``priority``. The seen anti-filter runs FIRST, over the link
+        refs one block at a time (seen-ness is a per-key property, so
         this shrinks first-wins to the NOVEL links); then
         :meth:`_first_wins_frontier` on ``ordv`` assigns child seq =
         ``next_seq`` + rank and surrogate = ``next_surrogate`` + rank —
@@ -1251,15 +1241,14 @@ class CrawlRun:
     def _flush_pending_commit(self) -> None:
         if self._pending_commit is None:
             return
-        seen_snap, writer, rnd, info, earlier = self._pending_commit
+        writer, rnd, info, earlier = self._pending_commit
         self._pending_commit = None
         t0 = _now()
-        # snapshot, record parts and next frontier durable before the
-        # commit; each shard's snapshot returns its tier sizes at the cut
-        info["seen_tiers"] = seen_snap.wait()
+        # record parts and next frontier durable before the commit (the
+        # seen snapshot was written at the close)
         info["written"] = ray.get(writer)
-        # the real snapshot/writer wall time, recorded where the
-        # futures are actually joined
+        # the real writer wall time, recorded where the future is
+        # actually joined
         info["phase_sec"]["commit_wait"] = round(_now() - t0, 3)
         self.manifest.commit_round(rnd, info, earlier)
 
@@ -1273,16 +1262,8 @@ class CrawlRun:
         cc = self.settings.crawl
         infos = self.manifest.round_infos() if resume else []
         info = infos[-1] if infos else None
-        # the shard pool is built first, so an actor pool's worker
-        # start-up overlaps the page-store open and the seed keying. A
-        # resume rebuilds the pool its snapshots were written with
-        # (manifests from before the field ran the fixed 8-shard default)
-        self.seen = ShardedSeenSet(
-            seen_shard_count(cc.num_seen_shards)
-            if info is None
-            else info.get("seen_shards", 8),
-            cc.seen_capacity_per_shard,
-            ram_cap_per_shard=cc.seen_ram_cap_per_shard or None,
+        self.seen = SeenSet(
+            ram_cap=cc.seen_ram_cap_per_shard or None,
             spill_dir=(
                 os.path.join(self.run_dir, "seen_spill")
                 if cc.seen_ram_cap_per_shard
