@@ -361,11 +361,48 @@ class TestCrawl:
             0,
         )
         run.settings.crawl.batch_size = 32
-        sizes = [t.num_rows for t in ray.get(run._fetch_store_refs(meta))]
+        sizes = [args[0].num_rows for args in run._fetch_store_refs(meta)]
         ncpu = int(ray.cluster_resources()["CPU"])
         assert 1 < len(sizes) <= 2 * ncpu and min(sizes) >= 32 and sum(sizes) == n
         run.settings.crawl.batch_size = n
         assert len(run._fetch_store_refs(meta)) == 1
+
+    def test_group_commits_before_next_round_ends(self, corpus, tmp_path, monkeypatch):
+        """A closed group's manifest entry is written while the next
+        round's extract tasks run: it exists when that round's admission
+        starts (round 0 closes alone, so its entry is the first)."""
+        committed_at_admission = {}
+        admit = CrawlRun._admit
+
+        def spy(self, sel, fx, rnd):
+            committed_at_admission[rnd] = [
+                r for r in range(rnd) if os.path.exists(self.manifest.round_path(r))
+            ]
+            return admit(self, sel, fx, rnd)
+
+        monkeypatch.setattr(CrawlRun, "_admit", spy)
+        run = _mk_run(corpus, tmp_path / "run")
+        run.run()
+        assert 0 in committed_at_admission[1]
+        # so for every group: its last round is committed by the time
+        # the round after it admits links
+        for rnd, info in enumerate(run.manifest.round_infos()[:-1]):
+            if info["commit_group"][1] == rnd:
+                assert rnd in committed_at_admission[rnd + 1], rnd
+
+    def test_store_crawl_starts_no_actor(self, corpus, tmp_path, monkeypatch):
+        """The store-mode fetch tier is tasks over object-store files: a
+        crawl that loads its corpus afresh creates no actor."""
+        import ray._private.state as ray_state
+
+        from vat_abcd_crawler_ray.state import page_store
+
+        monkeypatch.setattr(page_store, "_STORE_CACHE", {})
+        before = set(ray_state.actors())
+        s = Settings()
+        s.crawl.max_rounds = 2
+        _mk_run(corpus, tmp_path / "run", settings=s).run()
+        assert set(ray_state.actors()) == before
 
     def test_rerun_group_writer_overwrites_its_own_parts(self, corpus, tmp_path):
         """A group writer writes fixed part names, so running it again
@@ -387,7 +424,7 @@ class TestCrawl:
             0,
         )
         (chunk,) = run._fetch_store_refs(meta)
-        refs = _extract_project_chunk.remote(run._stage_ref(), (seqs, prio), 64, chunk)
+        refs = _extract_project_chunk.remote(run._stage_ref(), (seqs, prio), 64, *chunk)
         records = ray.get(refs[1])[2]
         out = str(tmp_path / "out")
 
@@ -533,11 +570,13 @@ def test_unknown_mode_rejected(tmp_path, mode_kw):
 
 
 @pytest.mark.parametrize(
-    "key,value", [("num_seen_shards", -1), ("seen_capacity_per_shard", 0)]
+    "key,value",
+    [("num_seen_shards", -1), ("seen_capacity_per_shard", 0), ("num_page_shards", 0)],
 )
 def test_bad_seen_setting_rejected(tmp_path, key, value):
-    """The seen set's removed shard settings are unknown: a settings
-    file that still names one fails to load instead of being ignored."""
+    """The removed shard settings (the seen set's and the page store's)
+    are unknown: a settings file that still names one fails to load
+    instead of being ignored."""
     from vat_abcd_crawler_ray.config import load_settings
 
     path = tmp_path / "settings.toml"

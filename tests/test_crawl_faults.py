@@ -48,13 +48,17 @@ from vat_abcd_crawler_ray.state.manifest import RunManifest
 crawl.GROUP_BYTES_MAX = int(sys.argv[5])
 
 
-def kill_when(owner, name, hit):
+def kill_when(owner, name, hit, after=False):
     orig = getattr(owner, name)
 
     def patched(self, *args, **kwargs):
-        if hit(self, *args):
+        kill = hit(self, *args)
+        if kill and not after:
             os.kill(os.getpid(), signal.SIGKILL)
-        return orig(self, *args, **kwargs)
+        out = orig(self, *args, **kwargs)
+        if kill:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return out
 
     setattr(owner, name, patched)
 
@@ -68,6 +72,14 @@ elif point == "next_group":  # the next group has run one round
         crawl.CrawlRun, "_select",
         lambda self, rnd: self._group is not None and len(self._group.infos) == 1
         and self.manifest.last_complete_round() > 1,
+    )
+elif point == "after_early_commit":  # group [2..5] is committed while
+    # the next round's extract tasks run
+    kill_when(
+        crawl.CrawlRun, "_flush_pending_commit",
+        lambda self: self._pending_commit is not None and self._pending_commit[1] > 1
+        and self._group is not None and not self._group.infos,
+        after=True,
     )
 elif point == "in_finalize":  # every group committed, nothing published
     kill_when(RunManifest, "finalize", lambda self: True)
@@ -154,7 +166,8 @@ def _fetch_log(run_dir: str) -> pd.DataFrame:
 @pytest.mark.parametrize(
     "point,committed",
     # in_finalize: all 17 rounds committed
-    [("before_writer", 1), ("before_entry", 1), ("next_group", 5), ("in_finalize", 16)],
+    [("before_writer", 1), ("before_entry", 1), ("next_group", 5),
+     ("after_early_commit", 5), ("in_finalize", 16)],
 )
 def test_killed_driver_resumes_to_the_uninterrupted_run(
     narrow_corpus, references, tmp_path, point, committed

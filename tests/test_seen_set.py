@@ -60,6 +60,36 @@ class TestCuckoo:
         f2.add(keys)
         assert (f1.table == f2.table).all()
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batched_add_on_colliding_batches(self, seed):
+        """Random batches, several sharing few primary buckets (both the
+        numpy placement pass and the one-key kick path run), into a
+        filter that overflows and doubles: every added key is found,
+        the count is exact, and the same input gives the same table."""
+
+        def fill() -> CuckooFilter:
+            rng = np.random.default_rng(seed)
+            f = CuckooFilter(64)
+            added = np.zeros(0, dtype=np.int64)
+            for _ in range(6):
+                keys = rng.integers(-(2**62), 2**62, size=int(rng.integers(1, 200)))
+                # a third of the batch lands in 3 primary buckets
+                hot = rng.random(len(keys)) < 1 / 3
+                keys[hot] = keys[hot] - keys[hot] % f.nbuckets + rng.integers(0, 3, hot.sum())
+                keys = np.setdiff1d(keys, added)
+                try:
+                    f.add(keys)
+                except RuntimeError:
+                    f = f.doubled(np.concatenate([added, keys]))
+                added = np.concatenate([added, keys])
+                assert f.contains(added).all()
+                assert f.count == len(added)
+            return f
+
+        first = fill()
+        assert first.nbuckets > CuckooFilter(64).nbuckets  # the doubled path ran
+        assert (fill().table == first.table).all()
+
 
 def _filled_set(capacity: int = 1 << 12, n: int = 500) -> SeenSet:
     ss = SeenSet(capacity)

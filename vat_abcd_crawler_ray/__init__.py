@@ -9,7 +9,7 @@ Layout
   hashing, text analysis) — stateless ``map_batches`` bodies.
 - ``sources/``  readers + deterministic synthetic corpora generators.
 - ``state/``    stateful components (driver-held seen set, cuckoo
-  filter, page-store actors, lineage manifest).
+  filter, object-store page store, lineage manifest).
 - ``ops/``      reusable distributed operators Ray Data lacks
   (first-wins winners, hash combine, bucketed hash join, per-key
   top-k, semi join).

@@ -31,11 +31,6 @@ class CrawlConfig:
     # positives binary-search the memmapped runs. (The name predates
     # the single set.)
     seen_ram_cap_per_shard: int = 0
-    # simulated-network page store shards; 0 = auto (scale with cluster
-    # CPUs — a real fetch tier (S3/HTTP) adds bandwidth with cluster
-    # size, so a fixed shard count would impose an artificial fetch
-    # ceiling at the larger cluster that the modeled system lacks)
-    num_page_shards: int = 0
     max_rounds: int = 64
     default_host_budget: int = 8  # max fetches per host per round
     salt_buckets: int = 16  # mega-host split factor (distributed select)

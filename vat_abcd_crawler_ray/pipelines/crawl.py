@@ -45,22 +45,25 @@ records the path taken (``paths``, outside ``stats``):
 
 Every round is four steps (``CrawlRun._round``): **select** the
 politeness-bounded winners, **fetch → extract → project** them in ONE
-fused task per fetch chunk (``_extract_project_chunk``; the chunk is a
-page-store ``get_with_meta`` ref in ``fetch_mode="store"`` or an
-``HttpFetchStage`` task ref in ``fetch_mode="http"``; a chunk is at
-least one extract batch unless the round is smaller, so a narrow round
-is one store call and one task), **admit** the discovered links
-first-wins against the seen set, and add the round to the open
-**commit group** (``CrawlRun._commit`` says when it closes). A round's
-remote calls are thus the pre-selection task plus one store call and
-one extract task per chunk. A round inside a group writes no file
-(seen-set spill runs aside); the group's close writes its records, the
-next frontier, one seen snapshot and one manifest entry.
+fused task per fetch chunk (``_extract_project_chunk``; it looks its
+pages up in the object-store corpus files in ``fetch_mode="store"`` or
+reads an ``HttpFetchStage`` task's ref in ``fetch_mode="http"``; a
+chunk is at least one extract batch unless the round is smaller, so a
+narrow round is one task whatever the number of corpus files),
+**admit** the discovered links first-wins against the seen set, and
+add the round to the open **commit group** (``CrawlRun._commit`` says
+when it closes). A store-mode round's remote calls are thus the
+pre-selection task plus one extract task per chunk. A round inside a
+group writes no file (seen-set spill runs aside); the group's close
+submits one writer for its records and the next frontier and writes one
+seen snapshot; its manifest entry is written as soon as the writer
+lands, while the next round's extract tasks run.
 
 Resume: the last committed group's entry records the outputs, the
 seen-set snapshot chain and the cumulative metric counters; a restarted
-run restores them and replays the rounds after that group, so a crash
-loses at most one group.
+run restores them and replays the rounds after that group. A crash
+loses the open group's rounds, plus the last closed group's when its
+writer had not yet landed.
 
 Driver-memory bound: the per-round WINNER set (and the fetch meta
 built from it) is POLITENESS-BOUNDED — at most Σ(per-host budget) rows
@@ -92,6 +95,7 @@ import glob
 import os
 import shutil
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import pandas as pd
@@ -111,6 +115,7 @@ from ..stages.extract import (
     RECORD_TYPES,
     ExtractStage,
 )
+from ..state import page_store
 from ..state.manifest import RunManifest
 from ..state.seen_set import SeenSet
 
@@ -312,21 +317,23 @@ def _http_fetch_chunk(fetch_stage, meta: pa.Table) -> pa.Table:
     """``fetch_mode="http"``: fetch one chunk of fetch meta through an
     :class:`~..stages.fetch.HttpFetchStage` (retry/backoff/status
     classes; failed fetches come back as NULL bodies that the extract
-    stage turns into dead-letter rows). Its ref feeds an
-    :func:`_extract_project_chunk` task exactly like a page-store
-    ``get_with_meta`` ref."""
+    stage turns into dead-letter rows). Its ref is the ``chunk`` of one
+    :func:`_extract_project_chunk` task."""
     return fetch_stage(meta)
 
 
 @ray.remote(num_cpus=1, num_returns=2)
-def _extract_project_chunk(stage, prio_lookup, batch_size: int, pages: pa.Table):
-    """FUSED fetch-chunk worker: one plain task takes a fetched chunk
-    (a page-store ``get_with_meta`` or :func:`_http_fetch_chunk` ref,
-    resolved as the task arg, so extraction starts the moment the
-    chunk's fetch lands — no Dataset execution, no block accounting, no
-    separate projection wave), extracts it in ``batch_size`` slices
-    (the wide-binary-row bound) into the four narrow record tables and
-    projects them in place. It writes no file.
+def _extract_project_chunk(stage, prio_lookup, batch_size: int, chunk: pa.Table,
+                           fidx: np.ndarray | None = None, *files):
+    """FUSED fetch-chunk worker: one plain task fetches one chunk —
+    store mode: ``chunk`` is its fetch meta, and the task looks its
+    pages up (:func:`~..state.page_store.lookup`) in the loaded corpus
+    ``files`` its urls fall in (``fidx``), refs resolved zero-copy as
+    task args; http mode: ``chunk`` is an :func:`_http_fetch_chunk`
+    ref — then extracts it in ``batch_size`` slices (the wide-binary-row
+    bound) into the four narrow record tables and projects them in
+    place: no Dataset execution, no block accounting, no separate
+    projection wave. It writes no file.
 
     Returns TWO refs: the link table (it follows the admission path)
     and (fetched-url table, counts, records ref), which the driver
@@ -335,6 +342,7 @@ def _extract_project_chunk(stage, prio_lookup, batch_size: int, pages: pa.Table)
     for the commit group's :func:`_write_group`, put by this task so no
     buffer under Ray's inline limit lands in the driver's heap (Ray
     never reaps an owner of live objects as idle)."""
+    pages = chunk if fidx is None else page_store.lookup(chunk, fidx, files)
     parts, counts = [], {"kernel": 0, "per_doc": 0}
     # at least one slice, so an empty chunk still yields typed tables
     for off in range(0, max(pages.num_rows, 1), batch_size):
@@ -474,6 +482,8 @@ class _Fetched:
     # documents each extract route handled: the batch kernel, and the
     # per-document parser for pages outside its certified subset
     extract_docs: dict = field(default_factory=lambda: {"kernel": 0, "per_doc": 0})
+    # the previous group's commit, run while the chunks ran
+    flush_s: float = 0.0
 
 
 @dataclass
@@ -516,7 +526,6 @@ class CrawlRun:
         self.run_dir = run_dir
         self.fetch_mode = fetch_mode
         self.http_opener = http_opener
-        self._page_store = None
         self.manifest = RunManifest(run_dir)
         if cc.link_cap_per_page > LINK_ORD_SCALE:
             raise ValueError(
@@ -553,6 +562,15 @@ class CrawlRun:
         if self._stage_put is None:
             self._stage_put = ray.put(ExtractStage(self.settings))
         return self._stage_put
+
+    @cached_property
+    def _store(self) -> page_store.PageStore:
+        return page_store.get_page_store(self.pages_path)
+
+    @cached_property
+    def _cpus(self) -> int:
+        """The cluster's CPUs, read once per run."""
+        return int(ray.cluster_resources().get("CPU", 8))
 
     # ---------------- paths ----------------
     def _p(self, *parts: str) -> str:
@@ -596,9 +614,8 @@ class CrawlRun:
         # cluster, but without a Dataset execution's fixed startup on
         # the run's serial path (VERDICT r4 #2: every chained
         # execution was a measured per-run tax)
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
         seed_t = pq.read_table(self.seeds_path)  # file or directory
-        nchunks = max(1, min(2 * ncpu, seed_t.num_rows // 2048 or 1))
+        nchunks = max(1, min(2 * self._cpus, seed_t.num_rows // 2048 or 1))
         size = -(-seed_t.num_rows // nchunks)
         refs = [
             _key_frontier_chunk.remote(seed_t.slice(off, size))
@@ -780,10 +797,11 @@ class CrawlRun:
 
     def _fetch_http_refs(self, meta: pa.Table) -> list:
         """The real-network tier (stages/fetch.py): one
-        :func:`_http_fetch_chunk` task per slice of the fetch meta.
-        Politeness holds because the selection already capped each
-        host's rows this round; the stage paces a host's rows within a
-        chunk."""
+        :func:`_http_fetch_chunk` task per chunk of the fetch meta;
+        returns each chunk's :func:`_extract_project_chunk` args (the
+        fetch task's ref). Politeness holds because the selection
+        already capped each host's rows this round; the stage paces a
+        host's rows within a chunk."""
         if self._fetch_put is None:
             from ..stages.fetch import HttpFetchStage, urllib_opener_factory
 
@@ -801,57 +819,33 @@ class CrawlRun:
                 )
             )
         n = meta.num_rows
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
-        size = -(-n // max(1, min(4 * ncpu, n // 64)))
+        size = -(-n // max(1, min(4 * self._cpus, n // 64)))
         return [
-            _http_fetch_chunk.remote(self._fetch_put, meta.slice(off, size))
+            (_http_fetch_chunk.remote(self._fetch_put, meta.slice(off, size)),)
             for off in range(0, n, size)
         ]
 
     def _fetch_store_refs(self, meta: pa.Table) -> list:
         """Store-mode fetch, simulating the reference's S3 download
-        (``src/file_downloader.rs:8-29``): O(K) lookups against the
-        sharded in-memory page store (state/page_store.py), loaded ONCE
-        per crawl — never a per-round corpus scan. One ref per shard
-        chunk."""
-        if self._page_store is None:
-            from ..state.page_store import get_page_store
-
-            self._page_store = get_page_store(
-                self.pages_path, self.settings.crawl.num_page_shards
-            )
-        # Driver-side shard routing, k url-chunks per shard per round:
-        # each chunk call returns pages WITH the fetch meta columns
-        # joined in-actor (Arrow take + append — the earlier
-        # repartition + per-batch pandas merge moved the whole round's
-        # pages twice and halved big-round throughput). Never call
-        # ray.get on the store from inside map tasks — blocked workers
-        # made Ray spawn replacement processes (observed 56 workers on
-        # an 8-CPU cluster: hidden oversubscription).
-        store = self._page_store
-        urls = meta["url"].to_pylist()
-        shard_ids = store.shard_of(urls)
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
-        batch = self.settings.crawl.batch_size
-        # chunk count per shard PROPORTIONAL to its url share (the
-        # range-sharded store concentrates mega-host urls in a few
-        # shards; equal per-shard chunking left straggler blocks),
-        # targeting ≈ 2 equal chunks per CPU overall — but no chunk
-        # below one extract batch unless the whole share is: a chunk
-        # costs a store call and an extract task whatever its size, so
-        # a narrow round is one of each
-        refs = []
-        for sid in np.unique(shard_ids):
-            sel = np.flatnonzero(shard_ids == sid)
-            share = round(2 * ncpu * len(sel) / len(urls))
-            for chunk in np.array_split(sel, max(1, min(share, len(sel) // batch))):
-                refs.append(
-                    store.shards[int(sid)].get_with_meta.remote(
-                        [urls[i] for i in chunk],
-                        meta.take(pa.array(chunk, pa.int64())),
-                    )
-                )
-        return refs
+        (``src/file_downloader.rs:8-29``): indexed lookups in the corpus
+        files loaded ONCE per session into the object store
+        (state/page_store.py) — never a per-round corpus scan, and no
+        remote call but the extract tasks. Returns each chunk's
+        :func:`_extract_project_chunk` args: its fetch meta (cut in file
+        order), each url's position in its file list, and the refs of
+        the files its urls fall in."""
+        store = self._store
+        fidx = store.file_of(meta["url"].to_pylist())
+        order = np.argsort(fidx, kind="stable")
+        # about 2 chunks per CPU, but none below one extract batch
+        # unless the whole round is: a chunk costs a task whatever its
+        # size, so a narrow round is one task
+        n = max(1, min(2 * self._cpus, len(order) // self.settings.crawl.batch_size))
+        chunks = []
+        for chunk in np.array_split(order, n):
+            used, local = np.unique(fidx[chunk], return_inverse=True)
+            chunks.append((meta.take(chunk), local, *(store.files[i] for i in used)))
+        return chunks
 
     def _fetch_extract(self, winners: pa.Table, rnd: int) -> _Fetched:
         """Fetch → extract → project for the round's winners: one fused
@@ -859,7 +853,8 @@ class CrawlRun:
         round pays no Dataset execution and no separate projection
         wave. The driver pulls only the fetched-url tables and the
         counts; the link refs go to admission, the record refs to the
-        commit group."""
+        commit group. While the chunks run, the group closed at the
+        previous round is committed (:meth:`_flush_pending_commit`)."""
         fx = _Fetched()
         if not winners.num_rows:
             return fx
@@ -869,19 +864,21 @@ class CrawlRun:
         seqs = winners["seq"].to_numpy()
         worder = np.argsort(seqs, kind="stable")
         prio_ref = ray.put((seqs[worder], winners["priority"].to_numpy()[worder]))
-        # one ref per fetch chunk, resolving to the chunk's pages with
-        # the fetch meta columns attached
-        meta = self._fetch_meta(winners, rnd)
-        if self.fetch_mode == "http":
-            fetch_refs = self._fetch_http_refs(meta)
-        else:
-            fetch_refs = self._fetch_store_refs(meta)
+        # each fetch chunk's task args (store: meta + file refs; http:
+        # the fetch task's ref)
+        http = self.fetch_mode == "http"
+        chunks = (self._fetch_http_refs if http else self._fetch_store_refs)(
+            self._fetch_meta(winners, rnd)
+        )
         batch = self.settings.crawl.batch_size
         futs = [
-            _extract_project_chunk.remote(self._stage_ref(), prio_ref, batch, ref)
-            for ref in fetch_refs
+            _extract_project_chunk.remote(self._stage_ref(), prio_ref, batch, *args)
+            for args in chunks
         ]
         fx.link_refs = [f[0] for f in futs]
+        # the driver would only wait for the chunks here: make the group
+        # closed at the previous round durable meanwhile
+        fx.flush_s = self._flush_pending_commit()
         g = self._group
         got_tbls = []
         for got_t, counts, records in ray.get([f[1] for f in futs]):
@@ -930,7 +927,8 @@ class CrawlRun:
         phase_t = {"select": _now() - t0}
         t0 = _now()
         fx = self._fetch_extract(sel.winners, rnd)
-        phase_t["extract"] = _now() - t0  # fused fetch + extract + project
+        # fused fetch + extract + project
+        phase_t["extract"] = _now() - t0 - fx.flush_s
         t0 = _now()
         admitted, has_next, admission_path = self._admit(sel, fx, rnd)
         phase_t["admission"] = _now() - t0
@@ -1123,8 +1121,9 @@ class CrawlRun:
         so the first commit comes early), at the ``last`` round, once
         its record bytes reach :data:`GROUP_BYTES_MAX`, or when a stage
         ran distributed (it wrote frontier files the next round reads).
-        The previous close is flushed first; its wait is recorded as
-        that group's ``commit_wait`` (inside the flush)."""
+        The previous close was flushed during this round's extract; a
+        round that fetched nothing flushes it here. The wait is
+        recorded as that group's ``commit_wait`` (inside the flush)."""
         self._flush_pending_commit()
         t0 = _now()
         g = self._group
@@ -1176,7 +1175,9 @@ class CrawlRun:
         cand and rest, ``links``) into ``frontier_dir(L + 1)``; ONE seen
         snapshot at L is full when the group holds a multiple of
         ``snapshot_full_every``, else the group's delta. The manifest
-        entry is queued for the next commit point."""
+        entry waits for the writer: the next round writes it while its
+        extract tasks run (:meth:`_fetch_extract`), or :meth:`_durable`
+        does."""
         g, self._group = self._group, None
         last = g.first + len(g.infos) - 1
         cand, rest = (pre[0], pre[2]) if pre is not None else (None, None)
@@ -1238,9 +1239,11 @@ class CrawlRun:
         self.seen.next_surrogate = base_surr + n
         return n
 
-    def _flush_pending_commit(self) -> None:
+    def _flush_pending_commit(self) -> float:
+        """Commit the closed group once its writer lands; returns the
+        seconds it took (0 when no group is pending)."""
         if self._pending_commit is None:
-            return
+            return 0.0
         writer, rnd, info, earlier = self._pending_commit
         self._pending_commit = None
         t0 = _now()
@@ -1251,6 +1254,7 @@ class CrawlRun:
         # actually joined
         info["phase_sec"]["commit_wait"] = round(_now() - t0, 3)
         self.manifest.commit_round(rnd, info, earlier)
+        return _now() - t0
 
     # ---------------- top-level ----------------
     def run(self, resume: bool = False) -> CrawlMetrics:
@@ -1270,12 +1274,9 @@ class CrawlRun:
                 else None
             ),
         )
-        if self.fetch_mode == "store" and self._page_store is None:
-            # kick off shard decode now — it overlaps seed bootstrap
-            # (PageStore construction no longer blocks on shard init)
-            from ..state.page_store import get_page_store
-
-            self._page_store = get_page_store(self.pages_path, cc.num_page_shards)
+        if self.fetch_mode == "store":
+            # open the page store now: its file loads overlap bootstrap
+            _ = self._store
         start_round = 0
         setup_kind = "bootstrap"
         if info is not None:

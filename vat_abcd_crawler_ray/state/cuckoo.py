@@ -12,7 +12,8 @@ Than Bloom", CoNEXT 2014): 4-slot buckets, 16-bit fingerprints,
 partial-key cuckoo hashing with bounded eviction kicks.
 
 numpy-backed: ``contains``/lookup is fully vectorized (the hot path —
-every discovered link probes it); ``add`` loops only over *new* keys
+every discovered link probes it); ``add`` places every key whose
+primary bucket has room in one numpy pass and loops only over the rest,
 with a deterministic eviction choice (no randomness — eviction slot =
 kick counter % slots, preserving run-to-run determinism).
 """
@@ -65,9 +66,22 @@ class CuckooFilter:
         failed insert has dropped one kicked fingerprint, so the caller
         must rebuild — see :meth:`doubled`)."""
         keys = np.asarray(keys, dtype=np.int64)
+        if not len(keys):
+            return 0
         fps, i1s = _split(keys, self.nbuckets)
-        i2s = _alt_bucket(i1s, fps, self.nbuckets)
-        for fp, i1, i2 in zip(fps, i1s, i2s):
+        # one numpy pass: in key order, the r-th key of a primary bucket
+        # takes that bucket's r-th free slot, if it has one
+        order = np.lexsort((keys, i1s))
+        b = i1s[order]
+        rank = np.arange(len(b)) - np.searchsorted(b, b)  # b is sorted
+        free = self.table[b] == 0
+        nth_free = np.cumsum(free, axis=1, dtype=np.int8) == (rank + 1)[:, None]
+        fits = nth_free.any(axis=1)
+        self.table[b[fits], nth_free[fits].argmax(axis=1)] = fps[order[fits]]
+        self.count += int(fits.sum())
+        rest = order[~fits]
+        i2s = _alt_bucket(i1s[rest], fps[rest], self.nbuckets)
+        for fp, i1, i2 in zip(fps[rest], i1s[rest], i2s):
             if not self._insert_one(int(fp), int(i1), int(i2)):
                 raise RuntimeError(
                     f"cuckoo filter overflow at {self.count}/{self.nbuckets * self.slots}"

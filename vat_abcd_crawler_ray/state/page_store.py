@@ -1,23 +1,24 @@
-"""Sharded page store — the simulated network (S3 fetch analog).
+"""Page store — the simulated network (S3 fetch analog).
 
 The reference fetches each dataset over HTTP (O(1) per url,
 ``/root/reference/src/file_downloader.rs:8-29``). In this sandbox the
 "network" is the pages Parquet table; a naive per-round
 ``read_parquet(filter=url.isin(...))`` re-scans the whole corpus every
-round — O(corpus × rounds). This store loads the corpus ONCE into N
-actors and answers each round's fetch list with O(K) indexed lookups,
-like a real fetch tier.
+round — O(corpus × rounds). This store instead loads each corpus file
+ONCE per Ray session into the object store and answers each fetch
+chunk with indexed lookups, like a real fetch tier.
 
-Sharding is by URL RANGE, not hash: the corpus files are globally
-url-sorted, so shard i owns files ``i, i+N, …`` and the router finds a
-url's file with a binary search over the file-start boundaries (read
-once from the parquet footers). Each shard therefore decodes only its
-1/N of the corpus at init (hash sharding made every shard decode
-everything), and lookups need no hashing at all.
+One ``num_cpus=1`` task per file (:func:`_load_file`) returns the
+file's Arrow table with a sorted murmur3 url-key index; the driver
+keeps only the refs, never the pages. The files are globally
+url-sorted, so the driver routes a url to its file by binary search
+over the file-start urls (:meth:`PageStore.file_of`); a fetch chunk's
+task gets the refs of the files its urls fall in (zero-copy) and finds
+its pages itself (:func:`lookup`, O(chunk · log file)). No actor holds
+the corpus.
 
-Memory: |corpus|/N rows of Arrow data per shard, zero-copy ``take`` on
-get. At true 100 TB scale the same interface fronts an HTTP fetcher or
-a bucketed page archive; the batched ``get(urls)`` contract stays.
+At true 100 TB scale the same interface fronts an HTTP fetcher or a
+bucketed page archive; the batched lookup contract stays.
 """
 
 from __future__ import annotations
@@ -26,80 +27,90 @@ import os
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 
-
-@ray.remote(num_cpus=0)
-class PageStoreShard:
-    def __init__(self, files: list[str], columns: list[str]):
-        t = pa.concat_tables(pq.read_table(f, columns=columns) for f in files)
-        self.table = t.combine_chunks()
-        self.index = {u: i for i, u in enumerate(self.table["url"].to_pylist())}
-
-    def get(self, urls: list[str]) -> pa.Table:
-        """Rows for the urls present in this shard (misses are simply
-        absent — the caller diffs against its request list)."""
-        idxs = [self.index[u] for u in urls if u in self.index]
-        if not idxs:
-            return self.table.slice(0, 0)
-        return self.table.take(pa.array(idxs, type=pa.int64()))
-
-    def get_with_meta(self, urls: list[str], meta: pa.Table) -> pa.Table:
-        """Rows for the present urls, with the caller's positionally
-        aligned ``meta`` columns appended in-actor (Arrow take + column
-        append — no driver-side or task-side join). One result block
-        per call; the caller chunks its url list to set block sizes."""
-        index = self.index
-        pos: list[int] = []
-        idxs: list[int] = []
-        for i, u in enumerate(urls):
-            j = index.get(u)
-            if j is not None:
-                pos.append(i)
-                idxs.append(j)
-        t = self.table.take(pa.array(idxs, type=pa.int64()))
-        mt = meta.take(pa.array(pos, type=pa.int64()))
-        for name in meta.column_names:
-            if name != "url":
-                t = t.append_column(name, mt[name])
-        return t
-
-    def size(self) -> int:
-        return len(self.index)
+from ..functions.urlkeys import murmur3_64_batch
 
 
-_STORE_CACHE: dict[tuple[str, int], "PageStore"] = {}
+@ray.remote(num_cpus=1)
+def _load_file(path: str, columns: list[str]) -> tuple:
+    """(table, sorted url keys, row of each sorted key). The stable
+    sort keeps duplicate urls in file order, so a url's LAST row ends
+    its key run."""
+    t = pq.read_table(path, columns=columns).combine_chunks()
+    keys = murmur3_64_batch(t["url"].combine_chunks())
+    rows = np.argsort(keys, kind="stable")
+    return t, keys[rows], rows
 
 
-def get_page_store(pages_path: str, num_shards: int = 0) -> "PageStore":
-    """Session-scoped cache: one shard pool per (corpus, shard count) —
-    repeated crawls over the same corpus (tests, benches, resumes) reuse
-    the loaded actors instead of re-decoding the parquet.
+def _find(table: pa.Table, skeys: np.ndarray, rows: np.ndarray,
+          urls: pa.Array) -> tuple[np.ndarray, np.ndarray]:
+    """(positions in ``urls``, table rows) of the urls present in one
+    loaded file; a duplicated url resolves to its last row."""
+    keys = murmur3_64_batch(urls)
+    last = np.maximum(np.searchsorted(skeys, keys, side="right") - 1, 0)
+    pos = np.flatnonzero(skeys[last] == keys)
+    found = rows[last[pos]]
+    same = np.array(
+        pc.equal(table["url"].take(found), urls.take(pos)).fill_null(False), dtype=bool
+    )
+    # a 64-bit key collision: search the rest of the key's run
+    for i in np.flatnonzero(~same):
+        url = urls[int(pos[i])].as_py()
+        run = rows[np.searchsorted(skeys, keys[pos[i]]) : last[pos[i]]]
+        match = [r for r in run if table["url"][int(r)].as_py() == url]
+        if match:
+            found[i], same[i] = match[-1], True
+    return pos[same], found[same]
 
-    ``num_shards=0`` scales the shard pool with the cluster (one shard
-    per CPU, floor 16 — the floor keeps small clusters on the historic
-    fixed-16 layout so lifting the cap never slows the comparison
-    level): the store models the fetch network, whose aggregate
-    bandwidth grows with cluster size — a fixed count would cap fetch
-    parallelism at the larger cluster and understate scaling.
-    """
-    if num_shards <= 0:
-        num_shards = max(16, int(ray.cluster_resources().get("CPU", 8)))
-    key = (pages_path, num_shards)
-    store = _STORE_CACHE.get(key)
-    if store is None or not store.alive():
-        store = PageStore(pages_path, num_shards)
-        _STORE_CACHE[key] = store
-    return store
+
+def lookup(meta: pa.Table, fidx: np.ndarray, files: list[tuple]) -> pa.Table:
+    """The pages of ``meta``'s urls (column ``url``), url ``i`` looked up
+    in loaded file ``files[fidx[i]]``: one row per present url, in file
+    order and then ``meta`` order (``meta`` order for a chunk cut in
+    file order), with ``meta``'s other columns appended. Misses are
+    simply absent (the caller diffs against its request list)."""
+    urls = meta["url"].combine_chunks()
+    parts, where = [], []
+    for j, (table, skeys, rows) in enumerate(files):
+        sel = np.flatnonzero(fidx == j)
+        pos, found = _find(table, skeys, rows, urls.take(sel))
+        parts.append(table.take(found))
+        where.append(sel[pos])
+    pages = pa.concat_tables(parts)
+    mt = meta.take(np.concatenate(where))
+    for name in meta.column_names:
+        if name != "url":
+            pages = pages.append_column(name, mt[name])
+    return pages
+
+
+_STORE_CACHE: dict[tuple[str, str], "PageStore"] = {}
+
+
+def get_page_store(pages_path: str) -> "PageStore":
+    """Session-scoped cache: repeated crawls over the same corpus
+    (tests, benches, resumes) reuse its loaded files instead of
+    re-decoding the parquet. Keyed by this driver's Ray connection too,
+    so refs from a shut-down cluster are never reused."""
+    session = ray.get_runtime_context().get_worker_id()
+    for key in [k for k in _STORE_CACHE if k[1] != session]:
+        del _STORE_CACHE[key]
+    key = (pages_path, session)
+    if key not in _STORE_CACHE:
+        _STORE_CACHE[key] = PageStore(pages_path)
+    return _STORE_CACHE[key]
 
 
 class PageStore:
-    """Driver-side handle; builds the shard pool once per corpus."""
+    """Driver-side handle: the file router and one loaded-file ref per
+    corpus file."""
 
     COLUMNS = ["url", "html", "lang", "warc_ts"]
 
-    def __init__(self, pages_path: str, num_shards: int = 8):
+    def __init__(self, pages_path: str):
         if os.path.isdir(pages_path):
             files = sorted(
                 os.path.join(pages_path, f)
@@ -108,8 +119,6 @@ class PageStore:
             )
         else:
             files = [pages_path]
-        num_shards = min(num_shards, len(files))
-        self.num_shards = num_shards
         # File-start boundaries from the FIRST ROW of each file (one
         # tiny batch per file), not footer statistics — parquet writers
         # may truncate string min/max stats, which would silently
@@ -127,34 +136,10 @@ class PageStore:
                     f"{f!r} starts at {cur!r} <= previous file start {prev!r}"
                 )
         self._starts = np.array(starts[1:], dtype=object)  # boundaries after file 0
-        self._file_shard = np.array(
-            [i % num_shards for i in range(len(files))], dtype=np.int64
-        )
-        self.shards = [
-            PageStoreShard.remote(
-                [f for j, f in enumerate(files) if j % num_shards == i],
-                self.COLUMNS,
-            )
-            for i in range(num_shards)
-        ]
-        # do NOT block here: shard decode overlaps the caller's seed
-        # bootstrap; the first fetch (or alive()) synchronizes.
-        self._ready = [s.size.remote() for s in self.shards]
+        # do NOT block here: the loads overlap the caller's seed
+        # bootstrap; the first task that reads a file waits for it
+        self.files = [_load_file.remote(f, self.COLUMNS) for f in files]
 
-    def alive(self) -> bool:
-        try:
-            ray.get(self.shards[0].size.remote(), timeout=30)
-            return True
-        except Exception:
-            return False
-
-    def shard_of(self, urls: list[str]) -> np.ndarray:
-        file_idx = np.searchsorted(self._starts, np.array(urls, dtype=object),
-                                   side="right")
-        return self._file_shard[file_idx]
-
-    # NOTE: a former ``fetch_fn`` map_batches body lived here — it
-    # called ``ray.get`` on shard actors from INSIDE map tasks (blocked
-    # workers → replacement-process storms) and did a per-batch pandas
-    # merge. The in-actor ``get_with_meta`` path above replaced it;
-    # never reintroduce the in-task ``ray.get`` pattern.
+    def file_of(self, urls: list[str]) -> np.ndarray:
+        """The index into :attr:`files` of the file each url falls in."""
+        return np.searchsorted(self._starts, np.array(urls, dtype=object), side="right")
