@@ -36,7 +36,11 @@ def test_overlay_chain(tmp_path, monkeypatch):
     assert s.debug is True
     assert s.abcd.landingpage_url == "http://x"
     # untouched keys keep defaults
-    assert s.crawl.salt_buckets == 16
+    assert s.crawl.link_cap_per_page == 64
+    # the removed mega-host salt setting is unknown now
+    (tmp_path / "old.toml").write_text("[crawl]\nsalt_buckets = 16\n")
+    with pytest.raises(ValueError, match="unknown setting 'crawl.salt_buckets'"):
+        load_settings(str(tmp_path / "old.toml"))
 
 
 @pytest.mark.parametrize(

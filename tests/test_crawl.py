@@ -15,7 +15,8 @@ import pyarrow.parquet as pq
 import pytest
 
 from vat_abcd_crawler_ray.config import Settings
-from vat_abcd_crawler_ray.pipelines.crawl import CrawlRun, _read_parquet_dir
+from parquet_dirs import read_parquet_dir
+from vat_abcd_crawler_ray.pipelines.crawl import CrawlRun
 from vat_abcd_crawler_ray.sources.synthetic import corpus_dir, MEGA_HOST
 from vat_abcd_crawler_ray.stages.extract import RECORD_TYPES
 
@@ -64,7 +65,7 @@ def _fetch_log(run_dir) -> pd.DataFrame:
     for rnd in sorted(os.listdir(base)):
         d = os.path.join(base, rnd, "record_type=dataset")
         if os.path.isdir(d):
-            df = _read_parquet_dir(d, columns=["url", "surrogate", "seq", "round"]).to_pandas()
+            df = read_parquet_dir(d, columns=["url", "surrogate", "seq", "round"]).to_pandas()
             frames.append(df)
     return (
         pd.concat(frames, ignore_index=True)
@@ -162,8 +163,23 @@ class TestCrawl:
         )
         assert drv.metrics.as_dict() == dist.metrics.as_dict()
 
-    def test_driver_vs_distributed_select(self, corpus, tmp_path, force_paths):
-        self._assert_paths_agree(corpus, tmp_path, force_paths, "select")
+    def test_one_and_four_backlog_parts_agree(self, corpus, tmp_path, monkeypatch):
+        """The frontier backlog pre-selected as one part and as four
+        key-hash parts (few rows per part on the 4-CPU test cluster)
+        gives the same seen set, fetch order and metrics."""
+        from vat_abcd_crawler_ray.ops import hashagg
+
+        runs = {}
+        for parts, rows_per_part in ((1, hashagg._ROWS_PER_PART), (4, 4)):
+            monkeypatch.setattr(hashagg, "_ROWS_PER_PART", rows_per_part)
+            run = _mk_run(corpus, tmp_path / str(parts))
+            run.run()
+            recorded = {i["backlog_parts"] for i in run.manifest.round_infos()}
+            assert recorded - {0} == {parts}, recorded
+            runs[parts] = run
+        pd.testing.assert_frame_equal(_seen_table(runs[1]), _seen_table(runs[4]))
+        pd.testing.assert_frame_equal(_fetch_log(tmp_path / "1"), _fetch_log(tmp_path / "4"))
+        assert runs[1].metrics.as_dict() == runs[4].metrics.as_dict()
 
     def test_driver_vs_distributed_admission(self, corpus, tmp_path, force_paths):
         """The distributed link admission (shard-parallel seen
@@ -264,17 +280,19 @@ class TestCrawl:
         assert len(pub["rounds"]) == run.metrics.rounds
         # every group-closing entry names an existing snapshot of its
         # last round; every round entry keeps the path each gated stage
-        # took (all driver-sized here), its stats and extract routes
+        # took (all driver-sized here), the backlog parts its selection
+        # reduced (one, or none), its stats and extract routes
         for r in pub["rounds"]:
             first, last = r["commit_group"]
             if r["round"] == last:
                 assert r["seen_snapshot"] == run.seen_dir(last)
                 assert os.path.isdir(r["seen_snapshot"])
                 assert "filter_buckets" in r["seen_tiers"]
-            want = {"select": "driver", "admission": "driver"}
+            want = {"admission": "driver"}
             if r["stats"]["round"] == 0:
                 want["bootstrap"] = "driver"
             assert r["paths"] == want
+            assert r["backlog_parts"] in (0, 1)
             # every fetched page went through exactly one extract route
             docs = r["extract_docs"]
             assert set(docs) == {"kernel", "per_doc"}
@@ -374,11 +392,11 @@ class TestCrawl:
         committed_at_admission = {}
         admit = CrawlRun._admit
 
-        def spy(self, sel, fx, rnd):
+        def spy(self, fx, rnd):
             committed_at_admission[rnd] = [
                 r for r in range(rnd) if os.path.exists(self.manifest.round_path(r))
             ]
-            return admit(self, sel, fx, rnd)
+            return admit(self, fx, rnd)
 
         monkeypatch.setattr(CrawlRun, "_admit", spy)
         run = _mk_run(corpus, tmp_path / "run")
@@ -431,7 +449,7 @@ class TestCrawl:
         def run_writer() -> tuple:
             # the same chunk twice: a group of two chunks
             written = ray.get(
-                _write_group.remote(out, str(tmp_path / "front"), [], None, None, None,
+                _write_group.remote(out, str(tmp_path / "front"), [], None, 0,
                                     records, records)
             )
             rows = {
@@ -460,7 +478,7 @@ class TestCrawl:
         for rnd in sorted(os.listdir(base)):
             d = os.path.join(base, rnd, "record_type=dataset")
             if os.path.isdir(d):
-                frames.append(_read_parquet_dir(d, columns=["url", title_col]).to_pandas())
+                frames.append(read_parquet_dir(d, columns=["url", title_col]).to_pandas())
         got = pd.concat(frames, ignore_index=True)
         pages = pq.read_table(
             f"{corpus}/pages.parquet", columns=["url", "text"]
@@ -470,55 +488,97 @@ class TestCrawl:
         assert (merged[title_col] == merged["text"]).all()
 
 
-@pytest.mark.usefixtures("ray_session")
-@pytest.mark.parametrize("path", ["driver", "distributed"])
-def test_all_robots_denied_round_completes(tmp_path, force_paths, path):
-    """Regression: a round where EVERY frontier row is robots-denied
-    (zero winners, no links table) must complete cleanly — the old
-    admission guard crashed on `pd.DataFrame().num_rows`."""
-    import pyarrow as pa
-
-    corpus = tmp_path / "corpus"
+def _write_corpus(corpus, urls: list[str], hosts: dict) -> str:
+    """A corpus of ``urls`` (sorted; seeds in that order, every page a
+    parse error) and ``hosts``: host → (budget, robots disallow prefix)."""
     os.makedirs(corpus)
+    n = len(urls)
+    pq.write_table(
+        pa.table(
+            {
+                "url": urls,
+                "warc_ts": pa.array([0] * n, pa.timestamp("us")),
+                "html": pa.array([b"<x/>"] * n, pa.binary()),
+                "text": ["t"] * n,
+                "lang": ["en"] * n,
+            }
+        ),
+        os.path.join(corpus, "pages.parquet"),
+    )
+    pq.write_table(
+        pa.table({"url": urls, "priority": [0.5] * n, "seq": pa.array(range(n), pa.int64())}),
+        os.path.join(corpus, "seeds.parquet"),
+    )
+    pq.write_table(
+        pa.table(
+            {
+                "host": list(hosts),
+                "max_fetches_per_round": pa.array([b for b, _ in hosts.values()], pa.int64()),
+                "robots_disallow_prefix": [r for _, r in hosts.values()],
+            }
+        ),
+        os.path.join(corpus, "politeness.parquet"),
+    )
+    return str(corpus)
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize(
+    "route,parts", [("memory", 1), ("rebuild", 1), ("rebuild", 4)],
+    ids=["memory-1", "rebuild-1", "rebuild-4"],
+)
+def test_all_robots_denied_round_completes(tmp_path, force_paths, monkeypatch, route, parts):
+    """Regression: a frontier whose EVERY row is robots-denied selects
+    nothing, so the crawl ends cleanly with no round (as the sequential
+    oracle does) and counts every denial — checked on the driver
+    (``memory``: round 0 gets the seeds in memory) and in the backlog
+    part tasks (``rebuild``: the distributed bootstrap writes frontier
+    0, so round 0 rebuilds its backlog from the files in ``parts``)."""
+    from vat_abcd_crawler_ray.ops import hashagg
+
     urls = [f"https://deny.example.org/doc/{i}" for i in range(6)]
-    pq.write_table(
-        pa.table(
-            {
-                "url": urls,
-                "warc_ts": pa.array([0] * len(urls), pa.timestamp("us")),
-                "html": pa.array([b"<x/>"] * len(urls), pa.binary()),
-                "text": ["t"] * len(urls),
-                "lang": ["en"] * len(urls),
-            }
-        ),
-        str(corpus / "pages.parquet"),
-    )
-    pq.write_table(
-        pa.table(
-            {
-                "url": urls,
-                "priority": [0.5] * len(urls),
-                "seq": pa.array(range(len(urls)), pa.int64()),
-            }
-        ),
-        str(corpus / "seeds.parquet"),
-    )
-    pq.write_table(
-        pa.table(
-            {
-                "host": ["deny.example.org"],
-                "max_fetches_per_round": pa.array([8], pa.int64()),
-                "robots_disallow_prefix": ["/"],  # denies every path
-            }
-        ),
-        str(corpus / "politeness.parquet"),
-    )
-    force_paths(select=path)
-    run = _mk_run(str(corpus), tmp_path / "run")
+    # "/" denies every path
+    corpus = _write_corpus(tmp_path / "corpus", urls, {"deny.example.org": (8, "/")})
+    if route == "rebuild":
+        force_paths(bootstrap="distributed")
+        monkeypatch.setattr(hashagg, "_ROWS_PER_PART", -(-len(urls) // parts))
+    run = _mk_run(corpus, tmp_path / "run")
     metrics = run.run()
-    assert metrics.fetched == 0
+    assert metrics.fetched == 0 and metrics.rounds == 0
     assert metrics.robots_denied == len(urls)
     assert run.manifest.published()["status"] == "published"
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_round_that_selects_nothing_ends_the_crawl(tmp_path):
+    """When only zero-budget rows are left, the round selects nothing
+    and the crawl ends, as the sequential oracle does, instead of
+    committing empty rounds up to ``max_rounds``; the unselected rows
+    stay in the last frontier directory."""
+    from vat_abcd_crawler_ray.oracle.seqcrawl import sequential_crawl
+    from vat_abcd_crawler_ray.pipelines.crawl import _count_parquet_rows
+
+    urls = [f"https://{h}.example.org/doc/{i}" for h in ("ok", "zero") for i in range(3)]
+    corpus = _write_corpus(
+        tmp_path / "corpus", urls, {"ok.example.org": (8, ""), "zero.example.org": (0, "")}
+    )
+    s = Settings()
+    s.crawl.max_rounds = 10
+    run = _mk_run(corpus, tmp_path / "run", settings=s)
+    metrics = run.run()
+    assert metrics.rounds == 1
+    assert _count_parquet_rows(run.frontier_dir(1)) == 3
+
+    seq_log = sequential_crawl(corpus, max_rounds=10)[0]
+    err = read_parquet_dir(
+        os.path.join(str(tmp_path / "run"), "staging", "extracted"),
+        columns=["round", "url", "surrogate", "seq", "error_kind"],
+    ).to_pylist()
+    # every page is a parse error, so the error rows are the fetch log
+    assert sorted(
+        (r["round"], r["url"], r["surrogate"], r["seq"])
+        for r in err if r["error_kind"] != "FetchMiss"
+    ) == sorted(seq_log)
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -42,10 +42,12 @@ import ray
 gcs, corpus, run_dir, point = sys.argv[1:5]
 ray.init(address=gcs, logging_level="ERROR")
 from vat_abcd_crawler_ray.config import Settings
+from vat_abcd_crawler_ray.ops import hashagg
 from vat_abcd_crawler_ray.pipelines import crawl
 from vat_abcd_crawler_ray.state.manifest import RunManifest
 
 crawl.GROUP_BYTES_MAX = int(sys.argv[5])
+hashagg._ROWS_PER_PART = int(sys.argv[7])
 
 
 def kill_when(owner, name, hit, after=False):
@@ -127,12 +129,14 @@ def references(narrow_corpus, tmp_path_factory):
     return run, d, sequential_crawl(narrow_corpus)
 
 
-def _child(corpus: str, run_dir: str, point: str) -> int:
+def _child(corpus: str, run_dir: str, point: str, rows_per_part: int = 1 << 20) -> int:
+    """Run the crawl in a child process; ``rows_per_part`` sizes its
+    frontier backlog parts (the default keeps every backlog one part)."""
     import ray
 
     return subprocess.run(
         [sys.executable, "-c", CHILD, ray.get_runtime_context().gcs_address,
-         corpus, run_dir, point, str(GROUP_BYTES), str(FULL_EVERY)],
+         corpus, run_dir, point, str(GROUP_BYTES), str(FULL_EVERY), str(rows_per_part)],
         cwd=REPO,
         env={**os.environ, "PYTHONPATH": REPO},
         timeout=300,
@@ -181,7 +185,29 @@ def test_killed_driver_resumes_to_the_uninterrupted_run(
     # at most one group lost: the last committed one is the group before
     assert RunManifest(d).last_complete_round() == committed
     assert _child(narrow_corpus, d, "resume") == 0
+    _assert_resumed_equal(d, run, whole_dir, seq_log, seq_seen)
 
+
+def test_killed_driver_resumes_at_four_backlog_parts(narrow_corpus, references, tmp_path):
+    """A driver killed at ``next_group`` (one-part backlog) and resumed
+    with one row per part on the 4-CPU test cluster: the resumed run
+    rebuilds its first backlog from the frontier files in four key-hash
+    parts, and publishes the uninterrupted run."""
+    run, whole_dir, (seq_log, seq_seen, *_rest) = references
+    d = str(tmp_path / "run")
+    assert _child(narrow_corpus, d, "next_group") == -signal.SIGKILL
+    assert RunManifest(d).last_complete_round() == 5
+    assert _child(narrow_corpus, d, "resume", rows_per_part=1) == 0
+    with open(os.path.join(d, "MANIFEST.json")) as fh:
+        parts = [r["backlog_parts"] for r in json.load(fh)["rounds"]]
+    # rounds 0-5 reduced at most one part; round 6 rebuilt four
+    assert set(parts[:6]) <= {0, 1} and parts[6] == 4, parts
+    _assert_resumed_equal(d, run, whole_dir, seq_log, seq_seen)
+
+
+def _assert_resumed_equal(d: str, run, whole_dir: str, seq_log, seq_seen) -> None:
+    """The resumed run in ``d`` publishes the seen set, fetch log and
+    metrics of the uninterrupted ``run`` and of the oracle."""
     seen = pq.read_table(os.path.join(d, "seen_dump.parquet")).to_pandas()
     pd.testing.assert_frame_equal(seen, run.seen.to_table().to_pandas())
     oracle_seen = pd.DataFrame(

@@ -12,19 +12,21 @@ import os
 import pandas as pd
 import pytest
 
+from vat_abcd_crawler_ray.ops import hashagg
 from vat_abcd_crawler_ray.oracle.seqcrawl import sequential_crawl
-from vat_abcd_crawler_ray.pipelines.crawl import CrawlRun, _read_parquet_dir
+from parquet_dirs import read_parquet_dir
+from vat_abcd_crawler_ray.pipelines.crawl import CrawlRun
 from vat_abcd_crawler_ray.sources.synthetic import corpus_dir
 from vat_abcd_crawler_ray.state import seen_set
 
-GATED = ("bootstrap", "select", "admission")
+GATED = ("bootstrap", "admission")
 
 # which stages each configuration forces down the distributed path
 FORCED = {
     "auto": (),
     "distributed": GATED,
     "bootstrap": ("bootstrap",),
-    "select": ("select",),
+    "partitioned": (),
     "admission": ("admission",),
     # the seen set's prefilter starts at 64 slots and must grow
     # mid-crawl (457 keys); with every stage distributed the set's block
@@ -34,6 +36,12 @@ FORCED = {
     "one_shard_distributed": GATED,
 }
 SMALL_FILTER = ("one_shard", "one_shard_distributed")
+# configurations whose frontier backlog splits into key-hash parts: 20
+# rows per part gives this corpus's backlogs (50-300 rows) 3 and 4
+# parts on the 4-CPU test cluster, so the rests are re-split as P
+# changes; "distributed" rebuilds the backlog from the frontier files
+# every round (its bootstrap and admission write them as a Dataset)
+PARTITIONED = ("partitioned", "distributed")
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -44,8 +52,9 @@ def test_distributed_crawl_matches_sequential_reference(
     """Each configuration forces its stages down the distributed path
     through the size rule (``modes="distributed"``: EVERY gated stage
     at once — the full distributed spine, including the hash-combined
-    first-wins of bootstrap and admission) and is checked against the
-    independent oracle and against the auto run's metrics."""
+    first-wins of bootstrap and admission, with the backlog rebuilt
+    from the frontier files in several parts) and is checked against
+    the independent oracle and against the auto run's metrics."""
     corpus = corpus_dir("/root/testdata/sf0.001")
     seq_log, seq_seen, _ds, _li, _er, _un = sequential_crawl(corpus)
 
@@ -55,19 +64,28 @@ def test_distributed_crawl_matches_sequential_reference(
         force_paths(**{stage: "distributed" for stage in FORCED[modes]})
         if modes in SMALL_FILTER:
             monkeypatch.setattr(seen_set, "FILTER_CAPACITY", 64)
+        if modes in PARTITIONED:
+            monkeypatch.setattr(hashagg, "_ROWS_PER_PART", 20)
         run = _crawl(corpus, str(tmp_path / "run"))
         assert run.metrics.as_dict() == auto_run(corpus).metrics.as_dict()
     if modes in SMALL_FILTER:
         tiers = run.manifest.round_info(run.manifest.last_complete_round())["seen_tiers"]
         assert tiers["filter_buckets"] > 32  # grew from 64 slots (32 buckets)
     # every committed round records the path each gated stage took
-    for r in range(run.manifest.last_complete_round() + 1):
-        paths = run.manifest.round_info(r)["paths"]
-        for stage in GATED:
-            if stage in paths:
-                want = "distributed" if stage in FORCED[modes] else "driver"
-                assert paths[stage] == want, (r, stage, paths)
-    assert "bootstrap" in run.manifest.round_info(0)["paths"]
+    # and the parts its backlog was left in
+    infos = run.manifest.round_infos()
+    for r, info in enumerate(infos):
+        paths = info["paths"]
+        assert set(paths) <= set(GATED), paths
+        for stage in paths:
+            want = "distributed" if stage in FORCED[modes] else "driver"
+            assert paths[stage] == want, (r, stage, paths)
+    assert "bootstrap" in infos[0]["paths"]
+    parts = {i["backlog_parts"] for i in infos} - {0}
+    if modes in PARTITIONED:
+        assert max(parts) == 4 and len(parts) >= 2, parts
+    else:
+        assert parts == {1}, parts
 
     # seen set: identical keys, surrogates, first_seqs
     dist_seen = run.seen.to_table().to_pandas()
@@ -93,7 +111,7 @@ def test_distributed_crawl_matches_sequential_reference(
         for kind, extra in (("dataset", []), ("error", ["error_kind"])):
             d = os.path.join(base, rnd, f"record_type={kind}")
             if os.path.isdir(d):
-                df = _read_parquet_dir(
+                df = read_parquet_dir(
                     d, columns=["url", "surrogate", "seq", "round"] + extra
                 ).to_pandas()
                 if kind == "error":

@@ -148,7 +148,8 @@ class TestWithinBatchConcurrency:
 
 @pytest.mark.usefixtures("ray_session")
 def test_crawl_fetch_mode_http_matches_store(tmp_path):
-    from vat_abcd_crawler_ray.pipelines.crawl import CrawlRun, _read_parquet_dir
+    from parquet_dirs import read_parquet_dir
+    from vat_abcd_crawler_ray.pipelines.crawl import CrawlRun
     from vat_abcd_crawler_ray.sources.synthetic import corpus_dir
 
     class CorpusOpener:
@@ -186,7 +187,7 @@ def test_crawl_fetch_mode_http_matches_store(tmp_path):
             d = os.path.join(base, rnd, "record_type=dataset")
             if os.path.isdir(d):
                 frames.append(
-                    _read_parquet_dir(d, columns=["url", "surrogate", "seq", "round"]).to_pandas()
+                    read_parquet_dir(d, columns=["url", "surrogate", "seq", "round"]).to_pandas()
                 )
         return (
             pd.concat(frames, ignore_index=True)
@@ -222,7 +223,7 @@ def test_crawl_fetch_mode_http_matches_store(tmp_path):
     for rnd in sorted(os.listdir(base)):
         d = os.path.join(base, rnd, "record_type=error")
         if os.path.isdir(d):
-            err_dirs.append(_read_parquet_dir(d, columns=["url", "error_kind", "error_message"]).to_pandas())
+            err_dirs.append(read_parquet_dir(d, columns=["url", "error_kind", "error_message"]).to_pandas())
     errs = pd.concat(err_dirs, ignore_index=True)
     http_errs = errs[errs["error_kind"] == FETCH_HTTP_ERROR]
     assert len(http_errs) > 0

@@ -513,11 +513,13 @@ def main(argv: list[str] | None = None) -> int:
     c = sub.add_parser(
         "crawl",
         help="run the full crawl pipeline",
-        description="Run the crawl. Bootstrap, selection and link "
-                    "admission each run on the driver up to "
+        description="Run the crawl. Seed bootstrap and link admission "
+                    "each run on the driver up to "
                     "pipelines.crawl.DRIVER_ROWS_MAX observed rows and "
-                    "distributed above it; each round's MANIFEST info "
-                    "records the path every stage took.",
+                    "distributed above it; selection pre-sorts the "
+                    "frontier backlog in key-hash parts sized from its "
+                    "row count. Each round's MANIFEST info records the "
+                    "path every gated stage took and the backlog parts.",
     )
     c.add_argument("--pages", required=True)
     c.add_argument("--seeds", required=True)

@@ -33,7 +33,6 @@ class CrawlConfig:
     seen_ram_cap_per_shard: int = 0
     max_rounds: int = 64
     default_host_budget: int = 8  # max fetches per host per round
-    salt_buckets: int = 16  # mega-host split factor (distributed select)
     link_cap_per_page: int = 64
     batch_size: int = 256  # pages per extract batch (wide binary rows)
     # fetch_mode="http" opener config (stages/fetch.urllib_opener_factory)

@@ -25,8 +25,8 @@ tasks and Arrow kernels:
 
 Used by the dedup family (``pipelines/dedup.py``: the exact-copy
 finder's digest partitions, MinHash's hot-rep combine and the
-hot-bucket combine), by substring dedup, and by the crawl's first-wins
-(``ops/firstwins.py``).
+hot-bucket combine), by substring dedup, by the crawl's first-wins
+(``ops/firstwins.py``) and by the crawl's partitioned frontier backlog.
 """
 
 from __future__ import annotations
@@ -67,11 +67,12 @@ def _column_partition_ids(col: "pa.ChunkedArray", parts: int) -> np.ndarray:
     return (h % np.uint64(parts)).astype(np.int64)
 
 
-@ray.remote
-def _split_block(block, key: str, parts: int):
-    """Split one partial block into ``parts`` (≥ 2) sub-tables by key
-    hash."""
-    tbl = as_arrow(block)
+def split_table(tbl: pa.Table, key: str, parts: int) -> tuple:
+    """Split ``tbl`` into ``parts`` sub-tables by the hash of ``key``
+    (the split :func:`partition_refs` makes), each in ``tbl``'s row
+    order."""
+    if parts == 1:
+        return (tbl,)
     if not tbl.num_rows:
         empty = tbl.slice(0, 0)
         return tuple(empty for _ in range(parts))
@@ -84,6 +85,13 @@ def _split_block(block, key: str, parts: int):
         picked.slice(bounds[p], bounds[p + 1] - bounds[p])
         for p in range(parts)
     )
+
+
+@ray.remote
+def _split_block(block, key: str, parts: int):
+    """Split one partial block into ``parts`` (≥ 2) sub-tables by key
+    hash."""
+    return split_table(as_arrow(block), key, parts)
 
 
 def partition_refs(refs: list, key: str, parts: int) -> list:
@@ -199,11 +207,13 @@ def sum_combine_dataset(
 _ROWS_PER_PART = 1 << 20
 
 
-def combine_parts(partial_rows: int) -> int:
+def combine_parts(partial_rows: int, cpus: int | None = None) -> int:
     """Partition count for ``partial_rows`` partial rows: one per
-    ``_ROWS_PER_PART`` rows, capped at the cluster's CPUs, so a small
-    combine pays one reducer (and no split wave), not one per CPU."""
-    cpus = int(ray.cluster_resources().get("CPU", 8))
+    ``_ROWS_PER_PART`` rows, capped at ``cpus`` (default: the cluster's
+    CPUs), so a small combine pays one reducer (and no split wave), not
+    one per CPU."""
+    if cpus is None:
+        cpus = int(ray.cluster_resources().get("CPU", 8))
     return max(1, min(cpus, -(-partial_rows // _ROWS_PER_PART)))
 
 

@@ -22,26 +22,27 @@ seq)`` — seq is carried in rows and assigned densely at admission
 budget produce identical fetch order, seen-set and surrogates
 (north_rule).
 
-Bootstrap, selection and admission each have two equivalent
-implementations (tested identical); :func:`stage_path` picks one from
-the row count the stage observes, and each committed round's info
-records the path taken (``paths``, outside ``stats``):
+Selection has ONE path, pipelined: the next round's per-host backlog
+ordering runs as remote pre-selection tasks during this round's
+extract (``_preselect_backlog`` — exact by the winner-superset lemma),
+the backlog's remainder stays in the object store, and the admitted
+links stay in memory, so the driver sorts only the politeness-bounded
+candidates ∪ new links, never the accumulated frontier. The backlog is
+P key-hash parts, P = ``ops.hashagg.combine_parts(backlog rows)`` (one
+part below a million rows), one pre-selection task each; a key-hash
+split cannot skew on a mega-host, and each round's info records
+``backlog_parts``. A round with no in-memory hand-off (a resume, or a
+round after a distributed stage wrote frontier rows the driver never
+saw) rebuilds the backlog from the frontier directory's files by the
+same exchange: read tasks, ``partition_refs``, part tasks.
 
-- **driver** — vectorized Arrow on the driver; fastest below ~2M
-  rows (no shuffle). Selection rounds are PIPELINED: the next round's
-  per-host backlog ordering runs as a remote pre-selection task during
-  this round's extract/project (``_preselect_backlog`` — exact by the
-  winner-superset lemma; its remainder stays in the object store), and
-  the admitted links stay in memory, so the per-round serial path
-  sorts only (politeness-bounded candidates ∪ new links) instead of
-  re-reading and re-sorting the whole accumulated frontier.
-- **distributed** — the scale path: per-``(host, salt)`` budget-cap
-  inside ``groupby.map_groups`` (salt = ``key % salt_buckets`` splits
-  mega-host groups), ONE streaming write partitioned by outcome, then a
-  per-``host`` reduce over the ≤ ``salt_buckets × budget`` survivors.
-  Deferred rows are renamed (not rewritten) into the next round's
-  frontier directory. Bootstrap and admission share one first-wins
-  skeleton (``_first_wins_frontier``).
+Bootstrap and admission each have two equivalent implementations
+(tested identical); :func:`stage_path` picks one from the row count the
+stage observes, and each committed round's info records the path taken
+(``paths``, outside ``stats``): **driver** (vectorized Arrow, fastest
+below ~2M rows) or **distributed** (the scale path; both share one
+first-wins skeleton, ``_first_wins_frontier``, and write their frontier
+rows as a Dataset).
 
 Every round is four steps (``CrawlRun._round``): **select** the
 politeness-bounded winners, **fetch → extract → project** them in ONE
@@ -70,11 +71,12 @@ built from it) is POLITENESS-BOUNDED — at most Σ(per-host budget) rows
 per round regardless of frontier or corpus size — so holding it as a
 driver Arrow table is a config-bounded cost, not a data-scaled one. The
 unbounded collections (frontier, links, extracted rows, seen set)
-never materialize on the driver: frontier stays on disk / in Datasets,
-links arrive pre-deduplicated per fused task and above the size
-gate never leave the object store (``_admit_distributed``),
-extracted records wait in the object store (never pulled by the
-driver) for their group's writer task, and the seen set, held in the
+never materialize on the driver: the frontier backlog stays in the
+object store as parts (and on disk once its group closes), links
+arrive pre-deduplicated per fused task and above the size gate never
+leave the object store (``_admit_distributed``), extracted records
+wait in the object store (never pulled by the driver) for their
+group's writer task, and the seen set, held in the
 driver, keeps its committed runs as arrays that spill to memmapped
 disk runs (its block methods take one block at a time).
 
@@ -108,6 +110,7 @@ import ray.data
 from ..config import Settings
 from ..functions.urlkeys import key_urls
 from ..ops.blocks import block_refs
+from ..ops.hashagg import combine_parts, partition_refs, split_table
 from ..stages.extract import (
     RECORD_DATASET,
     RECORD_ERROR,
@@ -148,28 +151,27 @@ def keyed_frontier_batch(batch: pa.Table) -> pa.Table:
 _key_frontier_chunk = ray.remote(num_cpus=1)(keyed_frontier_batch)
 
 
-def _count_parquet_rows(path: str) -> int:
-    """Row count of a parquet file or every parquet file under a
-    directory — footer metadata only, no data pages read."""
+def _parquet_files(path: str) -> list[str]:
+    """A parquet file, or every parquet file under a directory."""
     if os.path.isfile(path):
-        return pq.ParquetFile(path).metadata.num_rows
-    return sum(
-        pq.ParquetFile(os.path.join(root, f)).metadata.num_rows
+        return [path]
+    return sorted(
+        os.path.join(root, f)
         for root, _dirs, files in os.walk(path)
         for f in files
         if f.endswith(".parquet")
     )
 
 
-def _read_parquet_dir(d: str, columns: list[str] | None = None) -> pa.Table:
-    parts = []
-    for root, _dirs, files in os.walk(d):
-        for f in sorted(files):
-            if f.endswith(".parquet"):
-                parts.append(pq.read_table(os.path.join(root, f), columns=columns))
-    if not parts:
-        return pa.table({c: pa.array([]) for c in columns or []})
-    return pa.concat_tables(parts, promote_options="default")
+def _count_parquet_rows(path: str) -> int:
+    """Row count of :func:`_parquet_files` — footer metadata only, no
+    data pages read."""
+    return sum(pq.ParquetFile(f).metadata.num_rows for f in _parquet_files(path))
+
+
+@ray.remote(num_cpus=1)
+def _read_frontier_file(path: str) -> pa.Table:
+    return pq.read_table(path, columns=FRONTIER_COLS)
 
 
 def _host_codes(t: pa.Table) -> tuple[np.ndarray, list]:
@@ -223,7 +225,7 @@ GROUP_BYTES_MAX = 64 << 20
 
 def stage_path(stage: str, rows: int) -> str:
     """``"driver"`` or ``"distributed"`` for a gated crawl stage
-    (``bootstrap`` | ``select`` | ``admission``) that observed ``rows``
+    (``bootstrap`` | ``admission``) that observed ``rows``
     input rows. Every gate in this module goes through here, so tests
     force a stage's path by monkeypatching this one function."""
     return "distributed" if rows > DRIVER_ROWS_MAX else "driver"
@@ -365,14 +367,17 @@ def _extract_project_chunk(stage, prio_lookup, batch_size: int, chunk: pa.Table,
 
 @ray.remote(num_cpus=1)
 def _write_group(
-    out_dir: str, front_dir: str, misses: list, links, cand, rest, *records
+    out_dir: str, front_dir: str, misses: list, links, n_parts: int, *inputs
 ) -> dict:
-    """A commit group's one writer: its chunks' record buffers (plus
-    the fetch-miss rows, error schema) become ONE zstd part per
-    non-empty record type, ``out_dir/record_type=X/part-00000.parquet``,
-    and the next frontier's cand, rest and links go into ``front_dir``.
-    Fixed names, so a re-run overwrites its own files. Returns the
-    files and bytes written per record type."""
+    """A commit group's one writer. ``inputs`` are the cand and rest of
+    each of the ``n_parts`` backlog parts, then the group's record
+    buffers. The record buffers (plus the fetch-miss rows, error schema)
+    become ONE zstd part per non-empty record type,
+    ``out_dir/record_type=X/part-00000.parquet``, and the next frontier
+    (``links`` and the parts) goes into ``front_dir``. Fixed names, so a
+    re-run overwrites its own files. Returns the files and bytes written
+    per record type."""
+    backlog, records = inputs[: 2 * n_parts], inputs[2 * n_parts :]
     tables = {rt: [] for rt in RECORD_TYPES}
     for buf in records:
         reader = pa.BufferReader(buf)
@@ -387,7 +392,10 @@ def _write_group(
             os.makedirs(os.path.dirname(path), exist_ok=True)
             pq.write_table(t, path, compression="zstd")
             written[rt] = {"files": 1, "bytes": os.path.getsize(path)}
-    for tag, t in (("cand", cand), ("rest", rest), ("links", links)):
+    frontier = [("links", links)]
+    for p in range(n_parts):
+        frontier += [(f"cand-{p:05d}", backlog[2 * p]), (f"rest-{p:05d}", backlog[2 * p + 1])]
+    for tag, t in frontier:
         if t is not None and t.num_rows:
             os.makedirs(front_dir, exist_ok=True)
             pq.write_table(
@@ -398,37 +406,47 @@ def _write_group(
 
 @ray.remote(num_cpus=1, num_returns=3)
 def _preselect_backlog(
-    rest: pa.Table | None, losers: pa.Table, budgets: dict, default_budget: int
+    losers: pa.Table | None, budgets: dict, default_budget: int, robots: dict,
+    *rows: pa.Table,
 ):
-    """NEXT-round frontier pre-selection, run remotely DURING the
-    current round's extract/project (the round-pipelining that removes
-    the per-round frontier sort from the driver's serial path).
+    """NEXT-round pre-selection of ONE backlog part, run remotely DURING
+    the current round's extract (the round-pipelining that removes the
+    per-round frontier sort from the driver's serial path).
 
-    backlog = ``rest`` (the previous pre-selection's remainder, passed
-    by ref) ∪ ``losers`` (the current round's selection losers). Split
-    it per host by the same (priority desc, seq) ordering the selection
-    uses:
+    part = ``rows`` (the part's share of the previous pre-selections'
+    remainders, passed by ref) ∪ ``losers`` (its share of the current
+    round's selection losers). Split it per host by the same (priority
+    desc, seq) ordering the selection uses:
 
     - ``cand``  = per-host top-budget — returned to the driver.
-      Exactness lemma: winners(backlog ∪ links) = winners(cand ∪
-      links), because any backlog row OUTSIDE its host's top-budget
-      already has ≥ budget same-host backlog rows ranked ahead of it,
-      so it cannot win the next round whatever links are added.
-      cand is politeness-bounded (≤ Σ per-host budgets), so shipping
-      it to the driver is a config-bounded cost.
-    - ``rest``  = the remainder, returned by ref with its row count.
+      Exactness lemma, for ANY split of the backlog into parts:
+      winners(backlog ∪ links) = winners(∪ cand ∪ links), because a row
+      OUTSIDE its part's per-host top-budget already has ≥ budget
+      same-host rows ranked ahead of it, so it cannot win the next
+      round whatever links are added. cand is politeness-bounded
+      (≤ Σ per-host budgets per part), so shipping it to the driver is
+      a config-bounded cost.
+    - ``rest``  = the remainder, returned by ref.
 
     A group's close writes both into the next frontier dir. Robots
-    rules are NOT re-applied: every backlog row already passed the
-    selection robots gate in the round that deferred it (links are
-    checked before they can become losers), so the backlog is
-    robots-clean by invariant.
+    rules are NOT re-applied in a pipelined round (``robots`` empty):
+    every backlog row already passed the selection robots gate in the
+    round that deferred it (links are checked before they can become
+    losers), so the backlog is robots-clean by invariant. The exception
+    is a rebuild from the frontier directory, whose files also hold
+    admitted links never checked: it passes the run's rules, and since
+    a checked row is never denied, the denied count stays exact.
+
+    Returns ``cand``, (rest rows, robots-denied rows), ``rest``.
     """
     backlog = pa.concat_tables(
-        [t for t in (rest, losers) if t is not None], promote_options="default"
+        [t for t in (*rows, losers) if t is not None], promote_options="default"
     )
+    denied = _robots_denied(backlog, robots)
+    if denied.any():
+        backlog = backlog.filter(~denied)
     cand, rest = top_budget(backlog, budgets, default_budget)
-    return cand, rest.num_rows, rest
+    return cand, (rest.num_rows, int(denied.sum())), rest
 
 
 @dataclass
@@ -459,14 +477,12 @@ _COUNTERS = (
 
 @dataclass
 class _Selection:
-    """What the round's select step hands to fetch, admission and
-    commit."""
+    """What the round's select step hands to fetch and commit."""
 
     fdir: str  # this round's frontier dir
     n_front: int
-    path: str  # the select path taken: driver | distributed
     winners: pa.Table
-    deferred_path: str | None  # distributed: deferred partition dir
+    backlog_parts: int  # the backlog parts it reduced (0: none)
 
 
 @dataclass
@@ -547,10 +563,11 @@ class CrawlRun:
         self.phase_times: list[dict] = []
         self._bootstrap_path: str | None = None  # recorded in round 0's info
         # round-pipelining state: the in-flight backlog pre-selection
-        # ([cand_ref, rest_count_ref, rest_ref], submitted before
-        # extract so it overlaps it), the previous round's admitted
-        # links kept in memory, and the force-full-read flag set when a
-        # distributed stage wrote next-frontier rows the driver never saw
+        # (one [cand_ref, counts_ref, rest_ref] per backlog part,
+        # submitted before extract so it overlaps it), the previous
+        # round's admitted links kept in memory, and the rebuild flag
+        # set when a distributed stage wrote next-frontier rows the
+        # driver never saw
         self._preselect: list | None = None
         self._next_links: pa.Table | None = None
         self._full_read_next = False
@@ -594,7 +611,7 @@ class CrawlRun:
         ``surrogate_key.rs:16-41``).
 
         Two equivalent implementations (tested identical, like
-        selection): **driver** (vectorized pandas; fastest for seed
+        admission): **driver** (vectorized pandas; fastest for seed
         lists that fit one machine) and **distributed** (the 10^10-URL
         scale path: first-wins via :func:`ops.firstwins.winner_vals`;
         no full-seed driver DataFrame anywhere). :func:`stage_path`
@@ -714,73 +731,97 @@ class CrawlRun:
         return n, stats
 
     # ---------------- selection ----------------
-    def _select_driver(self, frontier: pa.Table):
-        """Vectorized single-machine selection (identical semantics to
-        the distributed path — see tests/test_crawl.py)."""
+    def _select(self, rnd: int) -> _Selection | None:
+        """The round's politeness selection, or None when it selects
+        nothing — the frontier is exhausted, or only zero-budget or
+        robots-denied rows are left. That ends the crawl, as in the
+        sequential oracle; the unselected rows stay the hand-off that
+        the last group's close writes. Before returning, it submits the
+        NEXT round's backlog pre-selection, so that overlaps
+        fetch/extract."""
+        fdir = self.frontier_dir(rnd)
+        # round-pipelining hand-off from the previous round: the
+        # overlapped backlog pre-selection parts and the in-memory links
+        parts, links = self._preselect, self._next_links
+        rebuild = self._full_read_next or (parts is None and links is None)
+        self._preselect = self._next_links = None
+        self._full_read_next = False
+        # a replayed (crashed, uncommitted) round must not APPEND to its
+        # half-written outputs — the group commit is all-or-nothing (C3)
+        shutil.rmtree(self.extracted_dir(rnd), ignore_errors=True)
+        shutil.rmtree(self.frontier_dir(rnd + 1), ignore_errors=True)
+        if rebuild:
+            # the backlog is rebuilt from the frontier dir: close the
+            # open group into it first
+            self._durable(parts, links)
+            links = None
+            n_front = _count_parquet_rows(fdir)  # 0 for a missing dir
+            if not n_front:
+                return None
+            parts = self._rebuild_backlog(fdir, n_front)
+        # usually instant: the parts ran during the prior round's extract
+        pulled = ray.get([ref for p in parts or () for ref in p[:2]])
+        cands, counts = pulled[0::2], pulled[1::2]
+        mem = [t for t in (*cands, links) if t is not None and t.num_rows]
+        if not rebuild:
+            # the frontier dir would hold exactly these rows
+            n_front = sum(c[0] for c in counts) + sum(t.num_rows for t in mem)
+        frontier = pa.concat_tables(
+            [t.select(FRONTIER_COLS) for t in mem] or [_EMPTY_FRONTIER],
+            promote_options="default",
+        )
         denied = _robots_denied(frontier, self.robots)
-        frontier = frontier.filter(~denied)
-        winners, deferred = top_budget(frontier, self.budgets, self.default_budget)
-        return winners, deferred, int(denied.sum())
-
-    def _select_distributed(self, rnd: int, n_front: int):
-        """Scale path: salted two-stage per-host top-k over the frontier
-        as a Dataset; the full frontier is read and written exactly once.
-
-        Stage 1 caps each ``(host, salt)`` group at the host budget — a
-        correct superset of the per-host top-budget — and streams ALL
-        rows out partitioned by outcome (``cand=true|false``); deferred
-        files are later renamed into the next round's frontier. Stage 2
-        reduces the ≤ salt_buckets × budget candidates per host.
-        """
-        cc = self.settings.crawl
-        salt_buckets = cc.salt_buckets
-
-        frontier_ds = ray.data.read_parquet(self.frontier_dir(rnd))
-
-        robots = self.robots
-
-        def robots_and_salt(batch: pa.Table) -> pa.Table:
-            """Drop robots-denied rows, add the skew salt — vectorized,
-            one pass, no per-row filter."""
-            batch = batch.filter(~_robots_denied(batch, robots))
-            salt = batch["key"].to_numpy() % salt_buckets
-            return batch.append_column("__salt", pa.array(salt.astype(np.int32)))
-
-        budgets, default_budget = self.budgets, self.default_budget
-
-        def stage1(group: pa.Table) -> pa.Table:
-            # one host per group: its top-budget rows are the candidates
-            win, rest = top_budget(group, budgets, default_budget)
-            cand = np.arange(group.num_rows) < win.num_rows
-            return pa.concat_tables([win, rest]).append_column("cand", pa.array(cand))
-
-        marked = (
-            frontier_ds.map_batches(robots_and_salt, batch_format="pyarrow")
-            .groupby(["host", "__salt"])
-            .map_groups(stage1, batch_format="pyarrow")
+        self.metrics.robots_denied += int(denied.sum()) + sum(c[1] for c in counts)
+        winners, losers = top_budget(
+            frontier.filter(~denied), self.budgets, self.default_budget
         )
-        sel_dir = self._p("select", f"round={rnd}")
-        marked.drop_columns(["__salt"]).write_parquet(
-            sel_dir, partition_cols=["cand"]
-        )
-        # robots-denied rows are exactly the frontier rows that
-        # robots_and_salt dropped: frontier size minus what was written
-        # (both counts are footer metadata — no extra pass, and the two
-        # selection paths report identical metrics)
-        n_denied = n_front - _count_parquet_rows(sel_dir)
+        if not winners.num_rows:
+            self._preselect, self._next_links = parts, links
+            return None
+        self._preselect = self._next_backlog(parts, counts, losers)
+        return _Selection(fdir, n_front, winners, len(parts or ()))
 
-        # stage 2: exact per-host top-budget over the candidate superset
-        # (the files hold FRONTIER_COLS; ``cand`` is in the path only)
-        cand = _read_parquet_dir(os.path.join(sel_dir, "cand=true"))
-        if not cand.num_rows:
-            return cand, os.path.join(sel_dir, "cand=false"), n_denied
-        winners, demoted = top_budget(cand, self.budgets, self.default_budget)
-        # demoted candidates join the deferred partition on disk
-        if demoted.num_rows:
-            dd = os.path.join(sel_dir, "cand=false")
-            os.makedirs(dd, exist_ok=True)
-            pq.write_table(demoted, os.path.join(dd, "demoted.parquet"))
-        return winners, os.path.join(sel_dir, "cand=false"), n_denied
+    def _next_backlog(self, parts: list | None, counts: list, losers: pa.Table):
+        """Submit the next round's pre-selection over the backlog — the
+        parts' rests ∪ this round's ``losers`` — as P key-hash parts, P =
+        ``combine_parts(backlog rows)``, one task per part; None when
+        the backlog is empty. The driver splits the losers with the hash
+        ``partition_refs`` uses; when P changes, the rests are re-split
+        by ``partition_refs`` (at P = 1 that is no task)."""
+        rows = sum(c[0] for c in counts) + losers.num_rows
+        if not rows:
+            return None
+        n = combine_parts(rows, self._cpus)
+        if n == len(parts or ()):
+            shares = [[p[2]] if c[0] else [] for p, c in zip(parts, counts)]
+        else:
+            rests = [p[2] for p, c in zip(parts or (), counts) if c[0]]
+            matrix = partition_refs(rests, "key", n)
+            shares = [[row[i] for row in matrix] for i in range(n)]
+        return [
+            _preselect_backlog.remote(
+                part, self.budgets, self.default_budget, {}, *share
+            )
+            for part, share in zip(split_table(losers, "key", n), shares)
+        ]
+
+    def _rebuild_backlog(self, fdir: str, rows: int) -> list:
+        """The backlog parts of a round with no in-memory hand-off,
+        rebuilt from the ``rows`` of the frontier directory's files by
+        the same exchange: one read task per file, ``partition_refs``
+        into P = ``combine_parts(rows)`` parts, one pre-selection task
+        per part, which also applies the robots rules (the directory
+        holds admitted links no selection has checked)."""
+        n = combine_parts(rows, self._cpus)
+        reads = [_read_frontier_file.remote(f) for f in _parquet_files(fdir)]
+        matrix = partition_refs(reads, "key", n)
+        return [
+            _preselect_backlog.remote(
+                None, self.budgets, self.default_budget, self.robots,
+                *[row[i] for row in matrix],
+            )
+            for i in range(n)
+        ]
 
     # ---------------- fetch → extract ----------------
     @staticmethod
@@ -930,135 +971,46 @@ class CrawlRun:
         # fused fetch + extract + project
         phase_t["extract"] = _now() - t0 - fx.flush_s
         t0 = _now()
-        admitted, has_next, admission_path = self._admit(sel, fx, rnd)
+        admitted, has_next, admission_path = self._admit(fx, rnd)
         phase_t["admission"] = _now() - t0
-        paths = {"select": sel.path, "admission": admission_path}
+        paths = {"admission": admission_path}
         if rnd == 0 and self._bootstrap_path:
             paths["bootstrap"] = self._bootstrap_path
         last = not has_next or rnd == self.settings.crawl.max_rounds - 1
         self._commit(rnd, sel, fx, admitted, paths, phase_t, last)
         return has_next
 
-    def _select(self, rnd: int) -> _Selection | None:
-        """The round's politeness selection, or None when the frontier
-        is exhausted. The driver path also submits the NEXT round's
-        backlog pre-selection before returning, so it overlaps
-        fetch/extract."""
-        fdir = self.frontier_dir(rnd)
-        # round-pipelining hand-off from the previous round: the
-        # overlapped backlog pre-selection and the in-memory links
-        pre = self._preselect
-        links_mem = self._next_links
-        full_read = self._full_read_next
-        self._preselect = None
-        self._next_links = None
-        self._full_read_next = False
-        # usually instant: it ran during the prior round's extract
-        pre_cand, rest_cnt = ray.get(pre[:2]) if pre is not None else (None, 0)
-        mem = [t for t in (pre_cand, links_mem) if t is not None and t.num_rows]
-        have_mem = (pre is not None or links_mem is not None) and not full_read
-        if not have_mem:
-            self._durable(pre, links_mem)  # the frontier dir is read below
-            if not os.path.isdir(fdir):
-                return None
-
-        # a replayed (crashed, uncommitted) round must not APPEND to its
-        # half-written outputs — the group commit is all-or-nothing (C3)
-        shutil.rmtree(self.extracted_dir(rnd), ignore_errors=True)
-        shutil.rmtree(self._p("select", f"round={rnd}"), ignore_errors=True)
-        shutil.rmtree(self.frontier_dir(rnd + 1), ignore_errors=True)
-
-        if have_mem:
-            # counts known without touching the frontier dir (the dir
-            # holds exactly cand + rest + links — the same rows)
-            n_front = rest_cnt + sum(t.num_rows for t in mem)
-            if n_front == 0:
-                return None
-        else:
-            n_front = _count_parquet_rows(fdir)
-        path = stage_path("select", n_front)
-
-        if path == "distributed":
-            # it reads frontier_dir(rnd): close the open group into it
-            self._durable(pre, links_mem)
-            winners, deferred_path, n_denied = self._select_distributed(rnd, n_front)
-            self.metrics.robots_denied += n_denied
-            if not winners.num_rows and not os.path.isdir(deferred_path):
-                return None
-            return _Selection(fdir, n_front, path, winners, deferred_path)
-
-        if have_mem:
-            # nothing in memory: a non-empty backlog with an empty cand
-            # (only zero-budget hosts) selects nothing and rolls over
-            frontier = pa.concat_tables(
-                [t.select(FRONTIER_COLS) for t in mem] or [_EMPTY_FRONTIER],
-                promote_options="default",
-            )
-        else:
-            frontier = _read_parquet_dir(fdir)
-            if not frontier.num_rows:
-                return None
-        winners, deferred, n_denied = self._select_driver(frontier)
-        self.metrics.robots_denied += n_denied
-
-        # submit the NEXT round's backlog pre-selection NOW, before
-        # fetch/extract start, so its per-host sort runs concurrently
-        # with them
-        rest = pre[2] if have_mem and rest_cnt else None
-        if deferred.num_rows or rest is not None:
-            self._preselect = _preselect_backlog.remote(
-                rest, deferred.select(FRONTIER_COLS), self.budgets, self.default_budget
-            )
-        return _Selection(fdir, n_front, path, winners, None)
-
-    def _admit(
-        self, sel: _Selection, fx: _Fetched, rnd: int
-    ) -> tuple[int, bool, str]:
+    def _admit(self, fx: _Fetched, rnd: int) -> tuple[int, bool, str]:
         """Link admission (deterministic child seqs, then the seen
         filter), then the next round's frontier. Returns (admitted
         links, whether a next round has work, the admission path).
 
-        Two equivalent admission paths (tested identical, like
-        selection/bootstrap): **driver** (:meth:`_admit_driver`, over
+        Two equivalent admission paths (tested identical, like the
+        bootstrap's): **driver** (:meth:`_admit_driver`, over
         the pre-deduplicated link survivors, bounded by winners ×
         ``link_cap_per_page``) and **distributed**
         (:meth:`_admit_distributed`). :func:`stage_path` picks one from
         the surviving link count, so no data-proportional ray.get
         remains once rounds grow."""
         admitted = 0
-        new_frontier = None
-        links_written = False
         path = stage_path("admission", fx.n_links_kept)
         self.metrics.links_discovered += fx.n_links_raw
         if fx.n_links_kept and path == "distributed":
             admitted = self._admit_distributed(fx.link_refs, rnd)
-            links_written = admitted > 0
+            # Dataset-written links are next-frontier rows the driver
+            # never saw: the next round rebuilds its backlog from the dir
+            self._full_read_next = admitted > 0
         elif fx.n_links_kept:
             new_frontier = self._admit_driver(fx.link_refs)
             admitted = new_frontier.num_rows
-
-        has_next = False
-        if sel.deferred_path and os.path.isdir(sel.deferred_path):
-            # rename, don't rewrite, the deferred partition files
-            os.makedirs(self.frontier_dir(rnd + 1), exist_ok=True)
-            for f in sorted(os.listdir(sel.deferred_path)):
-                if f.endswith(".parquet"):
-                    os.rename(
-                        os.path.join(sel.deferred_path, f),
-                        os.path.join(self.frontier_dir(rnd + 1), f"def-{f}"),
-                    )
-                    has_next = True
-        if new_frontier is not None and new_frontier.num_rows:
-            # the next round's pipelined selection reads the admitted
-            # links from memory; the group's close writes them to disk
-            self._next_links = new_frontier
-            has_next = True
-        if links_written or sel.path == "distributed":
-            # a distributed stage put next-frontier rows on disk the
-            # driver never saw (the Dataset-written links, the renamed
-            # deferred files) — the next round must read the dir in full
-            self._full_read_next = True
-        has_next = has_next or links_written or self._preselect is not None
+            if admitted:
+                # the next round's pipelined selection reads the admitted
+                # links from memory; the group's close writes them to disk
+                self._next_links = new_frontier
+        has_next = (
+            self._next_links is not None or self._full_read_next
+            or self._preselect is not None
+        )
         return admitted, has_next, path
 
     def _admit_driver(self, link_refs: list) -> pa.Table:
@@ -1157,6 +1109,7 @@ class CrawlRun:
                 "stats": self.metrics.per_round[-1],
                 "counters": {k: getattr(self.metrics, k) for k in _COUNTERS},
                 "paths": paths,
+                "backlog_parts": sel.backlog_parts,
                 "extract_docs": dict(fx.extract_docs),
                 "phase_sec": phase_rec,
             }
@@ -1168,11 +1121,11 @@ class CrawlRun:
         phase_t["snapshot"] = _now() - t0
         phase_rec.update({k: round(v, 3) for k, v in phase_t.items()})
 
-    def _close_group(self, pre: list | None, links: pa.Table | None) -> None:
+    def _close_group(self, parts: list | None, links: pa.Table | None) -> None:
         """Close the open group, rounds first..L: ONE
         :func:`_write_group` task writes its records under
-        ``extracted/round=<first>`` and the next frontier (``pre``'s
-        cand and rest, ``links``) into ``frontier_dir(L + 1)``; ONE seen
+        ``extracted/round=<first>`` and the next frontier (the backlog
+        ``parts``' cand and rest, ``links``) into ``frontier_dir(L + 1)``; ONE seen
         snapshot at L is full when the group holds a multiple of
         ``snapshot_full_every``, else the group's delta. The manifest
         entry waits for the writer: the next round writes it while its
@@ -1180,10 +1133,10 @@ class CrawlRun:
         does."""
         g, self._group = self._group, None
         last = g.first + len(g.infos) - 1
-        cand, rest = (pre[0], pre[2]) if pre is not None else (None, None)
+        parts = parts or []
         writer = _write_group.remote(
-            self.extracted_dir(g.first), self.frontier_dir(last + 1),
-            g.misses, links, cand, rest, *g.records,
+            self.extracted_dir(g.first), self.frontier_dir(last + 1), g.misses,
+            links, len(parts), *[t for p in parts for t in (p[0], p[2])], *g.records,
         )
         every = self.settings.crawl.snapshot_full_every
         mode = "full" if any(r % every == 0 for r in range(g.first, last + 1)) else "delta"
@@ -1198,11 +1151,12 @@ class CrawlRun:
             i["commit_group"] = [g.first, last]
         self._pending_commit = (writer, last, info, g.infos[:-1])
 
-    def _durable(self, pre: list | None = None, links: pa.Table | None = None) -> None:
-        """Close the open group (next frontier: ``pre``, ``links``) and
-        commit it now, for a frontier-dir read and at the run's end."""
+    def _durable(self, parts: list | None = None, links: pa.Table | None = None) -> None:
+        """Close the open group (next frontier: the backlog ``parts``,
+        ``links``) and commit it now, for a backlog rebuild and at the
+        run's end."""
         if self._group is not None:
-            self._close_group(pre, links)
+            self._close_group(parts, links)
         self._flush_pending_commit()
 
     # ---------------- distributed link admission ----------------

@@ -17,7 +17,7 @@ can never drift.
 
 Corpus properties (FIXTURES.md §1-2):
 - Zipf-ish host skew with one mega-host holding 40% of pages
-  (exercises salt-split skew handling);
+  (exercises per-host selection under skew);
 - ~1% duplicate URL forms (case / trailing-slash / fragment variants)
   in the seed list (exercises the canonicalizing seen-set);
 - ~10% malformed-HTML pages and ~10% no-units pages (soft-error /
