@@ -752,38 +752,27 @@ def _q_landing_pages(sf_dir: str):
 
 
 def _q_seen_first_wins(sf_dir: str):
-    import ray.data
+    import pyarrow.parquet as pq
 
-    from vat_abcd_crawler_ray.ops.blocks import block_refs
-    from vat_abcd_crawler_ray.ops.firstwins import rank_in, winner_vals
-    from vat_abcd_crawler_ray.pipelines.crawl import keyed_frontier_batch
+    from vat_abcd_crawler_ray.pipelines.crawl import (
+        first_wins,
+        frontier_rows,
+        keyed_frontier_batch,
+    )
 
     d = _corpus(sf_dir)
-    seeds = (
-        ray.data.read_parquet(os.path.join(d, "seeds.parquet"))
-        .map_batches(keyed_frontier_batch, batch_format="pyarrow")
-        .materialize()
-    )
-    # the crawl's distributed-bootstrap first-wins: the sorted winning
-    # seqs, broadcast once, keep each key's first seed row, and a
-    # winner's rank among them is its dense surrogate - 1
-    refs = block_refs(seeds)
-    win, _stats = winner_vals(refs, key="key", val="seq")
-    win_ref = ray.put(win)
-
-    def finalize(t: pa.Table) -> pa.Table:
-        keep, rank = rank_in(ray.get(win_ref), t["seq"].to_numpy(zero_copy_only=False))
-        t = t.take(pa.array(keep, pa.int64()))
-        return pa.table(
-            {
-                "canonical_url": t["canonical_url"],
-                "first_seq": t["seq"],
-                "surrogate": pa.array(1 + rank, pa.int64()),
-            }
-        )
-
-    return ray.data.from_arrow_refs(refs).map_batches(
-        finalize, batch_format="pyarrow", batch_size=None
+    seeds = keyed_frontier_batch(pq.read_table(os.path.join(d, "seeds.parquet")))
+    # the crawl's bootstrap kernels on one part: first-wins keeps each
+    # key's first seed row, in seq order, and every survivor is admitted
+    # with its position as rank, so its surrogate is 1 + that position
+    won = first_wins(seeds, "seq")
+    front = frontier_rows(won, np.arange(won.num_rows), 0, 1)
+    return pa.table(
+        {
+            "canonical_url": front["canonical_url"],
+            "first_seq": front["seq"],
+            "surrogate": front["surrogate"],
+        }
     )
 
 

@@ -22,20 +22,33 @@ def ray_session():
 
 
 @pytest.fixture
-def force_paths(monkeypatch):
-    """``force_paths(select="distributed", ...)`` pins the named crawl
-    stages (``bootstrap`` / ``select`` / ``admission``) to a path by
-    patching the crawl's one size rule; the other stages keep it."""
-    from vat_abcd_crawler_ray.pipelines import crawl
+def split_stages(monkeypatch):
+    """``split_stages(rows_per_part, "admission", ...)`` splits the named
+    crawl stages (``bootstrap`` / ``admission`` / ``backlog``) into
+    key-hash parts of ``rows_per_part`` rows; the other stages keep the
+    default part size (one part at test scale). Each stage picks its
+    part count by ``ops.hashagg.combine_parts`` on the driver, so the
+    smaller size holds only while the stage's method runs."""
+    from vat_abcd_crawler_ray.ops import hashagg
+    from vat_abcd_crawler_ray.pipelines.crawl import CrawlRun
 
-    rule = crawl.stage_path
+    methods = {"bootstrap": "_bootstrap", "admission": "_admit", "backlog": "_select"}
 
-    def force(**paths: str) -> None:
-        monkeypatch.setattr(
-            crawl, "stage_path", lambda stage, rows: paths.get(stage) or rule(stage, rows)
-        )
+    def split(rows_per_part: int, *stages: str) -> None:
+        for stage in stages:
+            method = getattr(CrawlRun, methods[stage])
 
-    return force
+            def split_method(self, *args, _method=method):
+                default = hashagg._ROWS_PER_PART
+                hashagg._ROWS_PER_PART = rows_per_part
+                try:
+                    return _method(self, *args)
+                finally:
+                    hashagg._ROWS_PER_PART = default
+
+            monkeypatch.setattr(CrawlRun, methods[stage], split_method)
+
+    return split
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -1,5 +1,5 @@
 """Crawl pipeline invariants (north_rule): deterministic ordering,
-identical seen-set across runs and stage paths, politeness budgets,
+identical seen-set across runs and part counts, politeness budgets,
 robots gate, kill-and-resume equivalence."""
 
 from __future__ import annotations
@@ -44,14 +44,6 @@ def _mk_run(corpus, run_dir, **kw) -> CrawlRun:
         str(run_dir),
         **kw,
     )
-
-
-def _round_paths(run: CrawlRun) -> list[dict]:
-    """The ``paths`` each committed round's manifest info records."""
-    return [
-        run.manifest.round_info(r)["paths"]
-        for r in range(run.manifest.last_complete_round() + 1)
-    ]
 
 
 def _seen_table(run: CrawlRun) -> pd.DataFrame:
@@ -137,24 +129,67 @@ class TestCrawl:
         mega = per[per["host"] == MEGA_HOST]
         assert len(mega) > 1, "mega host should span multiple rounds"
 
-    def test_robots_never_fetched(self, corpus, tmp_path):
+    @pytest.mark.parametrize("parts", [1, 4])
+    def test_robots_never_fetched(self, corpus, tmp_path, monkeypatch, parts):
+        """No robots-denied url is fetched, whether the seeds and links
+        are checked on the driver (one part) or in the bootstrap and
+        admission part tasks (four parts)."""
+        from vat_abcd_crawler_ray.ops import hashagg
+
+        if parts == 4:
+            monkeypatch.setattr(hashagg, "_ROWS_PER_PART", 4)
         run = _mk_run(corpus, tmp_path / "run")
         run.run()
+        infos = run.manifest.round_infos()
+        assert infos[0]["bootstrap_parts"] == parts
+        assert max(i["admission_parts"] for i in infos) == parts
         log = _fetch_log(tmp_path / "run")
         assert not log["url"].str.contains("/private/").any()
         assert run.metrics.robots_denied > 0
 
-    def _assert_paths_agree(self, corpus, tmp_path, force_paths, stage):
-        """Run once with ``stage`` forced to each path: each run records
-        its path, and both give the same seen set, fetch order and
-        metrics."""
+    def test_one_and_four_parts_agree(self, corpus, tmp_path, monkeypatch):
+        """The bootstrap, the link admissions and the frontier backlog
+        in one part and in four key-hash parts (few rows per part on the
+        4-CPU test cluster) give the same seen set, fetch order and
+        metrics; each round records its parts."""
+        from vat_abcd_crawler_ray.ops import hashagg
+
+        runs = {}
+        for parts, rows_per_part in ((1, hashagg._ROWS_PER_PART), (4, 4)):
+            monkeypatch.setattr(hashagg, "_ROWS_PER_PART", rows_per_part)
+            run = _mk_run(corpus, tmp_path / str(parts))
+            run.run()
+            infos = run.manifest.round_infos()
+            assert infos[0]["bootstrap_parts"] == parts
+            assert {i["admission_parts"] for i in infos} - {0} == {parts}
+            backlog = {i["backlog_parts"] for i in infos} - {0}
+            if parts == 1:
+                assert backlog == {1}, backlog
+            else:  # the backlog's four parts plus the last admission's
+                assert max(backlog) > 4, backlog
+            runs[parts] = run
+        pd.testing.assert_frame_equal(_seen_table(runs[1]), _seen_table(runs[4]))
+        pd.testing.assert_frame_equal(_fetch_log(tmp_path / "1"), _fetch_log(tmp_path / "4"))
+        assert runs[1].metrics.as_dict() == runs[4].metrics.as_dict()
+
+    def _assert_stage_parts_agree(self, corpus, tmp_path, split_stages, stage):
+        """Run once with ``stage`` in one part on the driver and once in
+        four key-hash part tasks (four rows per part), every other stage
+        in one part: each run records the stage's parts, and both give
+        the same seen set, fetch order and metrics."""
         runs = {}
         for path in ("driver", "distributed"):
-            force_paths(**{stage: path})
+            if path == "distributed":
+                split_stages(4, stage)
             run = _mk_run(corpus, tmp_path / path)
             run.run()
-            recorded = [p[stage] for p in _round_paths(run) if stage in p]
-            assert recorded and set(recorded) == {path}
+            infos = run.manifest.round_infos()
+            for other in ("bootstrap", "admission", "backlog"):
+                recorded = {i[f"{other}_parts"] for i in infos if f"{other}_parts" in i} - {0}
+                if other == stage:
+                    assert recorded == {4 if path == "distributed" else 1}, (stage, recorded)
+                elif other != "backlog":  # the backlog also holds the admission's parts
+                    assert recorded == {1}, (other, recorded)
             runs[path] = run
         drv, dist = runs["driver"], runs["distributed"]
         pd.testing.assert_frame_equal(_seen_table(drv), _seen_table(dist))
@@ -163,36 +198,23 @@ class TestCrawl:
         )
         assert drv.metrics.as_dict() == dist.metrics.as_dict()
 
-    def test_one_and_four_backlog_parts_agree(self, corpus, tmp_path, monkeypatch):
+    def test_one_and_four_backlog_parts_agree(self, corpus, tmp_path, split_stages):
         """The frontier backlog pre-selected as one part and as four
-        key-hash parts (few rows per part on the 4-CPU test cluster)
-        gives the same seen set, fetch order and metrics."""
-        from vat_abcd_crawler_ray.ops import hashagg
+        key-hash parts gives the same seen set, fetch order and
+        metrics."""
+        self._assert_stage_parts_agree(corpus, tmp_path, split_stages, "backlog")
 
-        runs = {}
-        for parts, rows_per_part in ((1, hashagg._ROWS_PER_PART), (4, 4)):
-            monkeypatch.setattr(hashagg, "_ROWS_PER_PART", rows_per_part)
-            run = _mk_run(corpus, tmp_path / str(parts))
-            run.run()
-            recorded = {i["backlog_parts"] for i in run.manifest.round_infos()}
-            assert recorded - {0} == {parts}, recorded
-            runs[parts] = run
-        pd.testing.assert_frame_equal(_seen_table(runs[1]), _seen_table(runs[4]))
-        pd.testing.assert_frame_equal(_fetch_log(tmp_path / "1"), _fetch_log(tmp_path / "4"))
-        assert runs[1].metrics.as_dict() == runs[4].metrics.as_dict()
+    def test_driver_vs_distributed_admission(self, corpus, tmp_path, split_stages):
+        """The link admission in four part tasks (seen anti-filter,
+        first-wins and seq-surrogate numbering per key-hash part) must
+        produce the same run as the one-part admission on the driver."""
+        self._assert_stage_parts_agree(corpus, tmp_path, split_stages, "admission")
 
-    def test_driver_vs_distributed_admission(self, corpus, tmp_path, force_paths):
-        """The distributed link admission (shard-parallel seen
-        anti-filter + hash-combined first-wins + broadcast-rank
-        seq-surrogate assignment + Dataset-written frontier) must
-        produce the same run as the driver admission."""
-        self._assert_paths_agree(corpus, tmp_path, force_paths, "admission")
-
-    def test_driver_vs_distributed_bootstrap(self, corpus, tmp_path, force_paths):
-        """The streaming seed bootstrap (hash-combined first-wins +
-        broadcast-rank dense numbering, no driver DataFrame) must
-        produce the same run as the driver-side pandas bootstrap."""
-        self._assert_paths_agree(corpus, tmp_path, force_paths, "bootstrap")
+    def test_driver_vs_distributed_bootstrap(self, corpus, tmp_path, split_stages):
+        """The seed bootstrap in four part tasks (first-wins per key-hash
+        part, frontier 0 written as files) must produce the same run as
+        the one-part bootstrap on the driver."""
+        self._assert_stage_parts_agree(corpus, tmp_path, split_stages, "bootstrap")
 
     def test_kill_and_resume(self, corpus, tmp_path, full_run):
         rfull, full_dir = full_run
@@ -218,6 +240,29 @@ class TestCrawl:
             rres.manifest.published()["metrics"]
             == rfull.manifest.published()["metrics"]
         )
+
+    def test_kill_and_resume_at_four_parts(self, corpus, tmp_path, monkeypatch):
+        """Killed after round 0 and resumed, all at four parts: frontier
+        1, written by round 0's close, holds the admission parts'
+        robots-denied rows too (every denial of this corpus is a round-0
+        link), so the resumed run rebuilds the frontier the
+        uninterrupted run selected from and counts the same frontier
+        rows and denials."""
+        from vat_abcd_crawler_ray.ops import hashagg
+
+        monkeypatch.setattr(hashagg, "_ROWS_PER_PART", 4)
+        rfull = _mk_run(corpus, tmp_path / "full")
+        rfull.run()
+        s = Settings()
+        s.crawl.max_rounds = 1
+        _mk_run(corpus, tmp_path / "part", settings=s).run()
+        rres = _mk_run(corpus, tmp_path / "part")
+        rres.run(resume=True)
+        assert rres.manifest.round_info(0)["admission_parts"] == 4
+        assert rres.metrics.robots_denied > 0
+        pd.testing.assert_frame_equal(_seen_table(rfull), _seen_table(rres))
+        pd.testing.assert_frame_equal(_fetch_log(tmp_path / "full"), _fetch_log(tmp_path / "part"))
+        assert rres.metrics.as_dict() == rfull.metrics.as_dict()
 
     def test_resume_from_multi_shard_snapshots(self, corpus, tmp_path, full_run):
         """A run directory whose seen snapshots are in the layout of a
@@ -279,20 +324,18 @@ class TestCrawl:
         assert pub["metrics"]["fetched"] == run.metrics.fetched
         assert len(pub["rounds"]) == run.metrics.rounds
         # every group-closing entry names an existing snapshot of its
-        # last round; every round entry keeps the path each gated stage
-        # took (all driver-sized here), the backlog parts its selection
-        # reduced (one, or none), its stats and extract routes
+        # last round; every round entry keeps the parts its selection
+        # reduced and its admission took (one, or none), its stats and
+        # extract routes; round 0 the bootstrap's parts
         for r in pub["rounds"]:
             first, last = r["commit_group"]
             if r["round"] == last:
                 assert r["seen_snapshot"] == run.seen_dir(last)
                 assert os.path.isdir(r["seen_snapshot"])
                 assert "filter_buckets" in r["seen_tiers"]
-            want = {"admission": "driver"}
-            if r["stats"]["round"] == 0:
-                want["bootstrap"] = "driver"
-            assert r["paths"] == want
+            assert r.get("bootstrap_parts") == (1 if r["round"] == 0 else None)
             assert r["backlog_parts"] in (0, 1)
+            assert r["admission_parts"] in (0, 1)
             # every fetched page went through exactly one extract route
             docs = r["extract_docs"]
             assert set(docs) == {"kernel", "per_doc"}
@@ -392,11 +435,12 @@ class TestCrawl:
         committed_at_admission = {}
         admit = CrawlRun._admit
 
-        def spy(self, fx, rnd):
+        def spy(self, fx):
+            rnd = len(self.metrics.per_round)  # the rounds committed so far
             committed_at_admission[rnd] = [
                 r for r in range(rnd) if os.path.exists(self.manifest.round_path(r))
             ]
-            return admit(self, fx, rnd)
+            return admit(self, fx)
 
         monkeypatch.setattr(CrawlRun, "_admit", spy)
         run = _mk_run(corpus, tmp_path / "run")
@@ -524,27 +568,44 @@ def _write_corpus(corpus, urls: list[str], hosts: dict) -> str:
 
 @pytest.mark.usefixtures("ray_session")
 @pytest.mark.parametrize(
-    "route,parts", [("memory", 1), ("rebuild", 1), ("rebuild", 4)],
-    ids=["memory-1", "rebuild-1", "rebuild-4"],
+    "route,parts", [("memory", 1), ("bootstrap", 4), ("rebuild", 1), ("rebuild", 4)],
+    ids=["memory-1", "bootstrap-4", "rebuild-1", "rebuild-4"],
 )
-def test_all_robots_denied_round_completes(tmp_path, force_paths, monkeypatch, route, parts):
+def test_all_robots_denied_round_completes(tmp_path, monkeypatch, route, parts):
     """Regression: a frontier whose EVERY row is robots-denied selects
-    nothing, so the crawl ends cleanly with no round (as the sequential
-    oracle does) and counts every denial — checked on the driver
-    (``memory``: round 0 gets the seeds in memory) and in the backlog
-    part tasks (``rebuild``: the distributed bootstrap writes frontier
-    0, so round 0 rebuilds its backlog from the files in ``parts``)."""
+    nothing, so the crawl ends cleanly with no further round (as the
+    sequential oracle does) and counts every denial — checked on the
+    driver (``memory``: a one-part bootstrap hands round 0 the seeds in
+    memory), in the bootstrap's part tasks (``bootstrap``: four parts)
+    and in the backlog part tasks (``rebuild``: a resume rebuilds its
+    backlog in ``parts`` parts from a frontier dir whose every row the
+    resumed run's robots rules deny)."""
     from vat_abcd_crawler_ray.ops import hashagg
 
     urls = [f"https://deny.example.org/doc/{i}" for i in range(6)]
+    monkeypatch.setattr(hashagg, "_ROWS_PER_PART", -(-len(urls) // parts))
     # "/" denies every path
-    corpus = _write_corpus(tmp_path / "corpus", urls, {"deny.example.org": (8, "/")})
-    if route == "rebuild":
-        force_paths(bootstrap="distributed")
-        monkeypatch.setattr(hashagg, "_ROWS_PER_PART", -(-len(urls) // parts))
-    run = _mk_run(corpus, tmp_path / "run")
-    metrics = run.run()
-    assert metrics.fetched == 0 and metrics.rounds == 0
+    deny = {"deny.example.org": (8, "/")}
+    if route != "rebuild":
+        corpus = _write_corpus(tmp_path / "corpus", urls, deny)
+        run = _mk_run(corpus, tmp_path / "run")
+        metrics = run.run()
+        assert run.manifest.round_infos() == []
+        assert metrics.fetched == 0 and metrics.rounds == 0
+    else:
+        # a zero-budget host with no rule: round 0 fetches the one other
+        # page and leaves the six rows in frontier 1
+        ok = "https://ok.example.org/"
+        corpus = _write_corpus(
+            tmp_path / "corpus", urls + [ok],
+            {"deny.example.org": (0, ""), "ok.example.org": (1, "")},
+        )
+        _mk_run(corpus, tmp_path / "run").run()
+        _write_corpus(tmp_path / "denied", urls + [ok], {**deny, "ok.example.org": (1, "")})
+        shutil.copy(tmp_path / "denied" / "politeness.parquet", f"{corpus}/politeness.parquet")
+        run = _mk_run(corpus, tmp_path / "run")
+        metrics = run.run(resume=True)
+        assert metrics.fetched + metrics.fetch_misses == 1 and metrics.rounds == 1
     assert metrics.robots_denied == len(urls)
     assert run.manifest.published()["status"] == "published"
 

@@ -12,80 +12,74 @@ import os
 import pandas as pd
 import pytest
 
-from vat_abcd_crawler_ray.ops import hashagg
 from vat_abcd_crawler_ray.oracle.seqcrawl import sequential_crawl
 from parquet_dirs import read_parquet_dir
 from vat_abcd_crawler_ray.pipelines.crawl import CrawlRun
 from vat_abcd_crawler_ray.sources.synthetic import corpus_dir
 from vat_abcd_crawler_ray.state import seen_set
 
-GATED = ("bootstrap", "admission")
+STAGES = ("bootstrap", "admission", "backlog")
 
-# which stages each configuration forces down the distributed path
-FORCED = {
+# which stages each configuration splits into key-hash parts of 20 rows:
+# this corpus's 137 seeds give 4 bootstrap parts on the 4-CPU test
+# cluster, its admissions (75-350 surviving links) 4, and its backlogs
+# 3 and 4, so the rests are re-split as P changes ("distributed": every
+# stage at once, the first-wins and project kernels as part tasks)
+SPLIT = {
     "auto": (),
-    "distributed": GATED,
+    "distributed": STAGES,
     "bootstrap": ("bootstrap",),
-    "partitioned": (),
+    "partitioned": ("backlog",),
     "admission": ("admission",),
     # the seen set's prefilter starts at 64 slots and must grow
-    # mid-crawl (457 keys); with every stage distributed the set's block
-    # methods run too. (The names are kept from the sharded seen set:
-    # one driver-held set is now its only layout.)
+    # mid-crawl (457 keys). (The names are kept from the sharded seen
+    # set: one driver-held set is now its only layout.)
     "one_shard": (),
-    "one_shard_distributed": GATED,
+    "one_shard_partitioned": STAGES,
 }
-SMALL_FILTER = ("one_shard", "one_shard_distributed")
-# configurations whose frontier backlog splits into key-hash parts: 20
-# rows per part gives this corpus's backlogs (50-300 rows) 3 and 4
-# parts on the 4-CPU test cluster, so the rests are re-split as P
-# changes; "distributed" rebuilds the backlog from the frontier files
-# every round (its bootstrap and admission write them as a Dataset)
-PARTITIONED = ("partitioned", "distributed")
+SMALL_FILTER = ("one_shard", "one_shard_partitioned")
 
 
 @pytest.mark.usefixtures("ray_session")
-@pytest.mark.parametrize("modes", list(FORCED))
+@pytest.mark.parametrize("modes", list(SPLIT))
 def test_distributed_crawl_matches_sequential_reference(
-    tmp_path, force_paths, auto_run, monkeypatch, modes
+    tmp_path, auto_run, monkeypatch, split_stages, modes
 ):
-    """Each configuration forces its stages down the distributed path
-    through the size rule (``modes="distributed"``: EVERY gated stage
-    at once — the full distributed spine, including the hash-combined
-    first-wins of bootstrap and admission, with the backlog rebuilt
-    from the frontier files in several parts) and is checked against
-    the independent oracle and against the auto run's metrics."""
+    """Each configuration splits its stages into several key-hash parts
+    and is checked against the independent oracle and against the auto
+    run's metrics."""
     corpus = corpus_dir("/root/testdata/sf0.001")
     seq_log, seq_seen, _ds, _li, _er, _un = sequential_crawl(corpus)
 
     if modes == "auto":
         run = auto_run(corpus)
     else:
-        force_paths(**{stage: "distributed" for stage in FORCED[modes]})
         if modes in SMALL_FILTER:
             monkeypatch.setattr(seen_set, "FILTER_CAPACITY", 64)
-        if modes in PARTITIONED:
-            monkeypatch.setattr(hashagg, "_ROWS_PER_PART", 20)
+        split_stages(20, *SPLIT[modes])
         run = _crawl(corpus, str(tmp_path / "run"))
         assert run.metrics.as_dict() == auto_run(corpus).metrics.as_dict()
     if modes in SMALL_FILTER:
         tiers = run.manifest.round_info(run.manifest.last_complete_round())["seen_tiers"]
         assert tiers["filter_buckets"] > 32  # grew from 64 slots (32 buckets)
-    # every committed round records the path each gated stage took
-    # and the parts its backlog was left in
+    # every committed round records the parts its backlog and its
+    # admission took, round 0 also the bootstrap's
     infos = run.manifest.round_infos()
-    for r, info in enumerate(infos):
-        paths = info["paths"]
-        assert set(paths) <= set(GATED), paths
-        for stage in paths:
-            want = "distributed" if stage in FORCED[modes] else "driver"
-            assert paths[stage] == want, (r, stage, paths)
-    assert "bootstrap" in infos[0]["paths"]
-    parts = {i["backlog_parts"] for i in infos} - {0}
-    if modes in PARTITIONED:
-        assert max(parts) == 4 and len(parts) >= 2, parts
+    assert "paths" not in infos[0]
+    assert all("bootstrap_parts" not in i for i in infos[1:])
+    split = SPLIT[modes]
+    bootstrap = infos[0]["bootstrap_parts"]
+    admission = {i["admission_parts"] for i in infos} - {0}
+    backlog = {i["backlog_parts"] for i in infos} - {0}
+    assert bootstrap == (4 if "bootstrap" in split else 1)
+    if "admission" in split:
+        assert max(admission) >= 2, admission
     else:
-        assert parts == {1}, parts
+        assert admission == {1}, admission
+    if "backlog" in split:
+        assert len(backlog) >= 2, backlog
+    elif not split:
+        assert backlog == {1}, backlog
 
     # seen set: identical keys, surrogates, first_seqs
     dist_seen = run.seen.to_table().to_pandas()
@@ -146,8 +140,9 @@ def _crawl(corpus: str, run_dir: str) -> CrawlRun:
 
 @pytest.fixture(scope="module")
 def auto_run(tmp_path_factory):
-    """``auto_run(corpus)``: the unforced run every forced configuration
-    must equal, crawled once per module by the first test that asks."""
+    """``auto_run(corpus)``: the default-settings run every other
+    configuration must equal, crawled once per module by the first test
+    that asks."""
     cache = {}
 
     def get(corpus: str) -> CrawlRun:

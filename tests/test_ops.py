@@ -328,40 +328,32 @@ class TestOps:
         pd.testing.assert_frame_equal(got[["host", "priority", "seq"]], want[["host", "priority", "seq"]])
 
 
-@pytest.mark.usefixtures("ray_session")
-@pytest.mark.parametrize("parts", [None, 1, 3, 8])
-def test_firstwins_winner_vals_matches_pandas(parts):
-    """winner_vals: winning vals = min val per key and stats honest,
-    for the default (volume-derived) and several explicit hash-combine
-    partition counts, with an empty block among the inputs; rank_in
-    gives the dense ranks."""
+@pytest.mark.parametrize("parts", [1, 3, 8])
+def test_first_wins_matches_pandas_groupby_min(parts):
+    """The crawl's first-wins kernel over the key-hash parts of the
+    rows (an empty table among the inputs): each key's survivor is its
+    row with the least ``ordv`` — pandas ``groupby.min`` — carrying its
+    own columns, and each part's survivors come in ``ordv`` order."""
     import pyarrow as pa
-    import ray
 
-    from vat_abcd_crawler_ray.ops.firstwins import rank_in, winner_vals
+    from vat_abcd_crawler_ray.ops.hashagg import split_table
+    from vat_abcd_crawler_ray.pipelines.crawl import first_wins
 
     rng = np.random.default_rng(7)
     keys = rng.integers(0, 300, size=2_000)
     vals = rng.permutation(10_000)[:2_000]  # globally unique
-    tables = [
-        pa.table({"key": keys[i::4], "ordv": vals[i::4]}) for i in range(4)
-    ] + [pa.table({"key": pa.array([], pa.int64()),
-                   "ordv": pa.array([], pa.int64())})]
-    refs = [ray.put(t) for t in tables]
-    win, stats = winner_vals(refs, parts=parts)
-
-    expect = (
-        pd.DataFrame({"key": keys, "ordv": vals})
-        .groupby("key")["ordv"].min().sort_values().to_numpy()
+    rows = pa.concat_tables(
+        [pa.table({"key": keys, "ordv": vals, "tag": vals * 10}),
+         pa.table({"key": pa.array([], pa.int64()), "ordv": pa.array([], pa.int64()),
+                   "tag": pa.array([], pa.int64())})]
     )
-    assert stats["raw_rows"] == 2_000
-    assert stats["vmax"] == int(vals.max())
-    np.testing.assert_array_equal(win, expect)
-    # rank_in: dense ranks equal positions in the sorted winner array
-    keep, rank = rank_in(win, vals)
-    np.testing.assert_array_equal(np.sort(vals[keep]), expect)
-    np.testing.assert_array_equal(np.sort(rank), np.arange(len(expect)))
-    assert rank_in(np.empty(0, dtype=np.int64), vals)[0].size == 0
-    # all-empty input: no winners, vmax −1
-    win, stats = winner_vals([refs[-1]], parts=parts)
-    assert win.size == 0 and stats == {"raw_rows": 0, "vmax": -1}
+    won = [first_wins(part, "ordv") for part in split_table(rows, "key", parts)]
+    for t in won:
+        assert (np.diff(t["ordv"].to_numpy()) > 0).all()
+    got = pa.concat_tables(won).to_pandas().sort_values("key").reset_index(drop=True)
+    expect = (
+        pd.DataFrame({"key": keys, "ordv": vals}).groupby("key", as_index=False)["ordv"].min()
+    )
+    pd.testing.assert_frame_equal(got[["key", "ordv"]], expect)
+    assert (got["tag"] == got["ordv"] * 10).all()
+    assert first_wins(rows.slice(0, 0), "ordv").num_rows == 0

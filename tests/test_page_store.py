@@ -97,6 +97,20 @@ class TestPageStore:
         assert got["html"].to_pylist() == [f"{u}#{i}".encode()
                                            for u, i in ((urls[5], 5), (urls[0], 0), (urls[99], 19))]
 
+    def test_empty_file_is_skipped(self, tmp_path):
+        """A corpus file with no rows neither breaks the store nor takes
+        a url range: next to a one-row file, every url is found (and the
+        url-sorted check still runs over the files with rows)."""
+        urls = ["https://a.org/", "https://b.org/"]
+        path = _write_pages(tmp_path / "pages", [urls[:1], [], urls[1:]])
+        store = PageStore(path)
+        assert len(store.files) == 2
+        assert sorted(_fetch(store, urls[::-1])["url"].to_pylist()) == urls
+        one = _write_pages(tmp_path / "one", [urls[:1], []])
+        assert _fetch(PageStore(one), urls)["url"].to_pylist() == urls[:1]
+        with pytest.raises(ValueError, match="globally url-sorted"):
+            PageStore(_write_pages(tmp_path / "unsorted", [urls[1:], [], urls[:1]]))
+
     def test_unsorted_corpus_raises(self, tmp_path):
         path = _write_pages(tmp_path / "pages", [["https://b.org/"], ["https://a.org/"]])
         with pytest.raises(ValueError, match="globally url-sorted"):

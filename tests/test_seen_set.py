@@ -9,21 +9,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import pyarrow as pa
-import ray
-import ray.data as rd
-
-from vat_abcd_crawler_ray.ops.blocks import block_refs
 from vat_abcd_crawler_ray.state import seen_set
 from vat_abcd_crawler_ray.state.cuckoo import CuckooFilter
 from vat_abcd_crawler_ray.state.seen_set import SeenSet
 
 
-def _unseen_keys(ss: SeenSet, ds: "rd.Dataset") -> list:
-    """Sorted keys of ``ds``'s rows the seen set has not committed,
-    through the block-at-a-time anti-filter over its block refs."""
-    refs = ss.filter_unseen_refs(block_refs(ds.materialize()))
-    return sorted(pa.concat_tables(ray.get(refs))["key"].to_pylist())
+def _unseen_keys(ss: SeenSet, keys: np.ndarray) -> list:
+    """Sorted ``keys`` the seen set has not committed: the mask
+    ``offer_batch`` returns (the crawl's seen filter)."""
+    keys = np.asarray(keys, dtype=np.int64)
+    return sorted(keys[ss.offer_batch(keys, np.arange(len(keys)))].tolist())
 
 
 class TestCuckoo:
@@ -235,23 +230,15 @@ class TestShardedSeenSet:
         assert fresh.tolist() == [False, True]
 
     def test_filter_unseen_dataset(self):
-        import pandas as pd
-
         ss = SeenSet(1024)
         ss.offer_batch(np.array([10, 20, 30]), np.array([0, 1, 2]))
         ss.commit_round()
-        cand = rd.from_pandas(
-            pd.DataFrame({"key": np.array([10, 15, 20, 25], dtype=np.int64),
-                          "x": [1, 2, 3, 4]})
-        ).repartition(2)
-        assert _unseen_keys(ss, cand) == [15, 25]
+        assert _unseen_keys(ss, [10, 15, 20, 25]) == [15, 25]
 
     def test_filter_unseen_dataset_randomized(self):
         """Randomized parity vs a plain Python set, at a key volume
         where the cuckoo prefilter sees real load (and occasional
-        false positives must fall through to the exact dict)."""
-        import pandas as pd
-
+        false positives must fall through to the exact runs)."""
         rng = np.random.RandomState(1234)
         seen_keys = np.unique(
             rng.randint(0, 1 << 40, size=20_000).astype(np.int64)
@@ -267,12 +254,9 @@ class TestShardedSeenSet:
             [rng.choice(seen_keys, 8_000), fresh, fresh[:500]]
         )
         rng.shuffle(cand_keys)
-        cand = rd.from_pandas(
-            pd.DataFrame({"key": cand_keys, "x": np.arange(len(cand_keys))})
-        ).repartition(5)
         seen = set(seen_keys.tolist())
         expect = sorted(int(k) for k in cand_keys if int(k) not in seen)
-        assert _unseen_keys(ss, cand) == expect
+        assert _unseen_keys(ss, cand_keys) == expect
 
     def test_delta_snapshot_chain_restore(self, tmp_path):
         """full@r0 + delta@r1 + delta@r2 must restore to exactly the
@@ -408,15 +392,12 @@ class TestSpillTier:
              rng.randint(1 << 41, 1 << 42, size=500).astype(np.int64)]
         )
         np.testing.assert_array_equal(ss.lookup(probe), ref.lookup(probe))
-        # the distributed anti-filter resolves via the run probes
+        # the seen filter resolves via the run probes
         cand_keys = np.concatenate(
             [all_keys[0][:1000],
              rng.randint(1 << 41, 1 << 42, size=1000).astype(np.int64)]
         )
-        cand = rd.from_pandas(
-            pd.DataFrame({"key": cand_keys, "x": np.arange(len(cand_keys))})
-        ).repartition(3)
-        assert _unseen_keys(ss, cand) == _unseen_keys(ref, cand)
+        assert _unseen_keys(ss, cand_keys) == _unseen_keys(ref, cand_keys)
         # full dump equality (to_table sorts by surrogate)
         pd.testing.assert_frame_equal(
             ss.to_table().to_pandas(), ref.to_table().to_pandas()

@@ -513,13 +513,14 @@ def main(argv: list[str] | None = None) -> int:
     c = sub.add_parser(
         "crawl",
         help="run the full crawl pipeline",
-        description="Run the crawl. Seed bootstrap and link admission "
-                    "each run on the driver up to "
-                    "pipelines.crawl.DRIVER_ROWS_MAX observed rows and "
-                    "distributed above it; selection pre-sorts the "
-                    "frontier backlog in key-hash parts sized from its "
-                    "row count. Each round's MANIFEST info records the "
-                    "path every gated stage took and the backlog parts.",
+        description="Run the crawl. Seed bootstrap, link admission "
+                    "and the frontier backlog's pre-selection each run "
+                    "in key-hash parts sized from the rows they see: "
+                    "one part up to about a million rows or on one "
+                    "CPU, and a one-part bootstrap or admission runs "
+                    "on the driver. Each round's MANIFEST info records "
+                    "its backlog and admission parts, round 0's also "
+                    "the bootstrap's.",
     )
     c.add_argument("--pages", required=True)
     c.add_argument("--seeds", required=True)

@@ -25,8 +25,9 @@ tasks and Arrow kernels:
 
 Used by the dedup family (``pipelines/dedup.py``: the exact-copy
 finder's digest partitions, MinHash's hot-rep combine and the
-hot-bucket combine), by substring dedup, by the crawl's first-wins
-(``ops/firstwins.py``) and by the crawl's partitioned frontier backlog.
+hot-bucket combine), by substring dedup, and by the crawl, whose seed
+bootstrap, link admission and frontier backlog are key-hash parts of
+``partition_refs`` sized by ``combine_parts``.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ Maps the reference's sequential harvest loop
 | sequential per-dataset loop        | per-host budgeted rounds            |
 | FileDownloader + cache recovery    | fetch = url lookup in the pages     |
 |                                    | table; misses → dead-letter rows    |
-| AbcdParser per XML                 | ExtractStage actor pool             |
+| AbcdParser per XML                 | fused extract task per fetch chunk  |
 | COPY into temp schema              | staged parquet per commit group     |
 | schema swap                        | MANIFEST.json atomic rename         |
 
@@ -31,18 +31,23 @@ candidates ∪ new links, never the accumulated frontier. The backlog is
 P key-hash parts, P = ``ops.hashagg.combine_parts(backlog rows)`` (one
 part below a million rows), one pre-selection task each; a key-hash
 split cannot skew on a mega-host, and each round's info records
-``backlog_parts``. A round with no in-memory hand-off (a resume, or a
-round after a distributed stage wrote frontier rows the driver never
-saw) rebuilds the backlog from the frontier directory's files by the
-same exchange: read tasks, ``partition_refs``, part tasks.
+``backlog_parts``. A round with no in-memory hand-off (a resume)
+rebuilds the backlog from the frontier directory's files by the same
+exchange: read tasks, ``partition_refs``, part tasks.
 
-Bootstrap and admission each have two equivalent implementations
-(tested identical); :func:`stage_path` picks one from the row count the
-stage observes, and each committed round's info records the path taken
-(``paths``, outside ``stats``): **driver** (vectorized Arrow, fastest
-below ~2M rows) or **distributed** (the scale path; both share one
-first-wins skeleton, ``_first_wins_frontier``, and write their frontier
-rows as a Dataset).
+Seed bootstrap and link admission have ONE path each, on that same
+exchange (:meth:`CrawlRun._admit_first_wins`): the keyed rows go
+through ``partition_refs`` into P = ``combine_parts(rows)`` key-hash
+parts; per part, the first-wins kernel (:func:`first_wins`, min
+``seq`` for seeds, min ``ordv`` for links — exact, since every copy of
+a key lands in the same part) hands the driver only its survivors'
+(key, val) arrays; the driver numbers them against the seen set; and
+the project kernel (:func:`frontier_rows`) turns each part's survivors
+into frontier rows that are pre-selected like a backlog part and join
+it. At P = 1 the two kernels run in the driver on the pulled rows, so
+no task is added, and the admitted links are the in-memory hand-off.
+Round 0's info records ``bootstrap_parts``, every round's
+``admission_parts``.
 
 Every round is four steps (``CrawlRun._round``): **select** the
 politeness-bounded winners, **fetch → extract → project** them in ONE
@@ -71,24 +76,14 @@ built from it) is POLITENESS-BOUNDED — at most Σ(per-host budget) rows
 per round regardless of frontier or corpus size — so holding it as a
 driver Arrow table is a config-bounded cost, not a data-scaled one. The
 unbounded collections (frontier, links, extracted rows, seen set)
-never materialize on the driver: the frontier backlog stays in the
-object store as parts (and on disk once its group closes), links
-arrive pre-deduplicated per fused task and above the size gate never
-leave the object store (``_admit_distributed``), extracted records
-wait in the object store (never pulled by the driver) for their
-group's writer task, and the seen set, held in the
-driver, keeps its committed runs as arrays that spill to memmapped
-disk runs (its block methods take one block at a time).
-
-First-wins in the distributed bootstrap and admission has ONE
-implementation, :func:`ops.firstwins.winner_vals`: per-block partial
-mins, a hash-partitioned combine (``ops.hashagg.hot_combine``), then a
-broadcast of the sorted winner array. The driver holds that array, 8 B
-per winning key: at admission at most Σ(host budget) ×
-``link_cap_per_page`` keys per round, at distributed bootstrap one per
-distinct seed. The seen-set round commit itself is driver-side: every
-caller offers it at most the gate's row count (the distributed stages
-bulk-load the set from the frontier blocks instead).
+never materialize on the driver above one part: the frontier backlog
+stays in the object store as parts (and on disk once its group
+closes), links arrive pre-deduplicated per fused task and, split into
+parts, leave only their survivors' keys and vals (16 B per survivor)
+to the driver, extracted records wait in the object store (never
+pulled by the driver) for their group's writer task, and the seen set,
+held in the driver, keeps its committed runs as arrays that spill to
+memmapped disk runs.
 """
 
 from __future__ import annotations
@@ -105,11 +100,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
-import ray.data
 
 from ..config import Settings
 from ..functions.urlkeys import key_urls
-from ..ops.blocks import block_refs
 from ..ops.hashagg import combine_parts, partition_refs, split_table
 from ..stages.extract import (
     RECORD_DATASET,
@@ -131,10 +124,7 @@ _FRONTIER_SCHEMA = pa.schema([
 ])
 FRONTIER_COLS = _FRONTIER_SCHEMA.names
 
-# typed empty frontier block — the fused admission/bootstrap finalize
-# emits it for schemaless empty inputs (sort/shuffle ops produce
-# them), so every output block carries the same schema and Ray never
-# logs a block-schema-mismatch warning
+# typed empty frontier: what a selection over no rows ranks
 _EMPTY_FRONTIER = _FRONTIER_SCHEMA.empty_table()
 
 
@@ -148,7 +138,14 @@ def keyed_frontier_batch(batch: pa.Table) -> pa.Table:
     )
 
 
-_key_frontier_chunk = ray.remote(num_cpus=1)(keyed_frontier_batch)
+@ray.remote(num_cpus=1, num_returns=2)
+def _key_seed_chunk(chunk: list) -> tuple:
+    """Read one chunk of seed row groups (``[(file, [row group, ...]),
+    ...]``) and key it: returns (its max seq, the keyed rows)."""
+    t = keyed_frontier_batch(
+        pa.concat_tables([pq.ParquetFile(f).read_row_groups(rgs) for f, rgs in chunk])
+    )
+    return pc.max(t["seq"]).as_py(), t
 
 
 def _parquet_files(path: str) -> list[str]:
@@ -161,6 +158,30 @@ def _parquet_files(path: str) -> list[str]:
         for f in files
         if f.endswith(".parquet")
     )
+
+
+def _seed_chunks(path: str, n: int) -> tuple[list, int]:
+    """The seed files' non-empty row groups, in file order, cut into at
+    most ``n`` chunks of about equal rows (none below 2048 rows unless
+    the whole list is), and the total rows — footer metadata only, no
+    data pages read."""
+    groups = []
+    for f in _parquet_files(path):
+        md = pq.ParquetFile(f).metadata
+        groups += [(f, i, md.row_group(i).num_rows) for i in range(md.num_row_groups)]
+    rows = sum(g[2] for g in groups)
+    n = max(1, min(n, rows // 2048))
+    chunks, start = [[] for _ in range(n)], 0
+    for f, i, r in groups:
+        if not r:
+            continue
+        chunk = chunks[start * n // rows]
+        if chunk and chunk[-1][0] == f:
+            chunk[-1][1].append(i)
+        else:
+            chunk.append((f, [i]))
+        start += r
+    return [c for c in chunks if c], rows
 
 
 def _count_parquet_rows(path: str) -> int:
@@ -211,24 +232,11 @@ def _robots_denied(t: pa.Table, robots: dict) -> np.ndarray:
     return denied
 
 
-# The one size gate: a stage whose observed row count is above it runs
-# distributed — the way adaptive query execution picks broadcast vs
-# shuffle from sizes seen at run time, not from user hints ("Adaptive
-# and Robust Query Execution for Lakehouses At Scale", VLDB 2024).
-DRIVER_ROWS_MAX = 2_000_000
-
-
-# A commit group closes once its buffered record bytes reach this (a
-# size seen at run time, like the gate above)
+# A commit group closes once its buffered record bytes reach this: a
+# size seen at run time, as the part counts are sized from the rows
+# seen at run time ("Adaptive and Robust Query Execution for Lakehouses
+# At Scale", VLDB 2024)
 GROUP_BYTES_MAX = 64 << 20
-
-
-def stage_path(stage: str, rows: int) -> str:
-    """``"driver"`` or ``"distributed"`` for a gated crawl stage
-    (``bootstrap`` | ``admission``) that observed ``rows``
-    input rows. Every gate in this module goes through here, so tests
-    force a stage's path by monkeypatching this one function."""
-    return "distributed" if rows > DRIVER_ROWS_MAX else "driver"
 
 
 def top_budget(t: pa.Table, budgets: dict, default_budget: int):
@@ -260,9 +268,51 @@ def top_budget(t: pa.Table, budgets: dict, default_budget: int):
 
 # ordv = parent_seq * SCALE + link_idx packs the (seq, link_idx)
 # discovery order into ONE int64 (link_idx < link_cap_per_page ≤ 2^20
-# by config, validated at CrawlRun construction) — a single sort key
-# for first-wins dedup on both admission paths
+# by config, validated at CrawlRun construction) — the single sort key
+# of link first-wins
 LINK_ORD_SCALE = 1 << 20
+
+
+def _first_wins_rows(t: pa.Table, val: str) -> np.ndarray:
+    """The positions of :func:`first_wins`'s rows in ``t``."""
+    order = np.argsort(t[val].to_numpy(), kind="stable")
+    return order[~pd.Series(t["key"].to_numpy()[order]).duplicated().to_numpy()]
+
+
+def first_wins(t: pa.Table, val: str) -> pa.Table:
+    """First-wins (the first sight of a key claims it,
+    ``surrogate_key.rs:16-41``): per ``key``, the row of ``t`` with the
+    least ``val``, in ``val`` order. ``val`` is unique (seed ``seq``,
+    link ``ordv``), so the result is exact over any key-hash part of the
+    rows: every copy of a key lands in the same part."""
+    return t.take(pa.array(_first_wins_rows(t, val), pa.int64()))
+
+
+def frontier_rows(t: pa.Table, rank: np.ndarray, seq_base: int, surr_base: int) -> pa.Table:
+    """The frontier rows of ``t`` (keyed seed rows, or link rows, which
+    carry ``link_url``) numbered by ``rank``, a first-wins survivor's
+    position among the admitted (−1: not admitted, or not a survivor):
+    surrogate = ``surr_base`` + rank; a link's seq = ``seq_base`` +
+    rank, a seed keeps its own."""
+    keep = np.flatnonzero(rank >= 0)
+    t, rank = t.take(pa.array(keep, pa.int64())), rank[keep]
+    link = "link_url" in t.column_names
+    return pa.table(
+        {
+            "url": t["link_url" if link else "url"],
+            "canonical_url": t["canonical_url"],
+            "key": t["key"],
+            "host": t["host"],
+            "priority": t["priority"],
+            "seq": pa.array(seq_base + rank) if link else t["seq"],
+            "surrogate": pa.array(surr_base + rank),
+        }
+    )
+
+
+def _write_frontier(t: pa.Table, path: str) -> None:
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    pq.write_table(t, path)
 
 
 def _project_tables(prio_lookup, tables: dict[str, pa.Table]):
@@ -275,7 +325,7 @@ def _project_tables(prio_lookup, tables: dict[str, pa.Table]):
     child ``priority`` (0.5 × parent priority, resolved here from the
     politeness-bounded winner map ``prio_lookup`` = (sorted parent
     seqs, parent priorities), shipped once per round via ``ray.put``)
-    — so neither admission path needs a later pass to attach them.
+    — so admission needs no later pass to attach them.
     """
     wseqs, wprio = prio_lookup
     got_t = pa.concat_tables(
@@ -301,16 +351,10 @@ def _project_tables(prio_lookup, tables: dict[str, pa.Table]):
         }
     )
     n_raw = link_t.num_rows  # pre-dedup discovery count (the metric)
-    # partial key-dedup REMOTELY (min ordv per key — min of per-task
-    # mins is the global min, so the driver's final dedup sees only
-    # each task's survivors instead of every duplicate discovery)
-    if link_t.num_rows:
-        order = np.argsort(
-            link_t["ordv"].to_numpy(zero_copy_only=False), kind="stable"
-        )
-        keys = link_t["key"].to_numpy(zero_copy_only=False)[order]
-        first = ~pd.Series(keys).duplicated().to_numpy()
-        link_t = link_t.take(pa.array(order[first], pa.int64()))
+    # partial first-wins REMOTELY (min of per-task mins is the global
+    # min, so admission sees only each task's survivors instead of
+    # every duplicate discovery)
+    link_t = first_wins(link_t, "ordv")
     return got_t, link_t, n_raw, link_t.num_rows
 
 
@@ -369,15 +413,15 @@ def _extract_project_chunk(stage, prio_lookup, batch_size: int, chunk: pa.Table,
 def _write_group(
     out_dir: str, front_dir: str, misses: list, links, n_parts: int, *inputs
 ) -> dict:
-    """A commit group's one writer. ``inputs`` are the cand and rest of
-    each of the ``n_parts`` backlog parts, then the group's record
-    buffers. The record buffers (plus the fetch-miss rows, error schema)
-    become ONE zstd part per non-empty record type,
+    """A commit group's one writer. ``inputs`` are the cand, rest and
+    robots-denied rows of each of the ``n_parts`` backlog parts, then
+    the group's record buffers. The record buffers (plus the fetch-miss
+    rows, error schema) become ONE zstd part per non-empty record type,
     ``out_dir/record_type=X/part-00000.parquet``, and the next frontier
     (``links`` and the parts) goes into ``front_dir``. Fixed names, so a
     re-run overwrites its own files. Returns the files and bytes written
     per record type."""
-    backlog, records = inputs[: 2 * n_parts], inputs[2 * n_parts :]
+    backlog, records = inputs[: 3 * n_parts], inputs[3 * n_parts :]
     tables = {rt: [] for rt in RECORD_TYPES}
     for buf in records:
         reader = pa.BufferReader(buf)
@@ -394,29 +438,20 @@ def _write_group(
             written[rt] = {"files": 1, "bytes": os.path.getsize(path)}
     frontier = [("links", links)]
     for p in range(n_parts):
-        frontier += [(f"cand-{p:05d}", backlog[2 * p]), (f"rest-{p:05d}", backlog[2 * p + 1])]
+        frontier += [
+            (f"{tag}-{p:05d}", t)
+            for tag, t in zip(("cand", "rest", "denied"), backlog[3 * p : 3 * p + 3])
+        ]
     for tag, t in frontier:
         if t is not None and t.num_rows:
-            os.makedirs(front_dir, exist_ok=True)
-            pq.write_table(
-                t.select(FRONTIER_COLS), os.path.join(front_dir, f"{tag}.parquet")
-            )
+            _write_frontier(t.select(FRONTIER_COLS), os.path.join(front_dir, f"{tag}.parquet"))
     return written
 
 
-@ray.remote(num_cpus=1, num_returns=3)
-def _preselect_backlog(
-    losers: pa.Table | None, budgets: dict, default_budget: int, robots: dict,
-    *rows: pa.Table,
-):
-    """NEXT-round pre-selection of ONE backlog part, run remotely DURING
-    the current round's extract (the round-pipelining that removes the
-    per-round frontier sort from the driver's serial path).
-
-    part = ``rows`` (the part's share of the previous pre-selections'
-    remainders, passed by ref) ∪ ``losers`` (its share of the current
-    round's selection losers). Split it per host by the same (priority
-    desc, seq) ordering the selection uses:
+def _preselect(backlog: pa.Table, budgets: dict, default_budget: int, robots: dict):
+    """Pre-selection of ONE backlog part for the next selection: drop the
+    rows the ``robots`` rules deny, then split the rest per host by the
+    same (priority desc, seq) ordering the selection uses:
 
     - ``cand``  = per-host top-budget — returned to the driver.
       Exactness lemma, for ANY split of the backlog into parts:
@@ -428,25 +463,61 @@ def _preselect_backlog(
       a config-bounded cost.
     - ``rest``  = the remainder, returned by ref.
 
-    A group's close writes both into the next frontier dir. Robots
-    rules are NOT re-applied in a pipelined round (``robots`` empty):
-    every backlog row already passed the selection robots gate in the
-    round that deferred it (links are checked before they can become
-    losers), so the backlog is robots-clean by invariant. The exception
-    is a rebuild from the frontier directory, whose files also hold
-    admitted links never checked: it passes the run's rules, and since
-    a checked row is never denied, the denied count stays exact.
-
-    Returns ``cand``, (rest rows, robots-denied rows), ``rest``.
-    """
-    backlog = pa.concat_tables(
-        [t for t in (*rows, losers) if t is not None], promote_options="default"
-    )
+    Returns ``cand``, (rest rows, robots-denied rows), ``rest`` and the
+    denied rows (None when there are none). A group's close writes cand,
+    rest and the denied rows into the next frontier dir, so the dir
+    holds the frontier before the robots gate, as a resume that rebuilds
+    from it counts it."""
     denied = _robots_denied(backlog, robots)
+    gone = None
     if denied.any():
-        backlog = backlog.filter(~denied)
+        backlog, gone = backlog.filter(~denied), backlog.filter(denied)
     cand, rest = top_budget(backlog, budgets, default_budget)
-    return cand, (rest.num_rows, int(denied.sum())), rest
+    return cand, (rest.num_rows, int(denied.sum())), rest, gone
+
+
+@ray.remote(num_cpus=1, num_returns=4)
+def _preselect_backlog(budgets: dict, default_budget: int, robots: dict, *rows: pa.Table):
+    """:func:`_preselect` of ONE backlog part, run remotely DURING the
+    current round's extract (the round-pipelining that removes the
+    per-round frontier sort from the driver's serial path). The part is
+    ``rows``: its share of the previous pre-selections' remainders,
+    passed by ref, and of the current round's selection losers.
+
+    Robots rules are NOT re-applied in a pipelined round (``robots``
+    empty): every backlog row already passed the selection robots gate
+    in the round that deferred it (links are checked before they can
+    become losers), so the backlog is robots-clean by invariant. The
+    exception is a rebuild from the frontier directory, whose files also
+    hold admitted links no selection has checked and the rows admission
+    parts denied but no selection has counted: it passes the run's
+    rules, and since a row a selection has passed is never denied, the
+    denied count stays exact."""
+    return _preselect(pa.concat_tables(rows, promote_options="default"),
+                      budgets, default_budget, robots)
+
+
+@ray.remote(num_cpus=1, num_returns=2)
+def _first_wins_part(val: str, *rows: pa.Table):
+    """:func:`first_wins` over one key-hash part: returns its survivors'
+    (key, val) arrays, all the driver pulls, and the survivors, kept by
+    ref."""
+    t = first_wins(pa.concat_tables(rows), val)
+    return (t["key"].to_numpy(), t[val].to_numpy()), t
+
+
+@ray.remote(num_cpus=1, num_returns=4)
+def _frontier_part(survivors: pa.Table, rank: np.ndarray, seq_base: int, surr_base: int,
+                   budgets: dict, default_budget: int, robots: dict, path: str | None):
+    """One part's admitted rows as a backlog part: the
+    :func:`frontier_rows` of its ``survivors`` by their ``rank`` (the
+    part's own ranks only), written to ``path`` when given (frontier 0),
+    then :func:`_preselect` with the run's robots rules (admitted rows
+    have passed no robots gate yet)."""
+    front = frontier_rows(survivors, rank, seq_base, surr_base)
+    if path is not None:
+        _write_frontier(front, path)
+    return _preselect(front, budgets, default_budget, robots)
 
 
 @dataclass
@@ -561,16 +632,14 @@ class CrawlRun:
         self._group: _Group | None = None  # the open commit group
         self._pending_commit: tuple | None = None  # the closed one's entry
         self.phase_times: list[dict] = []
-        self._bootstrap_path: str | None = None  # recorded in round 0's info
+        self._bootstrap_parts = 0  # recorded in round 0's info
         # round-pipelining state: the in-flight backlog pre-selection
-        # (one [cand_ref, counts_ref, rest_ref] per backlog part,
-        # submitted before extract so it overlaps it), the previous
-        # round's admitted links kept in memory, and the rebuild flag
-        # set when a distributed stage wrote next-frontier rows the
-        # driver never saw
+        # (one [cand, counts, rest, denied] ref list per backlog part:
+        # the parts submitted before extract, so they overlap it, and
+        # the parts of a bootstrap or admission above one part) and the
+        # admitted links of a one-part admission, kept in memory
         self._preselect: list | None = None
         self._next_links: pa.Table | None = None
-        self._full_read_next = False
 
     def _stage_ref(self):
         """The extract stage in the object store, put ONCE per run —
@@ -602,133 +671,119 @@ class CrawlRun:
     def seen_dir(self, rnd: int) -> str:
         return self._p("seen", f"round={rnd}")
 
-    # ---------------- bootstrap ----------------
+    # ---------------- bootstrap and admission ----------------
     def _bootstrap(self) -> None:
-        """Seeds → canonical keys → seen-set round-0 admission → frontier 0.
+        """Seeds → canonical keys → seen-set round-0 admission → frontier
+        0, by :meth:`_admit_first_wins` on ``seq``.
 
         Admission order = seed ``seq`` (catalog order in the reference,
         ``search_result.rs:88-111``; dense numbering
-        ``surrogate_key.rs:16-41``).
-
-        Two equivalent implementations (tested identical, like
-        admission): **driver** (vectorized pandas; fastest for seed
-        lists that fit one machine) and **distributed** (the 10^10-URL
-        scale path: first-wins via :func:`ops.firstwins.winner_vals`;
-        no full-seed driver DataFrame anywhere). :func:`stage_path`
-        picks one from the seed row count (footer metadata); the C1
-        debug window is driver-only by definition (it is a bounded
-        debug knob)."""
-        path = stage_path("bootstrap", _count_parquet_rows(self.seeds_path))
-        if self.settings.debug:
-            path = "driver"
-        self._bootstrap_path = path
-        if path == "distributed":
-            self._bootstrap_distributed()
+        ``surrogate_key.rs:16-41``). The driver reads the seed files'
+        footers only; one keying task per chunk of row groups reads and
+        keys its rows and returns their max seq. ``next_seq`` counts ALL
+        seeds (the pre-dedup max), matching the sequential reference's
+        ``max(s['seq'] for s in seeds) + 1`` even when the highest-seq
+        seed is a non-canonical duplicate form. The C1 debug window
+        (``skip(dataset_start).take(dataset_limit)`` in seq order, only
+        when debug is on, ``main.rs:154-169``) is a bounded debug knob:
+        it keeps the bootstrap in one part and is cut on the driver."""
+        chunks, rows = _seed_chunks(self.seeds_path, 2 * self._cpus)
+        futs = [_key_seed_chunk.remote(c) for c in chunks]
+        n = 1 if self.settings.debug else combine_parts(rows, self._cpus)
+        self._bootstrap_parts = n
+        if n > 1:
+            self.next_seq = max(ray.get([f[0] for f in futs])) + 1
+            self._admit_first_wins([f[1] for f in futs], n, "seq", self.frontier_dir(0))
             return
-        # plain keying tasks over slices of the seed table (driver
-        # path: the seed list fits here by the gate above) — the
-        # canonicalize+murmur3 Python work still fans across the
-        # cluster, but without a Dataset execution's fixed startup on
-        # the run's serial path (VERDICT r4 #2: every chained
-        # execution was a measured per-run tax)
-        seed_t = pq.read_table(self.seeds_path)  # file or directory
-        nchunks = max(1, min(2 * self._cpus, seed_t.num_rows // 2048 or 1))
-        size = -(-seed_t.num_rows // nchunks)
-        refs = [
-            _key_frontier_chunk.remote(seed_t.slice(off, size))
-            for off in range(0, seed_t.num_rows, size)
-        ]
-        sdf = pa.concat_tables(ray.get(refs)).to_pandas()
-        # C1 debug window: skip(dataset_start).take(dataset_limit), only
-        # when debug is on (/root/reference/src/main.rs:154-169)
+        if not futs:
+            return
+        seeds = pa.concat_tables(ray.get([f[1] for f in futs]))
         if self.settings.debug:
-            sdf = sdf.sort_values("seq", kind="mergesort")
-            start = self.settings.dataset_start
-            limit = self.settings.dataset_limit
-            sdf = sdf.iloc[start : start + limit if limit else None]
-        self.seen.offer_batch(sdf["key"].to_numpy(), sdf["seq"].to_numpy())
-        admitted = self.seen.commit_round().to_pandas()
-        # next_seq counts ALL seeds (pre-dedup max), matching the
-        # sequential reference's `max(s['seq'] for s in seeds) + 1` even
-        # when the highest-seq seed is a non-canonical duplicate form
-        self.next_seq = int(sdf["seq"].max()) + 1 if len(sdf) else 0
-        sdf = sdf.sort_values("seq", kind="mergesort").drop_duplicates("key")
-        frontier = pa.Table.from_pandas(
-            sdf.merge(admitted[["key", "surrogate"]], on="key", how="inner")[
-                FRONTIER_COLS
-            ],
-            preserve_index=False,
-        )
-        os.makedirs(self.frontier_dir(0), exist_ok=True)
-        pq.write_table(frontier, os.path.join(self.frontier_dir(0), "seeds.parquet"))
-        # hand round 0 its frontier in memory (the disk copy above
-        # stays the replay source) — the round-pipelined selection
-        # then never re-reads the directory the driver just wrote;
-        # robots are checked at selection, as for any link frontier
-        self._next_links = frontier
+            seeds = seeds.sort_by("seq")
+            start, limit = self.settings.dataset_start, self.settings.dataset_limit
+            seeds = seeds.slice(start, limit or None)
+        seq_max = pc.max(seeds["seq"]).as_py()
+        self.next_seq = 0 if seq_max is None else seq_max + 1
+        self._admit_first_wins(seeds, 1, "seq", self.frontier_dir(0))
 
-    def _bootstrap_distributed(self) -> None:
-        """Streaming round-0 admission: read + canonicalize + key,
-        materialized ONCE, then :meth:`_first_wins_frontier` on ``seq``
-        (``next_seq`` falls out of its partial maxes). Seqs are
-        globally unique, so surrogate = 1 + dense rank — identical
-        numbering to the sequential reference
-        (``surrogate_key.rs:16-41``)."""
-        seeds = (
-            ray.data.read_parquet(self.seeds_path)
-            .map_batches(keyed_frontier_batch, batch_format="pyarrow")
-            .materialize()  # consumed twice: partial-min tasks, finalize
-        )
+    def _admit_first_wins(self, rows, n: int, val: str, front_dir: str | None = None) -> int:
+        """First-wins admission of keyed ``rows`` (seeds by ``seq``,
+        links by ``ordv``) on the backlog's exchange, in ``n`` key-hash
+        parts; returns the rows admitted. ``front_dir``: write the
+        admitted rows there too (frontier 0).
 
-        def project(t: pa.Table, rank: np.ndarray) -> pa.Table:
-            return t.append_column("surrogate", pa.array(1 + rank)).select(
-                FRONTIER_COLS
+        ``n`` = 1 adds no task: ``rows`` is the pulled table, and the
+        driver finds its first-wins survivors, numbers them
+        (:meth:`_number`) and builds their :func:`frontier_rows` (one
+        ``take`` of ``rows``), which become the in-memory hand-off
+        ``_next_links``. Otherwise
+        ``rows`` are refs: ``partition_refs`` splits them into ``n``
+        parts, a :func:`_first_wins_part` task per part returns its
+        survivors' (key, val) arrays while the rows stay by ref, the
+        driver numbers all survivors, and a :func:`_frontier_part` task
+        per part gets back its own survivors' ranks and pre-selects
+        their frontier rows; the parts join ``_preselect``."""
+        links = val == "ordv"
+        seq_base, surr_base = self.next_seq, self.seen.next_surrogate
+        if n == 1:
+            won = _first_wins_rows(rows, val)
+            rank = np.full(rows.num_rows, -1, dtype=np.int64)
+            rank[won] = self._number(
+                rows["key"].to_numpy()[won], rows[val].to_numpy()[won], links
             )
-
-        n, stats = self._first_wins_frontier(block_refs(seeds), "seq", project, 0)
-        self.next_seq = stats["vmax"] + 1
-        self.seen.next_surrogate = 1 + n
-
-    def _first_wins_frontier(self, refs: list, val: str, project, rnd: int):
-        """The distributed first-wins skeleton of the bootstrap and the
-        admission, over Arrow block refs carrying ``key`` and a
-        globally unique ``val``:
-
-        1. :func:`ops.firstwins.winner_vals` — per-block partial mins
-           next to the data, a hash-partitioned combine, and the SORTED
-           winning-val array broadcast once (8 B per winning key);
-        2. one ``map_batches`` pass keeps each block's winners and
-           ``project(rows, dense rank)``s them to frontier rows — no
-           shuffle, no sort, no global row numbering;
-        3. Dataset ``write_parquet`` into frontier ``rnd``;
-        4. the seen set loads the frontier blocks one at a time
-           (``load_assigned_blocks``, O(num_blocks) driver refs).
-
-        Returns (frontier rows written, ``winner_vals`` stats)."""
-        from ..ops.firstwins import rank_in, winner_vals
-
-        win, stats = winner_vals(refs, key="key", val=val)
-        win_ref = ray.put(win)
-
-        def finalize(t: pa.Table) -> pa.Table:
-            if t.num_rows == 0 or val not in t.column_names:
-                return _EMPTY_FRONTIER
-            keep, rank = rank_in(
-                ray.get(win_ref), t[val].to_numpy(zero_copy_only=False)
-            )
-            return project(t.take(pa.array(keep, pa.int64())), rank)
-
-        frontier = (
-            ray.data.from_arrow_refs(refs)
-            .map_batches(finalize, batch_format="pyarrow", batch_size=None)
-            .materialize()
+            front = frontier_rows(rows, rank, seq_base, surr_base)
+            if front_dir is not None:
+                _write_frontier(front, os.path.join(front_dir, "seeds-00000.parquet"))
+            if front.num_rows:
+                self._next_links = front
+            return front.num_rows
+        matrix = partition_refs(rows, "key", n)
+        wins = [_first_wins_part.remote(val, *[row[i] for row in matrix]) for i in range(n)]
+        arrays = ray.get([w[0] for w in wins])
+        rank = self._number(
+            np.concatenate([k for k, _ in arrays]), np.concatenate([v for _, v in arrays]), links
         )
-        n = frontier.count()
-        if n:
-            os.makedirs(self.frontier_dir(rnd), exist_ok=True)
-            frontier.write_parquet(self.frontier_dir(rnd))
-            self.seen.load_assigned_blocks(block_refs(frontier))
-        return n, stats
+        admitted = int((rank >= 0).sum())
+        if admitted:
+            ranks = np.split(rank, np.cumsum([len(k) for k, _ in arrays])[:-1])
+            paths = [
+                None if front_dir is None else os.path.join(front_dir, f"seeds-{i:05d}.parquet")
+                for i in range(n)
+            ]
+            self._preselect = (self._preselect or []) + [
+                _frontier_part.remote(w[1], r, seq_base, surr_base, self.budgets,
+                                      self.default_budget, self.robots, path)
+                for w, r, path in zip(wins, ranks, paths)
+            ]
+        return admitted
+
+    def _number(self, keys: np.ndarray, vals: np.ndarray, links: bool) -> np.ndarray:
+        """The driver step of a first-wins admission, over its survivors'
+        keys and vals (16 B per survivor): each survivor's rank among
+        the admitted, in val order (−1: not admitted). Every seed is
+        admitted under its own seq. A sequential crawler numbers only
+        NOVEL urls, so links the seen set knows drop BEFORE child seqs
+        (``next_seq`` + rank) are consumed — the seq/surrogate sequence
+        is then the single-threaded reference's
+        (tests/test_crawl_vs_sequential). The seen set commits the
+        round, assigning surrogates densely in that order."""
+        idx = np.argsort(vals, kind="stable")
+        if links:
+            idx = idx[self.seen.lookup(keys[idx]) < 0]
+            seqs = np.arange(self.next_seq, self.next_seq + len(idx), dtype=np.int64)
+            self.next_seq += len(idx)
+        else:
+            seqs = vals[idx]
+        self.seen.offer_batch(keys[idx], seqs)
+        admitted = self.seen.commit_round().num_rows
+        # the survivors are unique and new, so the commit admits each
+        if admitted != len(idx):
+            raise RuntimeError(
+                f"seen-set commit admitted {admitted} of {len(idx)} first-wins survivors"
+            )
+        rank = np.full(len(keys), -1, dtype=np.int64)
+        rank[idx] = np.arange(len(idx))
+        return rank
 
     # ---------------- selection ----------------
     def _select(self, rnd: int) -> _Selection | None:
@@ -743,9 +798,8 @@ class CrawlRun:
         # round-pipelining hand-off from the previous round: the
         # overlapped backlog pre-selection parts and the in-memory links
         parts, links = self._preselect, self._next_links
-        rebuild = self._full_read_next or (parts is None and links is None)
+        rebuild = parts is None and links is None
         self._preselect = self._next_links = None
-        self._full_read_next = False
         # a replayed (crashed, uncommitted) round must not APPEND to its
         # half-written outputs — the group commit is all-or-nothing (C3)
         shutil.rmtree(self.extracted_dir(rnd), ignore_errors=True)
@@ -753,8 +807,7 @@ class CrawlRun:
         if rebuild:
             # the backlog is rebuilt from the frontier dir: close the
             # open group into it first
-            self._durable(parts, links)
-            links = None
+            self._durable()
             n_front = _count_parquet_rows(fdir)  # 0 for a missing dir
             if not n_front:
                 return None
@@ -764,8 +817,9 @@ class CrawlRun:
         cands, counts = pulled[0::2], pulled[1::2]
         mem = [t for t in (*cands, links) if t is not None and t.num_rows]
         if not rebuild:
-            # the frontier dir would hold exactly these rows
-            n_front = sum(c[0] for c in counts) + sum(t.num_rows for t in mem)
+            # the frontier dir would hold exactly these rows: the parts'
+            # rests, robots-denied rows and candidates, and the links
+            n_front = sum(c[0] + c[1] for c in counts) + sum(t.num_rows for t in mem)
         frontier = pa.concat_tables(
             [t.select(FRONTIER_COLS) for t in mem] or [_EMPTY_FRONTIER],
             promote_options="default",
@@ -799,9 +853,7 @@ class CrawlRun:
             matrix = partition_refs(rests, "key", n)
             shares = [[row[i] for row in matrix] for i in range(n)]
         return [
-            _preselect_backlog.remote(
-                part, self.budgets, self.default_budget, {}, *share
-            )
+            _preselect_backlog.remote(self.budgets, self.default_budget, {}, part, *share)
             for part, share in zip(split_table(losers, "key", n), shares)
         ]
 
@@ -817,8 +869,7 @@ class CrawlRun:
         matrix = partition_refs(reads, "key", n)
         return [
             _preselect_backlog.remote(
-                None, self.budgets, self.default_budget, self.robots,
-                *[row[i] for row in matrix],
+                self.budgets, self.default_budget, self.robots, *[row[i] for row in matrix]
             )
             for i in range(n)
         ]
@@ -971,111 +1022,41 @@ class CrawlRun:
         # fused fetch + extract + project
         phase_t["extract"] = _now() - t0 - fx.flush_s
         t0 = _now()
-        admitted, has_next, admission_path = self._admit(fx, rnd)
+        admitted, has_next, admission_parts = self._admit(fx)
         phase_t["admission"] = _now() - t0
-        paths = {"admission": admission_path}
-        if rnd == 0 and self._bootstrap_path:
-            paths["bootstrap"] = self._bootstrap_path
+        parts = {"backlog_parts": sel.backlog_parts, "admission_parts": admission_parts}
+        if rnd == 0:
+            parts["bootstrap_parts"] = self._bootstrap_parts
         last = not has_next or rnd == self.settings.crawl.max_rounds - 1
-        self._commit(rnd, sel, fx, admitted, paths, phase_t, last)
+        self._commit(rnd, sel, fx, admitted, parts, phase_t, last)
         return has_next
 
-    def _admit(self, fx: _Fetched, rnd: int) -> tuple[int, bool, str]:
-        """Link admission (deterministic child seqs, then the seen
-        filter), then the next round's frontier. Returns (admitted
-        links, whether a next round has work, the admission path).
-
-        Two equivalent admission paths (tested identical, like the
-        bootstrap's): **driver** (:meth:`_admit_driver`, over
-        the pre-deduplicated link survivors, bounded by winners ×
-        ``link_cap_per_page``) and **distributed**
-        (:meth:`_admit_distributed`). :func:`stage_path` picks one from
-        the surviving link count, so no data-proportional ray.get
-        remains once rounds grow."""
-        admitted = 0
-        path = stage_path("admission", fx.n_links_kept)
+    def _admit(self, fx: _Fetched) -> tuple[int, bool, int]:
+        """Link admission: :meth:`_admit_first_wins` on ``ordv`` over the
+        fused tasks' pre-deduplicated link survivors, in P =
+        ``combine_parts(surviving links)`` parts (the tasks already
+        attached ``ordv``, the packed (parent_seq, link_idx) discovery
+        order, and the child ``priority``). Returns (admitted links,
+        whether a next round has work, P; 0 when no link survived)."""
         self.metrics.links_discovered += fx.n_links_raw
-        if fx.n_links_kept and path == "distributed":
-            admitted = self._admit_distributed(fx.link_refs, rnd)
-            # Dataset-written links are next-frontier rows the driver
-            # never saw: the next round rebuilds its backlog from the dir
-            self._full_read_next = admitted > 0
-        elif fx.n_links_kept:
-            new_frontier = self._admit_driver(fx.link_refs)
-            admitted = new_frontier.num_rows
-            if admitted:
-                # the next round's pipelined selection reads the admitted
-                # links from memory; the group's close writes them to disk
-                self._next_links = new_frontier
-        has_next = (
-            self._next_links is not None or self._full_read_next
-            or self._preselect is not None
-        )
-        return admitted, has_next, path
-
-    def _admit_driver(self, link_refs: list) -> pa.Table:
-        """Driver link admission → the admitted links as a frontier
-        table (possibly empty)."""
-        links = pa.concat_tables([l for l in ray.get(link_refs) if l.num_rows])
-        key_a = links["key"].to_numpy(zero_copy_only=False)
-        # ordv packs (seq, link_idx), globally unique — ONE sort key
-        order = np.argsort(
-            links["ordv"].to_numpy(zero_copy_only=False), kind="stable"
-        )
-        first = ~pd.Series(key_a[order]).duplicated().to_numpy()
-        cand_idx = order[first]
-        ck = key_a[cand_idx]
-        # a sequential crawler only numbers NOVEL urls — filter against
-        # the committed seen set BEFORE consuming seqs, so the
-        # seq/surrogate sequence is identical to the single-threaded
-        # reference (tests/test_crawl_vs_sequential)
-        known = self.seen.lookup(ck) >= 0
-        cand_idx, ck = cand_idx[~known], ck[~known]
-        child_seq = np.arange(
-            self.next_seq, self.next_seq + len(ck), dtype=np.int64
-        )
-        self.next_seq += len(ck)
-        base_surr = self.seen.next_surrogate
-        fresh = self.seen.offer_batch(ck, child_seq)
-        cand_idx, ck, child_seq = cand_idx[fresh], ck[fresh], child_seq[fresh]
-        admitted = self.seen.commit_round().num_rows
-        # ck is first-wins-unique and already seen-filtered, so the
-        # commit admits every offered key and assigns surrogates
-        # densely in first_seq (= child_seq) order: surrogate_i =
-        # base_surr + i
-        if admitted != len(ck):
-            raise RuntimeError(
-                f"seen-set commit admitted {admitted} of {len(ck)} novel links"
-            )
-        # child priority was resolved inside the projection tasks
-        # (0.5 x parent) — no winner-map pass here
-        cand_t = links.select(
-            ["link_url", "canonical_url", "host", "priority"]
-        ).take(pa.array(cand_idx, pa.int64()))
-        return pa.table(
-            {
-                "url": cand_t["link_url"],
-                "canonical_url": cand_t["canonical_url"],
-                "key": pa.array(ck),
-                "host": cand_t["host"],
-                "priority": cand_t["priority"],
-                "seq": pa.array(child_seq),
-                "surrogate": pa.array(
-                    base_surr + np.arange(len(ck), dtype=np.int64)
-                ),
-            }
-        )
+        n = combine_parts(fx.n_links_kept, self._cpus) if fx.n_links_kept else 0
+        rows = fx.link_refs
+        if n == 1:
+            rows = pa.concat_tables([l for l in ray.get(rows) if l.num_rows])
+        admitted = self._admit_first_wins(rows, n, "ordv") if n else 0
+        has_next = self._next_links is not None or self._preselect is not None
+        return admitted, has_next, n
 
     def _commit(self, rnd: int, sel: _Selection, fx: _Fetched, admitted: int,
-                paths: dict, phase_t: dict, last: bool) -> None:
-        """Add the round to the open commit group (``paths``: the path
-        each gated stage took) and close the group after round 0 (alone,
-        so the first commit comes early), at the ``last`` round, once
-        its record bytes reach :data:`GROUP_BYTES_MAX`, or when a stage
-        ran distributed (it wrote frontier files the next round reads).
-        The previous close was flushed during this round's extract; a
-        round that fetched nothing flushes it here. The wait is
-        recorded as that group's ``commit_wait`` (inside the flush)."""
+                parts: dict, phase_t: dict, last: bool) -> None:
+        """Add the round to the open commit group (``parts``: the part
+        count of its backlog, admission and, at round 0, bootstrap) and
+        close the group after round 0 (alone, so the first commit comes
+        early), at the ``last`` round, or once its record bytes reach
+        :data:`GROUP_BYTES_MAX`. The previous close was flushed during
+        this round's extract; a round that fetched nothing flushes it
+        here. The wait is recorded as that group's ``commit_wait``
+        (inside the flush)."""
         self._flush_pending_commit()
         t0 = _now()
         g = self._group
@@ -1108,15 +1089,12 @@ class CrawlRun:
                 "next_surrogate": self.seen.next_surrogate,
                 "stats": self.metrics.per_round[-1],
                 "counters": {k: getattr(self.metrics, k) for k in _COUNTERS},
-                "paths": paths,
-                "backlog_parts": sel.backlog_parts,
+                **parts,
                 "extract_docs": dict(fx.extract_docs),
                 "phase_sec": phase_rec,
             }
         )
-        if rnd == 0 or last or g.nbytes >= GROUP_BYTES_MAX or (
-            "distributed" in paths.values()
-        ):
+        if rnd == 0 or last or g.nbytes >= GROUP_BYTES_MAX:
             self._close_group(self._preselect, self._next_links)
         phase_t["snapshot"] = _now() - t0
         phase_rec.update({k: round(v, 3) for k, v in phase_t.items()})
@@ -1125,8 +1103,8 @@ class CrawlRun:
         """Close the open group, rounds first..L: ONE
         :func:`_write_group` task writes its records under
         ``extracted/round=<first>`` and the next frontier (the backlog
-        ``parts``' cand and rest, ``links``) into ``frontier_dir(L + 1)``; ONE seen
-        snapshot at L is full when the group holds a multiple of
+        ``parts``' cand, rest and denied rows, ``links``) into
+        ``frontier_dir(L + 1)``; ONE seen snapshot at L is full when the group holds a multiple of
         ``snapshot_full_every``, else the group's delta. The manifest
         entry waits for the writer: the next round writes it while its
         extract tasks run (:meth:`_fetch_extract`), or :meth:`_durable`
@@ -1136,7 +1114,7 @@ class CrawlRun:
         parts = parts or []
         writer = _write_group.remote(
             self.extracted_dir(g.first), self.frontier_dir(last + 1), g.misses,
-            links, len(parts), *[t for p in parts for t in (p[0], p[2])], *g.records,
+            links, len(parts), *[t for p in parts for t in (p[0], p[2], p[3])], *g.records,
         )
         every = self.settings.crawl.snapshot_full_every
         mode = "full" if any(r % every == 0 for r in range(g.first, last + 1)) else "delta"
@@ -1158,40 +1136,6 @@ class CrawlRun:
         if self._group is not None:
             self._close_group(parts, links)
         self._flush_pending_commit()
-
-    # ---------------- distributed link admission ----------------
-    def _admit_distributed(self, link_refs: list, rnd: int) -> int:
-        """Scale-path link admission — the distributed mirror of
-        :meth:`_admit_driver`. The fused tasks already attached ``ordv``
-        (packed (parent_seq, link_idx) discovery order) and the child
-        ``priority``. The seen anti-filter runs FIRST, over the link
-        refs one block at a time (seen-ness is a per-key property, so
-        this shrinks first-wins to the NOVEL links); then
-        :meth:`_first_wins_frontier` on ``ordv`` assigns child seq =
-        ``next_seq`` + rank and surrogate = ``next_surrogate`` + rank —
-        identical numbering to the driver path. Returns the number of
-        admitted links."""
-        base_seq, base_surr = self.next_seq, self.seen.next_surrogate
-
-        def project(t: pa.Table, rank: np.ndarray) -> pa.Table:
-            return pa.table(
-                {
-                    "url": t["link_url"],
-                    "canonical_url": t["canonical_url"],
-                    "key": t["key"],
-                    "host": t["host"],
-                    "priority": t["priority"],
-                    "seq": pa.array(base_seq + rank),
-                    "surrogate": pa.array(base_surr + rank),
-                }
-            )
-
-        n, _stats = self._first_wins_frontier(
-            self.seen.filter_unseen_refs(link_refs), "ordv", project, rnd + 1
-        )
-        self.next_seq = base_seq + n
-        self.seen.next_surrogate = base_surr + n
-        return n
 
     def _flush_pending_commit(self) -> float:
         """Commit the closed group once its writer lands; returns the
@@ -1303,6 +1247,8 @@ def _record_files(run_dir: str, record_type: str) -> list[str]:
 
 def extracted_dataset(run_dir: str, record_type: str) -> "ray.data.Dataset":
     """Read one logical output table of a (published) run."""
+    import ray.data
+
     files = _record_files(run_dir, record_type)
     if not files:
         raise FileNotFoundError(f"no {record_type} output under {run_dir}/staging/extracted")

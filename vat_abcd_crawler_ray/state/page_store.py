@@ -124,11 +124,19 @@ class PageStore:
         # may truncate string min/max stats, which would silently
         # misroute lookups. Routing also requires a globally url-sorted
         # corpus; validate the invariant here and fail loudly instead of
-        # turning present pages into FetchMiss dead-letter rows.
+        # turning present pages into FetchMiss dead-letter rows. A file
+        # with no rows has no first url and serves no page: it is
+        # skipped (one is kept when every file is empty, so a lookup
+        # still has a file to miss in).
         starts: list[str] = []
+        kept = []
         for f in files:
-            batch = next(pq.ParquetFile(f).iter_batches(batch_size=1, columns=["url"]))
-            starts.append(batch["url"][0].as_py())
+            pf = pq.ParquetFile(f)
+            if pf.metadata.num_rows:
+                batch = next(pf.iter_batches(batch_size=1, columns=["url"]))
+                starts.append(batch["url"][0].as_py())
+                kept.append(f)
+        files = kept or files[:1]
         for prev, cur, f in zip(starts, starts[1:], files[1:]):
             if not prev < cur:
                 raise ValueError(

@@ -20,8 +20,9 @@ winners and assigns dense surrogates in (round, first_seq) order —
 reproducing the sequential crawl's first-seen ordering. The crawl
 snapshots the set at each commit for kill/resume (the reference
 rebuilds from scratch, ``database_sink.rs:91-101``; at 10^10 we must
-not). The batch first-wins over a Dataset is
-:func:`ops.firstwins.winner_vals`.
+not). The crawl runs first-wins in its bootstrap and admission parts
+(``pipelines/crawl.first_wins``) and offers the set only each key's
+survivor.
 
 A snapshot directory holds ``shard_0.npz`` and ``_meta``. Directories
 written while the set was split over N shards (by ``key % N``) hold
@@ -36,9 +37,7 @@ import zipfile
 
 import numpy as np
 import pyarrow as pa
-import ray
 
-from ..ops.blocks import as_arrow
 from .cuckoo import CuckooFilter
 
 # starting size of the cuckoo prefilter; a full filter doubles, so this
@@ -299,7 +298,7 @@ class SeenSet:
         NOT yet committed-seen (i.e. candidates for the next round).
         Within-round duplicates all return True — the round barrier
         (commit_round) resolves the min-seq winner. Called by the seed
-        bootstrap and the driver link admission."""
+        bootstrap and the link admission."""
         keys = np.asarray(keys, dtype=np.int64)
         seqs = np.asarray(seqs, dtype=np.int64)
         fresh = self._unseen(keys)
@@ -312,9 +311,9 @@ class SeenSet:
         """Resolve the round: each offered key never committed before
         wins with its min offered seq, and the winners take dense
         surrogates in first_seq order. Returns (key, first_seq,
-        surrogate) for the round's new keys. Every caller offers at most
-        a driver-sized round (the crawl's distributed stages bulk-load
-        with :meth:`load_assigned_blocks` instead)."""
+        surrogate) for the round's new keys. The crawl offers it one
+        bootstrap's or admission's first-wins survivors, whatever their
+        part count: 16 B of (key, seq) per survivor."""
         if self._pending:
             keys = np.concatenate([k for k, _ in self._pending])
             seqs = np.concatenate([q for _, q in self._pending])
@@ -357,35 +356,6 @@ class SeenSet:
             out[todo[hit]] = run.surrogates[pos[hit]]
             resolved[todo[hit]] = True
         return out
-
-    def filter_unseen_refs(self, refs: list) -> list:
-        """Anti-filter over Arrow block refs (``key`` column): the refs
-        of each block's rows whose key is not committed-seen, in block
-        order. The driver takes one block at a time (``ray.get``,
-        filter, ``ray.put``), so it holds one block. The crawl calls
-        this only above its driver size gate (``DRIVER_ROWS_MAX``)."""
-        out = []
-        for ref in refs:
-            table = as_arrow(ray.get(ref))
-            if table.num_rows and "key" in table.column_names:
-                # sort/shuffle ops emit schemaless empties: kept as is
-                table = table.filter(pa.array(self._unseen(table["key"].to_numpy())))
-            out.append(ray.put(table))
-        return out
-
-    def load_assigned_blocks(self, refs: list) -> None:
-        """Bulk-commit pre-assigned (key, surrogate, seq) rows from
-        Arrow block refs, one block at a time (``ray.get``, then store),
-        so the driver holds one block. Used by the distributed bootstrap
-        and link admission, which run only above the crawl's driver size
-        gate (``DRIVER_ROWS_MAX``)."""
-        for ref in refs:
-            table = as_arrow(ray.get(ref))
-            if table.num_rows and "key" in table.column_names:
-                self._store(
-                    *(table[c].to_numpy().astype(np.int64, copy=False)
-                      for c in ("key", "surrogate", "seq"))
-                )
 
     def snapshot_async(self, dir_path: str, mode: str = "full") -> dict:
         """Snapshot the set to ``dir_path`` (``shard_0.npz`` and
